@@ -13,22 +13,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import io as cqio
-from .dynamics import GeneratorProvider, integrate_master
+from .dynamics import GeneratorProvider, flip_table, integrate_master
 from .errors import IntegrationError, ResourceLimitError, ValidationError
-from .model import energy_table
+from .model import ground_space
 
 MAX_ANNEAL_SPINS = 12
 
 SCHEDULE_KINDS = ("linear", "power", "logarithmic")
 
-# QA: fixed-step RK4 with |H| h small enough that the total norm drift
-# (~ T omega (omega h)^5 / 144 per the RK4 stability function) stays
-# below this budget.
-_QA_DRIFT_BUDGET = 1e-9
-_QA_THETA_CAP = 0.2
+# QA: substep h with (|E|_max + n |Gamma|) h <= _QA_THETA, each substep a
+# Yoshida triple jump of Strang splittings (weights w1, w0 = 1 - 2 w1).
+_QA_THETA = 0.125
+_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,6 @@ def _check_anneal_size(n):
         )
 
 
-def _ground_space(energies):
-    e_min = energies.min()
-    return energies <= e_min + 1e-9 * max(1.0, abs(e_min)), float(e_min)
-
-
 def run_sa(h0, sched, rule="heat-bath", steps=200, *, max_step=None):
     """Anneal the master equation from the uniform distribution.
 
@@ -139,7 +133,7 @@ def run_sa(h0, sched, rule="heat-bath", steps=200, *, max_step=None):
     t_grid = np.linspace(0.0, sched.horizon, steps + 1)
     traj = integrate_master(provider, p0, t_grid, max_step=max_step)
 
-    gmask, e_gs = _ground_space(provider.table.energies)
+    gmask, e_gs = ground_space(provider.table.energies)
     control = np.array([sched.value(t) for t in t_grid])
     residual = traj.mean_energy - e_gs
     return AnnealResult(t_grid, control, traj.p_ground, residual,
@@ -147,20 +141,24 @@ def run_sa(h0, sched, rule="heat-bath", steps=200, *, max_step=None):
                         traj.norm_drift, sched)
 
 
-def _qa_theta(omega, horizon):
-    # theta = omega h from the drift budget: total ~ T omega theta^5 / 144
-    theta = (144.0 * _QA_DRIFT_BUDGET / max(horizon * omega, 1e-30)) ** 0.2
-    return min(theta, _QA_THETA_CAP)
+def _rotate_driver(psi, flips, angle):
+    """exp(+i angle sum_j sx_j) psi; ``flips[j]`` maps s to s ^ (1 << j)."""
+    c, s = math.cos(angle), 1j * math.sin(angle)
+    for flip in flips:
+        psi = c * psi + s * psi[flip]
+    return psi
 
 
 def run_qa(h0, sched, steps=200, *, refine=1.0):
     """Anneal the Schroedinger equation with a uniform transverse-field driver.
 
     Starts from the uniform superposition (the driver ground state in the
-    large-field limit); the schedule must end at Gamma(T) = 0. The state
-    norm is tracked and a drift beyond 1e-6 raises IntegrationError.
-    ``refine`` multiplies the internal substep count (for convergence
-    checks at finer resolution).
+    large-field limit); the schedule must end at Gamma(T) = 0. Substeps are
+    fourth-order split-operator steps (Yoshida triple jump of Strang steps
+    with Gamma at each midpoint) built from exact, matrix-free factors, so
+    the norm is kept to roundoff; (max|E| + n |Gamma|) h <= 0.125. ``refine``
+    multiplies the substep count (for convergence checks at finer
+    resolution). A norm drift beyond 1e-6 raises IntegrationError.
     """
     _check_anneal_size(h0.n)
     if steps < 1:
@@ -173,26 +171,13 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
             f"QA schedule must reach Gamma(T) = 0, got {sched.final()!r}"
         )
 
-    energies = energy_table(h0).values
-    dim = energies.size
-    idx = np.arange(dim, dtype=np.int64)
-    rows = np.concatenate([idx ^ (1 << j) for j in range(h0.n)])
-    cols = np.tile(idx, h0.n)
-    driver = sparse.coo_array(
-        (np.ones(rows.size), (rows, cols)), shape=(dim, dim)
-    ).tocsr()
-
-    gmask, e_gs = _ground_space(energies)
+    table = flip_table(h0)
+    energies = table.energies
+    gmask, e_gs = ground_space(energies)
     e_scale = float(np.abs(energies).max())
-    gamma_max = max(abs(sched.value(t)) for t in np.linspace(0.0, sched.horizon, 257))
-    omega_run = e_scale + h0.n * gamma_max + 1e-12
-    theta = _qa_theta(omega_run, sched.horizon)
 
-    psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    psi = np.full(energies.size, 1.0 / math.sqrt(energies.size), dtype=complex)
     t_grid = np.linspace(0.0, sched.horizon, steps + 1)
-
-    def rhs(t, state):
-        return -1j * (energies * state - sched.value(t) * (driver @ state))
 
     p_ground = np.empty(t_grid.size)
     residual = np.empty(t_grid.size)
@@ -219,16 +204,18 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
             continue
         # Schedules are monotone, so the endpoint fields bound the interval.
         omega_k = e_scale + h0.n * max(abs(sched.value(t0)), abs(sched.value(t1))) + 1e-12
-        substeps = max(1, int(math.ceil(refine * (t1 - t0) * omega_k / theta)))
+        substeps = max(1, int(math.ceil(refine * (t1 - t0) * omega_k / _QA_THETA)))
         h = (t1 - t0) / substeps
-        t = t0
-        for _ in range(substeps):
-            k1 = rhs(t, psi)
-            k2 = rhs(t + 0.5 * h, psi + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, psi + 0.5 * h * k2)
-            k4 = rhs(t + h, psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
+        tau1, tau0 = _YOSHIDA_W1 * h, _YOSHIDA_W0 * h
+        # Adjacent half-phases of consecutive Strang steps are merged.
+        outer = np.exp(-0.5j * tau1 * energies)
+        inner = np.exp(-0.5j * (tau1 + tau0) * energies)
+        for i in range(substeps):
+            t = t0 + i * h
+            psi = _rotate_driver(outer * psi, table.flips, tau1 * sched.value(t + 0.5 * tau1))
+            psi = _rotate_driver(inner * psi, table.flips, tau0 * sched.value(t + 0.5 * h))
+            psi = _rotate_driver(inner * psi, table.flips, tau1 * sched.value(t + h - 0.5 * tau1))
+            psi = outer * psi
         record(k + 1, t1, psi)
         if worst_drift > 1e-6:
             raise IntegrationError(

@@ -28,7 +28,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .model import energy_table, gibbs_distribution
+from .model import energy_table, gibbs_distribution, gibbs_from_energies, ground_space
 
 MAX_SPARSE_SPINS = 24
 
@@ -187,7 +187,7 @@ class GeneratorProvider:
         return _assemble(self.table, self._rates(t), self.rule, self.beta(t))
 
     def equilibrium(self, t):
-        return gibbs_distribution(self.model, self.beta(t)).p
+        return gibbs_from_energies(self.n, self.table.energies, self.beta(t)).p
 
 
 def constant_provider(h0, beta, rule="heat-bath"):
@@ -231,11 +231,6 @@ class Trajectory:
     p_ground: np.ndarray
     l1_to_equilibrium: np.ndarray
     norm_drift: float
-
-
-def _ground_mask(energies):
-    e_min = energies.min()
-    return energies <= e_min + 1e-9 * max(1.0, abs(e_min))
 
 
 def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
@@ -295,7 +290,7 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
     model = getattr(provider, "model", None)
     if model is not None:
         energies = energy_table(model).values
-        gmask = _ground_mask(energies)
+        gmask, _ = ground_space(energies)
         mean_e = states @ energies
         p_ground = states[:, gmask].sum(axis=1)
     else:

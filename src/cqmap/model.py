@@ -105,6 +105,8 @@ class ProbabilityVector:
             raise ValidationError(
                 f"probability vector has shape {self.p.shape}, expected (2^{self.n},)"
             )
+        if not np.all(np.isfinite(self.p)):
+            raise ValidationError("probability vector has a non-finite entry")
         if np.any(self.p < 0.0):
             raise ValidationError("probability vector has a negative entry")
         if abs(self.p.sum() - 1.0) > 1e-12:
@@ -299,11 +301,21 @@ def hamiltonian_from_table(table, drop_below=0.0):
 
 def gibbs_distribution(h0, beta):
     """Equilibrium distribution p_i proportional to exp(-beta E_i), max-shifted."""
+    return gibbs_from_energies(h0.n, energy_table(h0).values, beta)
+
+
+def gibbs_from_energies(n, energies, beta):
+    """gibbs_distribution over an already computed energy table."""
     if not math.isfinite(beta) or beta < 0:
         raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
-    energies = energy_table(h0).values
     w = np.exp(-beta * (energies - energies.min()))
-    return ProbabilityVector(h0.n, w / w.sum())
+    return ProbabilityVector(n, w / w.sum())
+
+
+def ground_space(energies):
+    """Ground-space mask E <= E_min + 1e-9 max(1, |E_min|), and E_min."""
+    e_min = energies.min()
+    return energies <= e_min + 1e-9 * max(1.0, abs(e_min)), float(e_min)
 
 
 @dataclass

@@ -5,6 +5,8 @@ import cqmap as cq
 from cqmap.anneal import comparison_json, run_csv
 from cqmap.errors import ResourceLimitError, ValidationError
 
+from conftest import naive_energy_table
+
 
 def field_chain(n=4, h=0.4):
     """Chain plus uniform field: unique (nondegenerate) ground state."""
@@ -146,6 +148,37 @@ def test_qa_two_level_matches_independent_integrator():
         t += h
     oracle_success = abs(psi[0]) ** 2 / (np.abs(psi) ** 2).sum()
     assert abs(result.final_success - oracle_success) < 1e-5
+
+
+def test_qa_matches_dense_exponential_midpoint_oracle():
+    h0 = field_chain(3)
+    gamma0, horizon = 10.0, 10.0
+    result = cq.run_qa(h0, cq.make_schedule("linear", (gamma0, 0.0), horizon), steps=20)
+
+    # exponential midpoint rule on the dense 8x8 H(t); second order, and at
+    # 8000 steps within ~3e-8 of its converged value
+    energies = naive_energy_table(h0)
+    dim = energies.size
+    x = np.zeros((dim, dim))
+    for s in range(dim):
+        for j in range(h0.n):
+            x[s ^ (1 << j), s] = 1.0
+    steps = 8000
+    h = horizon / steps
+    psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+    for k in range(steps):
+        gamma = gamma0 * (1.0 - (k + 0.5) * h / horizon)
+        w, v = np.linalg.eigh(np.diag(energies) - gamma * x)
+        psi = v @ (np.exp(-1j * w * h) * (v.T @ psi))
+    ground = energies <= energies.min() + 1e-9
+    oracle_success = (np.abs(psi[ground]) ** 2).sum()
+    assert abs(result.final_success - oracle_success) < 1e-6
+
+
+def test_qa_norm_drift_is_roundoff():
+    sched = cq.make_schedule("linear", (10.0, 0.0), 25.0)
+    result = cq.run_qa(field_chain(), sched, steps=50)
+    assert result.norm_drift <= 1e-12
 
 
 def test_qa_monotone_horizon_on_nondegenerate_instance():

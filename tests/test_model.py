@@ -193,6 +193,9 @@ def test_probability_vector_validation():
         cq.ProbabilityVector(1, np.array([0.7, 0.2]))
     with pytest.raises(ValidationError):
         cq.ProbabilityVector(1, np.array([1.1, -0.1]))
+    for bad in ([np.nan, np.nan], [np.inf, 0.0], [1.0, -np.inf]):
+        with pytest.raises(ValidationError, match="non-finite"):
+            cq.ProbabilityVector(1, np.array(bad))
 
 
 # --------------------------------------------------------- interaction_profile
