@@ -28,9 +28,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .model import energy_table, gibbs_distribution, gibbs_from_energies, ground_space
-
-MAX_SPARSE_SPINS = 24
+from .model import MAX_OPERATOR_SPINS, energy_table, gibbs_from_energies, ground_space
 
 _RULE_ALIASES = {"heat-bath": "heat-bath", "glauber": "heat-bath",
                  "heat_bath": "heat-bath", "metropolis": "metropolis"}
@@ -69,9 +67,9 @@ class FlipTable:
 
 
 def flip_table(h0):
-    if h0.n > MAX_SPARSE_SPINS:
+    if h0.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(
-            f"n={h0.n} exceeds the {MAX_SPARSE_SPINS}-spin cap for generators"
+            f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap for generators"
         )
     energies = energy_table(h0).values
     dim = energies.size
@@ -83,6 +81,19 @@ def flip_table(h0):
     return FlipTable(h0.n, energies, flips, delta_e)
 
 
+def flip_matrix(diag, off):
+    """CSR matrix with ``diag`` on the diagonal and ``off[j, s]`` at
+    ``(s ^ (1 << j), s)``: the shape of every single-spin-flip operator
+    (generators, the transverse-field and closed-form chain Hamiltonians)."""
+    n, dim = off.shape
+    idx = np.arange(dim, dtype=np.int64)
+    masks = np.concatenate(([0], 1 << np.arange(n, dtype=np.int64)))
+    rows = (masks[:, None] ^ idx).reshape(-1)
+    cols = np.tile(idx, n + 1)
+    vals = np.concatenate([diag, off.reshape(-1)])
+    return sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
 def flip_rates(table, beta, rule):
     """Flip rate of every (spin, configuration) pair; shape (n, 2^n)."""
     rule = canonical_rule(rule)
@@ -92,26 +103,13 @@ def flip_rates(table, beta, rule):
     return np.exp(np.minimum(0.0, -x))
 
 
-def _assemble(table, rates, rule, beta):
-    n, dim = rates.shape
-    cols = np.tile(np.arange(dim, dtype=np.int64), n)
-    rows = table.flips.reshape(-1)
-    vals = rates.reshape(-1)
-    diag = -rates.sum(axis=0)
-    rows = np.concatenate([rows, np.arange(dim, dtype=np.int64)])
-    cols = np.concatenate([cols, np.arange(dim, dtype=np.int64)])
-    vals = np.concatenate([vals, diag])
-    matrix = sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    return GeneratorMatrix(table.n, matrix, rule, beta)
-
-
 def build_generator(h0, beta, rule="heat-bath"):
     """Single-spin-flip generator at fixed inverse temperature."""
     if not math.isfinite(beta) or beta < 0:
         raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
     rule = canonical_rule(rule)
-    table = flip_table(h0)
-    return _assemble(table, flip_rates(table, beta, rule), rule, beta)
+    rates = flip_rates(flip_table(h0), beta, rule)
+    return GeneratorMatrix(h0.n, flip_matrix(-rates.sum(axis=0), rates), rule, beta)
 
 
 @dataclass
@@ -157,8 +155,8 @@ class GeneratorProvider:
 
     def __init__(self, h0, beta_of_t, rule="heat-bath"):
         self.rule = canonical_rule(rule)
-        self.model = h0
         self.table = flip_table(h0)
+        self.energies = self.table.energies
         self.n = h0.n
         self._beta_of_t = beta_of_t
         self._cached_beta = None
@@ -183,11 +181,8 @@ class GeneratorProvider:
         out -= rates.sum(axis=0) * p
         return out
 
-    def generator(self, t):
-        return _assemble(self.table, self._rates(t), self.rule, self.beta(t))
-
     def equilibrium(self, t):
-        return gibbs_from_energies(self.n, self.table.energies, self.beta(t)).p
+        return gibbs_from_energies(self.n, self.energies, self.beta(t)).p
 
 
 def constant_provider(h0, beta, rule="heat-bath"):
@@ -202,12 +197,12 @@ class MatrixProvider:
     def __init__(self, W, h0=None, equilibrium_vector=None):
         self.matrix = W.matrix
         self.n = W.n
-        self.model = h0
+        self.energies = energy_table(h0).values if h0 is not None else None
         self.rule = W.rule
         self._beta = W.beta
         self._peq = equilibrium_vector
         if self._peq is None and h0 is not None:
-            self._peq = gibbs_distribution(h0, W.beta).p
+            self._peq = gibbs_from_energies(h0.n, self.energies, W.beta).p
         diag = np.abs(self.matrix.diagonal())
         self.spectral_bound = 2.0 * float(diag.max()) if diag.size else 1.0
 
@@ -287,9 +282,8 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
     if drift > 1e-9 * span:
         raise IntegrationError(f"probability normalization drifted by {drift:.3e}")
 
-    model = getattr(provider, "model", None)
-    if model is not None:
-        energies = energy_table(model).values
+    energies = getattr(provider, "energies", None)
+    if energies is not None:
         gmask, _ = ground_space(energies)
         mean_e = states @ energies
         p_ground = states[:, gmask].sum(axis=1)
@@ -340,6 +334,6 @@ def read_generator(path, rule="unknown", beta=float("nan")):
     matrix = cqio.read_coordinate(path)
     dim = matrix.shape[0]
     n = dim.bit_length() - 1
-    if dim != (1 << n):
-        raise ValidationError(f"{path}: dimension {dim} is not a power of two")
+    if n < 1 or dim != (1 << n):
+        raise ValidationError(f"{path}: dimension {dim} is not a power of two >= 2")
     return GeneratorMatrix(n, matrix, rule, beta)

@@ -61,22 +61,29 @@ def read_coordinate(path):
             raise ValidationError(
                 f"{path}: expected header {COORDINATE_HEADER!r}, got {header!r}"
             )
-        size_line = fh.readline().split()
-        if len(size_line) != 3:
+        try:
+            nrows, ncols, nnz = (int(v) for v in fh.readline().split())
+        except ValueError:
+            raise ValidationError(f"{path}: malformed size line") from None
+        if nrows != ncols:
+            raise ValidationError(f"{path}: matrix is {nrows}x{ncols}, expected square")
+        if nrows < 1 or nnz < 0:
             raise ValidationError(f"{path}: malformed size line")
-        nrows, ncols, nnz = (int(v) for v in size_line)
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz)
         for k in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValidationError(f"{path}: truncated at entry {k}")
-            rows[k] = int(parts[0]) - 1
-            cols[k] = int(parts[1]) - 1
-            vals[k] = float(parts[2])
+            try:
+                row, col, val = fh.readline().split()
+                rows[k], cols[k], vals[k] = int(row) - 1, int(col) - 1, float(val)
+            except (ValueError, OverflowError):
+                raise ValidationError(f"{path}: truncated or malformed entry {k}") from None
     if nnz and (rows.min() < 0 or cols.min() < 0 or rows.max() >= nrows or cols.max() >= ncols):
         raise ValidationError(f"{path}: coordinate outside matrix bounds")
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError(f"{path}: non-finite entry")
+    if np.unique(rows * ncols + cols).size != nnz:
+        raise ValidationError(f"{path}: duplicate (row, col) entry")
     return sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
 
 

@@ -22,7 +22,13 @@ import numpy as np
 from scipy import sparse
 
 from . import io as cqio
-from .dynamics import GeneratorMatrix, build_generator, canonical_rule, verify_dynamics
+from .dynamics import (
+    GeneratorMatrix,
+    build_generator,
+    canonical_rule,
+    flip_matrix,
+    verify_dynamics,
+)
 from .errors import (
     DegenerateGroundStateError,
     IllConditionedLogError,
@@ -33,19 +39,21 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    MAX_DENSE_SPINS,
+    MAX_OPERATOR_SPINS,
     ClassicalHamiltonian,
     dense_coefficients,
     energy_table,
-    gibbs_distribution,
+    gibbs_from_energies,
     walsh_transform,
 )
 
-DENSE_GROUND_SPINS = 13
-ITERATIVE_GROUND_SPINS = 24
 MAX_ROUNDTRIP_SPINS = 10
 
 # Relative ground-state degeneracy tolerance (fraction of spectral width).
 DEGENERACY_RTOL = 1e-10
+# q2c symmetry tolerance on max|H - H^T| / max|H|; mapped matrices sit below 1e-14.
+SYMMETRY_RTOL = 1e-10
 
 
 @dataclass
@@ -81,14 +89,14 @@ def classical_to_quantum(h0, beta, W, *, db_tol=1e-10):
     """
     if W.n != h0.n:
         raise ValidationError(f"generator is for n={W.n}, model has n={h0.n}")
-    peq = gibbs_distribution(h0, beta)
+    energies = energy_table(h0).values
+    peq = gibbs_from_energies(h0.n, energies, beta)
     report = verify_dynamics(W, peq, tol=db_tol)
     if report.detailed_balance_residual > db_tol:
         raise MappingPreconditionError(
             f"detailed-balance residual {report.detailed_balance_residual:.3e} "
             f"exceeds {db_tol:.1e}; mapped matrix would be nonsymmetric"
         )
-    energies = energy_table(h0).values
     coo = sparse.coo_array(W.matrix)
     # Only energy differences enter, so no overflow shift is needed.
     data = -np.exp(0.5 * beta * (energies[coo.row] - energies[coo.col])) * coo.data
@@ -112,8 +120,8 @@ def heat_bath_chain_closed_form(n, beta):
     """
     if n < 3:
         raise ValidationError("closed-form chain needs n >= 3 (distinct j-1, j, j+1)")
-    if n > ITERATIVE_GROUND_SPINS:
-        raise ResourceLimitError(f"n={n} exceeds the {ITERATIVE_GROUND_SPINS}-spin cap")
+    if n > MAX_OPERATOR_SPINS:
+        raise ResourceLimitError(f"n={n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     if not math.isfinite(beta) or beta < 0:
         raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
     dim = 1 << n
@@ -129,39 +137,18 @@ def heat_bath_chain_closed_form(n, beta):
 
     ch, sh = math.cosh(beta) ** 2, math.sinh(beta) ** 2
     denom = 2.0 * math.cosh(2.0 * beta)
-    rows, cols, vals = [np.arange(dim, dtype=np.int64)], [np.arange(dim, dtype=np.int64)], [diag]
-    for j in range(n):
-        coeff = -(ch - sh * sz[(j - 1) % n] * sz[(j + 1) % n]) / denom
-        rows.append(idx ^ (1 << j))
-        cols.append(idx)
-        vals.append(coeff)
-    matrix = sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    return QuantumHamiltonian(n, matrix)
+    off = -(ch - sh * np.roll(sz, 1, axis=0) * np.roll(sz, -1, axis=0)) / denom
+    return QuantumHamiltonian(n, flip_matrix(diag, off))
 
 
 def transverse_field_hamiltonian(h0, gamma):
     """H = diag(E) - gamma * sum_j sx_j in the sigma^z basis (stoquastic for
     gamma >= 0)."""
-    if h0.n > ITERATIVE_GROUND_SPINS:
-        raise ResourceLimitError(f"n={h0.n} exceeds the {ITERATIVE_GROUND_SPINS}-spin cap")
+    if h0.n > MAX_OPERATOR_SPINS:
+        raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     energies = energy_table(h0).values
-    dim = energies.size
-    idx = np.arange(dim, dtype=np.int64)
-    rows = [idx]
-    cols = [idx]
-    vals = [energies]
-    for j in range(h0.n):
-        rows.append(idx ^ (1 << j))
-        cols.append(idx)
-        vals.append(np.full(dim, -float(gamma)))
-    matrix = sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    return QuantumHamiltonian(h0.n, matrix)
+    off = np.full((h0.n, energies.size), -float(gamma))
+    return QuantumHamiltonian(h0.n, flip_matrix(energies, off))
 
 
 def ground_state(H, *, degeneracy_rtol=DEGENERACY_RTOL):
@@ -173,9 +160,9 @@ def ground_state(H, *, degeneracy_rtol=DEGENERACY_RTOL):
     degeneracy_rtol * spectral width.
     """
     dim = H.matrix.shape[0]
-    if H.n > ITERATIVE_GROUND_SPINS:
-        raise ResourceLimitError(f"n={H.n} exceeds the {ITERATIVE_GROUND_SPINS}-spin cap")
-    if H.n <= DENSE_GROUND_SPINS:
+    if H.n > MAX_OPERATOR_SPINS:
+        raise ResourceLimitError(f"n={H.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
+    if H.n <= MAX_DENSE_SPINS:
         vals, vecs = np.linalg.eigh(H.dense())
         lam0, lam1, width = vals[0], vals[1], vals[-1] - vals[0]
         vec = vecs[:, 0]
@@ -199,22 +186,6 @@ def ground_state(H, *, degeneracy_rtol=DEGENERACY_RTOL):
     return GroundState(float(lam0), vec, margin)
 
 
-def _union_find_components(dim, rows, cols):
-    parent = np.arange(dim, dtype=np.int64)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for r, c in zip(rows, cols):
-        ra, rb = find(r), find(c)
-        if ra != rb:
-            parent[rb] = ra
-    return sum(1 for i in range(dim) if find(i) == i)
-
-
 @dataclass
 class QtoCResult:
     """Recovered classical dynamics plus the bookkeeping of the inversion."""
@@ -236,6 +207,12 @@ def quantum_to_classical(H, tol=1e-12):
     """
     if tol < 0:
         raise ValidationError("tol must be >= 0")
+    scale = abs(H.matrix).max()
+    asym = abs(H.matrix - H.matrix.T).max() / scale if scale > 0 else 0.0
+    if asym > SYMMETRY_RTOL:
+        raise MappingPreconditionError(
+            f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds {SYMMETRY_RTOL:.1e}"
+        )
     coo = sparse.coo_array(H.matrix)
     off = coo.row != coo.col
     if np.any(coo.data[off] > tol):
@@ -243,9 +220,15 @@ def quantum_to_classical(H, tol=1e-12):
         raise NonStoquasticError(
             f"non-stoquastic: positive off-diagonal {worst:.3e} exceeds tol {tol:.1e}"
         )
+    # Imported here: csgraph adds about 40 ms and 1 MiB to every cqmap import.
+    from scipy.sparse.csgraph import connected_components
+
     dim = H.matrix.shape[0]
     edges = off & (np.abs(coo.data) > tol)
-    n_components = _union_find_components(dim, coo.row[edges], coo.col[edges])
+    adjacency = sparse.coo_array(
+        (np.ones(edges.sum()), (coo.row[edges], coo.col[edges])), shape=(dim, dim)
+    )
+    n_components, _ = connected_components(adjacency, directed=False)
     if n_components != 1:
         raise ReducibleOperatorError(
             f"off-diagonal adjacency graph has {n_components} components; "
@@ -327,6 +310,6 @@ def read_hamiltonian(path):
     matrix = cqio.read_coordinate(path)
     dim = matrix.shape[0]
     n = dim.bit_length() - 1
-    if dim != (1 << n):
-        raise ValidationError(f"{path}: dimension {dim} is not a power of two")
+    if n < 1 or dim != (1 << n):
+        raise ValidationError(f"{path}: dimension {dim} is not a power of two >= 2")
     return QuantumHamiltonian(n, matrix)

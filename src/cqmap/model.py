@@ -23,10 +23,16 @@ import numpy as np
 from .errors import ResourceLimitError, ValidationError
 
 MAX_TABLE_SPINS = 30  # 2^N address-space guard for full tables
+MAX_OPERATOR_SPINS = 24  # sparse flip-structured operators and Krylov solves
+MAX_DENSE_SPINS = 13  # dense 2^N x 2^N eigendecompositions
+
+
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_spin_count(n):
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValidationError(f"spin count must be a positive integer, got {n!r}")
     if n > MAX_TABLE_SPINS:
         raise ResourceLimitError(
@@ -113,13 +119,20 @@ class ProbabilityVector:
             raise ValidationError("probability vector does not sum to 1 within 1e-12")
 
 
+def _number(value, what):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+
+
 def _term_coefficient(term, position):
     keys = [k for k in ("c", "J", "h") if k in term]
     if len(keys) != 1:
         raise ValidationError(
             f"term {position}: exactly one of 'c', 'J', 'h' must be given, got {sorted(term)}"
         )
-    value = float(term[keys[0]])
+    value = _number(term[keys[0]], f"term {position}: coefficient")
     if not math.isfinite(value):
         raise ValidationError(f"term {position}: non-finite coefficient")
     # J and h follow the -J s s / -h s convention; c is the raw coefficient.
@@ -142,15 +155,20 @@ def build_model(spec):
     n = spec["n"]
     _check_spin_count(n)
 
+    terms = spec.get("terms", [])
+    if not isinstance(terms, list):
+        raise ValidationError("'terms' must be a list")
     coeffs = {}
     seen = set()
-    for pos, term in enumerate(spec.get("terms", [])):
+    for pos, term in enumerate(terms):
+        if not isinstance(term, dict):
+            raise ValidationError(f"term {pos}: must be an object")
         sites = term.get("sites")
-        if sites is None:
-            raise ValidationError(f"term {pos}: missing 'sites'")
+        if not isinstance(sites, list):
+            raise ValidationError(f"term {pos}: 'sites' must be a list")
         mask = 0
         for s in sites:
-            if not isinstance(s, (int, np.integer)) or s < 0 or s >= n:
+            if not _is_integer(s) or s < 0 or s >= n:
                 raise ValidationError(f"term {pos}: site index {s!r} outside [0, {n})")
             bit = 1 << int(s)
             if mask & bit:
@@ -171,20 +189,22 @@ def build_model(spec):
 
 
 def _lattice_coefficients(n, lattice):
+    if not isinstance(lattice, dict):
+        raise ValidationError("'lattice' must be an object")
     kind = lattice.get("kind")
     periodic = bool(lattice.get("periodic", True))
-    coupling = float(lattice.get("J", 1.0))
-    h_field = float(lattice.get("h", 0.0))
+    coupling = _number(lattice.get("J", 1.0), "lattice J")
+    h_field = _number(lattice.get("h", 0.0), "lattice h")
     if kind == "chain":
         size = lattice.get("size", [n])
-        if len(size) != 1 or size[0] != n:
+        if not isinstance(size, list) or len(size) != 1 or size[0] != n:
             raise ValidationError(f"chain size {size} inconsistent with n={n}")
         return chain(n, periodic=periodic, coupling=coupling, field_h=h_field).coeffs
     if kind == "grid":
         size = lattice.get("size")
-        if not size or len(size) != 2:
+        if not isinstance(size, list) or len(size) != 2 or not all(map(_is_integer, size)):
             raise ValidationError("grid lattice needs size [rows, cols]")
-        rows, cols = int(size[0]), int(size[1])
+        rows, cols = size
         if rows * cols != n:
             raise ValidationError(f"grid {rows}x{cols} inconsistent with n={n}")
         return grid(rows, cols, periodic=periodic, coupling=coupling, field_h=h_field).coeffs

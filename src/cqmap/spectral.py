@@ -17,11 +17,10 @@ from . import io as cqio
 from .dynamics import build_generator, relaxation_time
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .mapping import classical_to_quantum
+from .model import MAX_DENSE_SPINS, MAX_OPERATOR_SPINS
 from .model import chain as chain_model
 from .model import grid as grid_model
 
-DENSE_CAP_SPINS = 13
-ITERATIVE_CAP_SPINS = 24
 _DENSE_FALLBACK_DIM = 32  # ARPACK is pointless below this
 
 
@@ -49,9 +48,9 @@ def _as_result(vals, vecs, matrix, method):
 
 def dense_spectrum(H, want_vectors=False):
     """Full symmetric eigendecomposition (LAPACK), deterministic ordering."""
-    if H.n > DENSE_CAP_SPINS:
+    if H.n > MAX_DENSE_SPINS:
         raise ResourceLimitError(
-            f"n={H.n} exceeds the {DENSE_CAP_SPINS}-spin dense cap"
+            f"n={H.n} exceeds the {MAX_DENSE_SPINS}-spin dense cap"
         )
     dense = H.dense()
     if want_vectors:
@@ -71,9 +70,9 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0):
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if H.n > ITERATIVE_CAP_SPINS:
+    if H.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(
-            f"n={H.n} exceeds the {ITERATIVE_CAP_SPINS}-spin iterative cap"
+            f"n={H.n} exceeds the {MAX_OPERATOR_SPINS}-spin iterative cap"
         )
     matrix = H.matrix
     dim = matrix.shape[0]
@@ -233,7 +232,10 @@ def read_size_tau_csv(path):
             if not line:
                 continue
             parts = line.split(",")
-            pairs.append((int(parts[size_col]), float(parts[tau_col])))
+            try:
+                pairs.append((int(parts[size_col]), float(parts[tau_col])))
+            except (IndexError, ValueError):
+                raise ValidationError(f"{path}: malformed row {line!r}") from None
     return pairs
 
 

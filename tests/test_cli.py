@@ -118,6 +118,32 @@ def test_map_chain_oracle_resource_guard(tmp_path):
     assert outcome.exit_code == 3
 
 
+def _entries(*lines, size="2 2"):
+    header = f"%%sparse-coordinate real\n{size} {len(lines)}\n"
+    return header + "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("text", [
+    _entries("1 1 1.0", "1 1 2.0", "2 2 1.0"),
+    _entries("1 1 nan", "2 2 1.0"),
+    _entries("1 1 1.0", "2 2 inf"),
+    _entries("1 1 1.0", "2 2 1.0", size="2 4"),
+    _entries("1 1 1.0", size="x y"),
+    _entries("1 one 1.0"),
+    _entries(size="0 0"),
+    _entries("1 1 0.5", size="1 1"),
+    "%%sparse-coordinate real\n2 2 -1\n",
+], ids=["duplicate", "nan", "inf", "non-square", "size-token", "entry-token",
+        "empty", "no-spins", "negative-nnz"])
+def test_malformed_coordinate_file_is_validation_error(tmp_path, text):
+    ham = tmp_path / "bad.txt"
+    ham.write_text(text)
+    out = tmp_path / "dense.csv"
+    outcome = run(["spectrum", "dense", "--hamiltonian", str(ham), "--out", str(out)])
+    assert outcome.exit_code == 1
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- spectrum group
 
 def test_spectrum_dense_and_iterative(chain4, tmp_path):
@@ -197,6 +223,34 @@ def test_anneal_sa_rejects_cooling_schedule(chain4, tmp_path):
 
 
 # ------------------------------------------------------------------ diagnostics
+
+@pytest.mark.parametrize("command, text", [
+    ("model", json.dumps({"n": True})),
+    ("model", json.dumps({"n": 2, "terms": [5]})),
+    ("model", json.dumps({"n": 2, "terms": {"a": 1}})),
+    ("model", json.dumps({"n": 2, "terms": [{"sites": [0, 1], "c": "x"}]})),
+    ("model", json.dumps({"n": 2, "terms": [{"sites": [0, 1], "c": None}]})),
+    ("model", json.dumps({"n": 2, "terms": [{"sites": 0, "c": 1.0}]})),
+    ("model", json.dumps({"n": 2, "terms": [{"sites": [True], "c": 1.0}]})),
+    ("model", json.dumps({"n": 4, "lattice": {"kind": "chain", "size": 4}})),
+    ("model", json.dumps({"n": 4, "lattice": {"kind": "grid", "size": 4}})),
+    ("model", json.dumps({"n": 4, "lattice": {"kind": "grid", "size": ["x", 2]}})),
+    ("model", json.dumps({"n": 4, "lattice": {"kind": "chain", "J": "x"}})),
+    ("model", json.dumps({"n": 4, "lattice": [4]})),
+    ("csv", "size,gap,tau\n3\n4,0.1,10\n6,0.05,20\n"),
+    ("csv", "size,gap,tau\nfour,0.1,10\n4,0.1,10\n6,0.05,20\n"),
+], ids=["n-bool", "term-not-object", "terms-not-list", "c-string", "c-null",
+        "sites-int", "site-bool", "chain-size-int", "grid-size-int", "grid-size-str",
+        "lattice-J-str", "lattice-not-object", "csv-short-row", "csv-non-numeric"])
+def test_malformed_model_and_csv_are_validation_errors(tmp_path, command, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    if command == "model":
+        outcome = run(["model", "validate", "--model", str(path)])
+    else:
+        outcome = run(["spectrum", "fit", "--table", str(path)])
+    assert outcome.exit_code == 1, outcome.diagnostics
+
 
 def test_unknown_subcommand_is_validation_error():
     outcome = run(["transmogrify"])

@@ -24,6 +24,17 @@ def half_i_minus_sx():
     return cq.QuantumHamiltonian(1, m)
 
 
+# Two decoupled 2x2 blocks: off-diagonal edges, but two components.
+TWO_BLOCKS = np.array(
+    [
+        [0.5, -0.5, 0.0, 0.0],
+        [-0.5, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 0.5, -0.5],
+        [0.0, 0.0, -0.5, 0.5],
+    ]
+)
+
+
 def tfim_dense_oracle(n, gamma, coupling=1.0, periodic=True):
     """Transverse-field chain built independently via Kronecker products."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -171,15 +182,7 @@ def test_ground_state_of_mapped_chain_is_gibbs_amplitude():
 
 
 def test_ground_state_degeneracy_rejected():
-    block = np.array(
-        [
-            [0.5, -0.5, 0.0, 0.0],
-            [-0.5, 0.5, 0.0, 0.0],
-            [0.0, 0.0, 0.5, -0.5],
-            [0.0, 0.0, -0.5, 0.5],
-        ]
-    )
-    H = cq.QuantumHamiltonian(2, sparse.csr_array(block))
+    H = cq.QuantumHamiltonian(2, sparse.csr_array(TWO_BLOCKS))
     with pytest.raises(DegenerateGroundStateError):
         cq.ground_state(H)
 
@@ -231,6 +234,12 @@ def test_q2c_tfim_chain4_grows_fourth_order_coupling():
     assert 4 in profile.orders
 
 
+@pytest.mark.parametrize("n, periodic", [(4, True), (3, False)])
+def test_transverse_field_hamiltonian_matches_kronecker_oracle(n, periodic):
+    H = cq.transverse_field_hamiltonian(cq.chain(n, periodic=periodic), 0.7)
+    assert np.array_equal(H.matrix.toarray(), tfim_dense_oracle(n, 0.7, periodic=periodic))
+
+
 def test_q2c_generator_is_valid_dynamics(rng):
     h0 = random_model(rng, 3)
     H = cq.transverse_field_hamiltonian(h0, 0.8)
@@ -254,10 +263,18 @@ def test_q2c_rejects_positive_offdiagonal():
 
 
 def test_q2c_rejects_reducible_matrix():
-    disconnected = np.diag([1.0, 2.0, 3.0, 4.0])
-    H = cq.QuantumHamiltonian(2, sparse.csr_array(disconnected))
-    with pytest.raises(ReducibleOperatorError):
-        cq.quantum_to_classical(H)
+    for disconnected, parts in ((np.diag([1.0, 2.0, 3.0, 4.0]), 4), (TWO_BLOCKS, 2)):
+        H = cq.QuantumHamiltonian(2, sparse.csr_array(disconnected))
+        with pytest.raises(ReducibleOperatorError, match=f"has {parts} components"):
+            cq.quantum_to_classical(H)
+
+
+def test_q2c_rejects_nonsymmetric_matrix():
+    # Stoquastic and connected, but its lowest eigenvalue (-0.1708) is not
+    # what the symmetric ground-state solvers would return.
+    bad = np.array([[0.0, -1.0], [-0.2, 1.0]])
+    with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
+        cq.quantum_to_classical(cq.QuantumHamiltonian(1, sparse.csr_array(bad)))
 
 
 def test_q2c_shift_applied_internally():
