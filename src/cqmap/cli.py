@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import anneal, dynamics, io as cqio, mapping, model, spectral
-from .errors import (
-    CqmapError,
-    NumericalError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import CqmapError, ResourceLimitError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -506,8 +501,6 @@ def dispatch(argv):
         return CommandOutcome(EXIT_VALIDATION, None, f"{opname}: {exc}")
     except ResourceLimitError as exc:
         return CommandOutcome(EXIT_RESOURCE, None, f"{opname}: {exc}")
-    except NumericalError as exc:
-        return CommandOutcome(EXIT_NUMERICAL, None, f"{opname}: {exc}")
     except CqmapError as exc:
         return CommandOutcome(EXIT_NUMERICAL, None, f"{opname}: {exc}")
     except OSError as exc:

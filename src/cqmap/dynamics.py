@@ -24,11 +24,12 @@ from scipy import sparse
 from . import io as cqio
 from .errors import (
     IntegrationError,
+    NumericalError,
     ReducibleOperatorError,
     ResourceLimitError,
     ValidationError,
 )
-from .model import MAX_OPERATOR_SPINS, energy_table, gibbs_from_energies, ground_space
+from .model import MAX_OPERATOR_SPINS, check_beta, energy_table, gibbs_from_energies, ground_space
 
 _RULE_ALIASES = {"heat-bath": "heat-bath", "glauber": "heat-bath",
                  "heat_bath": "heat-bath", "metropolis": "metropolis"}
@@ -105,8 +106,7 @@ def flip_rates(table, beta, rule):
 
 def build_generator(h0, beta, rule="heat-bath"):
     """Single-spin-flip generator at fixed inverse temperature."""
-    if not math.isfinite(beta) or beta < 0:
-        raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
+    check_beta(beta)
     rule = canonical_rule(rule)
     rates = flip_rates(flip_table(h0), beta, rule)
     return GeneratorMatrix(h0.n, flip_matrix(-rates.sum(axis=0), rates), rule, beta)
@@ -123,11 +123,18 @@ class DynamicsReport:
     passed: bool
 
 
+def relative_asymmetry(matrix):
+    """max|M - M^T| / max|M| of a sparse M: 0 if M = 0, NaN if M holds a NaN."""
+    scale = abs(matrix).max()
+    asym = np.abs((matrix - matrix.T).data).max(initial=0.0)  # copies only the data
+    return float(asym / scale) if scale != 0 else 0.0
+
+
 def verify_dynamics(W, peq, tol=1e-12):
     """Check probability conservation, detailed balance and stationarity.
 
     Detailed balance is measured on the flux matrix F = W diag(peq) as
-    max|F - F^T| / max|F| (relative); the other residuals are absolute.
+    relative_asymmetry(F); the other residuals are absolute.
     Failures are reported, not raised.
     """
     p = peq.p if hasattr(peq, "p") else np.asarray(peq, dtype=float)
@@ -137,10 +144,7 @@ def verify_dynamics(W, peq, tol=1e-12):
             f"generator dimension {M.shape[0]} does not match distribution size {p.size}"
         )
     col_resid = float(np.abs(np.asarray(M.sum(axis=0))).max())
-    flux = M.multiply(p[None, :]).tocsr()
-    asym = flux - flux.T
-    scale = np.abs(flux.data).max() if flux.nnz else 0.0
-    db_resid = float(np.abs(asym.data).max() / scale) if (asym.nnz and scale > 0) else 0.0
+    db_resid = relative_asymmetry(M.multiply(p[None, :]).tocsr())
     stat_resid = float(np.abs(M @ p).max())
     passed = col_resid <= tol and db_resid <= tol and stat_resid <= tol
     return DynamicsReport(col_resid, db_resid, stat_resid, tol, passed)
@@ -186,8 +190,7 @@ class GeneratorProvider:
 
 
 def constant_provider(h0, beta, rule="heat-bath"):
-    if not math.isfinite(beta) or beta < 0:
-        raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
+    check_beta(beta)
     return GeneratorProvider(h0, lambda t: beta, rule)
 
 
@@ -311,6 +314,11 @@ def relaxation_time(spectrum):
         raise ReducibleOperatorError(
             "degenerate stationary state: lambda_1 <= 1e-14 (reducible chain)"
         )
+    # A symmetric Ritz value lies within its residual of an eigenvalue.
+    res = getattr(spectrum, "residual_norms", None)
+    if res is not None and lam[1] - lam[0] <= res[0] + res[1]:
+        raise NumericalError(f"gap {lam[1] - lam[0]:.3e} is within the eigensolver "
+                             f"residuals {res[0] + res[1]:.3e}; lambda_1 is not resolved")
     return 1.0 / float(lam[1])
 
 
@@ -331,9 +339,5 @@ def write_generator(W, path):
 
 
 def read_generator(path, rule="unknown", beta=float("nan")):
-    matrix = cqio.read_coordinate(path)
-    dim = matrix.shape[0]
-    n = dim.bit_length() - 1
-    if n < 1 or dim != (1 << n):
-        raise ValidationError(f"{path}: dimension {dim} is not a power of two >= 2")
+    n, matrix = cqio.read_coordinate(path)
     return GeneratorMatrix(n, matrix, rule, beta)

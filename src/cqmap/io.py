@@ -54,7 +54,8 @@ def write_coordinate(matrix, path):
 
 
 def read_coordinate(path):
-    """Read a sparse-coordinate text file back into a CSR array."""
+    """Read a sparse-coordinate text file of a 2^n x 2^n matrix, n >= 1, back
+    into ``(n, CSR array)``."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != COORDINATE_HEADER:
@@ -84,7 +85,10 @@ def read_coordinate(path):
         raise ValidationError(f"{path}: non-finite entry")
     if np.unique(rows * ncols + cols).size != nnz:
         raise ValidationError(f"{path}: duplicate (row, col) entry")
-    return sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    n = nrows.bit_length() - 1
+    if n < 1 or nrows != (1 << n):
+        raise ValidationError(f"{path}: dimension {nrows} is not a power of two >= 2")
+    return n, sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
 
 
 def json_text(obj, indent=0):

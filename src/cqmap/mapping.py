@@ -27,7 +27,7 @@ from .dynamics import (
     build_generator,
     canonical_rule,
     flip_matrix,
-    verify_dynamics,
+    relative_asymmetry,
 )
 from .errors import (
     DegenerateGroundStateError,
@@ -42,9 +42,9 @@ from .model import (
     MAX_DENSE_SPINS,
     MAX_OPERATOR_SPINS,
     ClassicalHamiltonian,
+    check_beta,
     dense_coefficients,
     energy_table,
-    gibbs_from_energies,
     walsh_transform,
 )
 
@@ -52,7 +52,7 @@ MAX_ROUNDTRIP_SPINS = 10
 
 # Relative ground-state degeneracy tolerance (fraction of spectral width).
 DEGENERACY_RTOL = 1e-10
-# q2c symmetry tolerance on max|H - H^T| / max|H|; mapped matrices sit below 1e-14.
+# Tolerance on relative_asymmetry(H), the precondition of c2q and q2c alike.
 SYMMETRY_RTOL = 1e-10
 
 
@@ -62,16 +62,9 @@ class QuantumHamiltonian:
 
     n: int
     matrix: sparse.csr_array
-    shift: float = 0.0
 
     def dense(self):
         return self.matrix.toarray()
-
-    def is_stoquastic(self, tol=1e-12):
-        """True when every off-diagonal element is <= tol (q2c precondition)."""
-        coo = sparse.coo_array(self.matrix)
-        off = coo.row != coo.col
-        return bool(not np.any(coo.data[off] > tol))
 
 
 @dataclass
@@ -81,26 +74,38 @@ class GroundState:
     positivity_margin: float
 
 
-def classical_to_quantum(h0, beta, W, *, db_tol=1e-10):
-    """Map a detailed-balance generator to a symmetric quantum Hamiltonian.
+def _conjugate(matrix, energies, scale):
+    """-diag(a) M diag(a)^-1, a = exp(scale * energies), on a CSR copy of M."""
+    out = sparse.csr_array(matrix, dtype=float, copy=True)
+    # Only energy differences are exponentiated, in place: at 2^18 states each
+    # temporary of length nnz takes 40 MB.
+    exponent = np.repeat(energies, np.diff(out.indptr)) - energies[out.indices]
+    exponent *= scale
+    out.data *= -np.exp(exponent, out=exponent)
+    return out
 
-    Raises MappingPreconditionError when W is not in detailed balance with
-    the Gibbs distribution of (h0, beta): the result would be nonsymmetric.
+
+def _require_symmetric(matrix, hint=""):
+    """The precondition of both directions: relative_asymmetry <= SYMMETRY_RTOL."""
+    asym = relative_asymmetry(matrix)
+    if not asym <= SYMMETRY_RTOL:
+        raise MappingPreconditionError(
+            f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.1e}{hint}"
+        )
+
+
+def classical_to_quantum(h0, beta, W):
+    """Map a generator to H = -diag(a) W diag(a)^-1 with a = exp(beta E / 2).
+
+    Raises MappingPreconditionError when H is not symmetric to SYMMETRY_RTOL,
+    that is when W is not in detailed balance at beta.
     """
     if W.n != h0.n:
         raise ValidationError(f"generator is for n={W.n}, model has n={h0.n}")
-    energies = energy_table(h0).values
-    peq = gibbs_from_energies(h0.n, energies, beta)
-    report = verify_dynamics(W, peq, tol=db_tol)
-    if report.detailed_balance_residual > db_tol:
-        raise MappingPreconditionError(
-            f"detailed-balance residual {report.detailed_balance_residual:.3e} "
-            f"exceeds {db_tol:.1e}; mapped matrix would be nonsymmetric"
-        )
-    coo = sparse.coo_array(W.matrix)
-    # Only energy differences enter, so no overflow shift is needed.
-    data = -np.exp(0.5 * beta * (energies[coo.row] - energies[coo.col])) * coo.data
-    matrix = sparse.coo_array((data, (coo.row, coo.col)), shape=coo.shape).tocsr()
+    check_beta(beta)
+    matrix = _conjugate(W.matrix, energy_table(h0).values, beta / 2)
+    _require_symmetric(matrix, "; the generator is not in detailed balance at this beta")
     return QuantumHamiltonian(h0.n, matrix)
 
 
@@ -122,8 +127,7 @@ def heat_bath_chain_closed_form(n, beta):
         raise ValidationError("closed-form chain needs n >= 3 (distinct j-1, j, j+1)")
     if n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(f"n={n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
-    if not math.isfinite(beta) or beta < 0:
-        raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
+    check_beta(beta)
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
 
@@ -203,16 +207,12 @@ def quantum_to_classical(H, tol=1e-12):
     The matrix is shifted internally by -lambda_0 I so the ground state has
     eigenvalue zero; the recovered energy is E'(s) = -2 log phi_s (returned
     as a full Walsh coefficient table) and
-    W'[s, s'] = -phi_s (H - lambda_0)[s, s'] / phi_s'.
+    W' = -diag(phi) (H - lambda_0) diag(phi)^-1, the classical_to_quantum
+    similarity run backwards with a = exp(-E'/2) = phi.
     """
     if tol < 0:
         raise ValidationError("tol must be >= 0")
-    scale = abs(H.matrix).max()
-    asym = abs(H.matrix - H.matrix.T).max() / scale if scale > 0 else 0.0
-    if asym > SYMMETRY_RTOL:
-        raise MappingPreconditionError(
-            f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds {SYMMETRY_RTOL:.1e}"
-        )
+    _require_symmetric(H.matrix)
     coo = sparse.coo_array(H.matrix)
     off = coo.row != coo.col
     if np.any(coo.data[off] > tol):
@@ -249,18 +249,16 @@ def quantum_to_classical(H, tol=1e-12):
     coeffs = {int(mask): float(c) for mask, c in enumerate(coeff_vec)}
     model = ClassicalHamiltonian(H.n, coeffs)
 
-    # W' off-diagonals from the stored entries; the diagonal W'_ss =
-    # -(H_ss - lambda0) is assembled densely so the shift lands on zero
-    # entries the sparse structure does not store.
-    w_off = -phi[coo.row[off]] * coo.data[off] / phi[coo.col[off]]
-    w_diag = -(H.matrix.diagonal() - lam0)
-    idx = np.arange(dim, dtype=np.int64)
-    w_matrix = sparse.coo_array(
-        (np.concatenate([w_off, w_diag]),
-         (np.concatenate([coo.row[off], idx]), np.concatenate([coo.col[off], idx]))),
+    # H - lambda0 I on H's stored entries plus a full diagonal. Sparse addition
+    # would drop entries that come out exactly 0; summing duplicates keeps them.
+    idx = np.arange(dim)
+    shifted = sparse.csr_array(
+        (np.append(coo.data, np.full(dim, -lam0)),
+         (np.append(coo.row, idx), np.append(coo.col, idx))),
         shape=(dim, dim),
-    ).tocsr()
-    generator = GeneratorMatrix(H.n, w_matrix, rule="q2c", beta=1.0)
+    )
+    generator = GeneratorMatrix(H.n, _conjugate(shifted, recovered_energy, -0.5),
+                                rule="q2c", beta=1.0)
     return QtoCResult(model, generator, shift=float(lam0), lambda0=float(lam0),
                       positivity_margin=gs.positivity_margin)
 
@@ -307,9 +305,4 @@ def write_hamiltonian(H, path):
 
 
 def read_hamiltonian(path):
-    matrix = cqio.read_coordinate(path)
-    dim = matrix.shape[0]
-    n = dim.bit_length() - 1
-    if n < 1 or dim != (1 << n):
-        raise ValidationError(f"{path}: dimension {dim} is not a power of two >= 2")
-    return QuantumHamiltonian(n, matrix)
+    return QuantumHamiltonian(*cqio.read_coordinate(path))

@@ -324,10 +324,15 @@ def gibbs_distribution(h0, beta):
     return gibbs_from_energies(h0.n, energy_table(h0).values, beta)
 
 
-def gibbs_from_energies(n, energies, beta):
-    """gibbs_distribution over an already computed energy table."""
+def check_beta(beta):
+    """Reject an inverse temperature that is NaN, infinite or negative."""
     if not math.isfinite(beta) or beta < 0:
         raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
+
+
+def gibbs_from_energies(n, energies, beta):
+    """gibbs_distribution over an already computed energy table."""
+    check_beta(beta)
     w = np.exp(-beta * (energies - energies.min()))
     return ProbabilityVector(n, w / w.sum())
 

@@ -89,6 +89,29 @@ def test_map_c2q_q2c_pipeline(chain4, tmp_path):
     assert payload["residuals"]["column_sum"] < 1e-10
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_map_c2q_rejects_invalid_beta(chain4, tmp_path, beta):
+    out = tmp_path / "H.txt"
+    outcome = run(["map", "c2q", "--model", chain4, "--beta", beta, "--out", str(out)])
+    assert outcome.exit_code == 1
+    assert "beta must be finite" in outcome.diagnostics
+    assert not out.exists()
+
+
+def test_map_c2q_gates_on_symmetry_not_flux(tmp_path):
+    # Heat-bath rates at beta*dE ~ 25 lose relative accuracy, so the flux
+    # residual of W is 3e-8; the mapped H is still symmetric to 5e-13.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"n": 10, "lattice": {"kind": "grid", "size": [2, 5],
+                                                     "J": 1.0, "h": 0.1}}))
+    outcome = run(["map", "c2q", "--model", str(grid), "--beta", "3",
+                   "--out", str(tmp_path / "H.txt")])
+    assert outcome.exit_code == 0
+    outcome = run(["dynamics", "verify", "--model", str(grid), "--beta", "3"])
+    assert outcome.exit_code == 0
+    assert outcome.diagnostics.startswith("verify FAIL")
+
+
 def test_map_q2c_rejects_non_stoquastic(tmp_path):
     ham = tmp_path / "nonstoq.txt"
     ham.write_text(

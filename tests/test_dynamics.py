@@ -13,6 +13,7 @@ from cqmap.dynamics import (
 )
 from cqmap.errors import (
     IntegrationError,
+    NumericalError,
     ReducibleOperatorError,
     ResourceLimitError,
     ValidationError,
@@ -267,6 +268,15 @@ def test_relaxation_time_preconditions():
         cq.relaxation_time(Short())
     with pytest.raises(ValidationError):
         cq.relaxation_time(Shifted())
+
+
+def test_relaxation_time_rejects_gap_within_residuals():
+    class Unresolved:
+        eigenvalues = np.array([0.0, 1e-13])
+        residual_norms = np.array([1e-12, 1e-12])
+
+    with pytest.raises(NumericalError, match="not resolved"):
+        cq.relaxation_time(Unresolved())
 
 
 # -------------------------------------------------------------------- exports

@@ -15,7 +15,7 @@ from cqmap.errors import (
 from cqmap.mapping import read_hamiltonian, write_hamiltonian
 from cqmap.model import dense_coefficients
 
-from conftest import random_model
+from conftest import naive_energy_table, random_model
 
 
 def half_i_minus_sx():
@@ -106,6 +106,41 @@ def test_detailed_balance_precondition_enforced():
     W_wrong_temp = cq.build_generator(h0, 0.5)
     with pytest.raises(MappingPreconditionError):
         cq.classical_to_quantum(h0, 1.0, W_wrong_temp)
+
+
+def test_c2q_rejects_generator_off_balance_in_a_rare_state():
+    # The flip out of state 5 (E=4, Gibbs weight ~1e-5 at beta=3) is 1e-6 too
+    # fast. The flux residual stays at 1.5e-12, but the mapped H is
+    # nonsymmetric at 6e-10, so c2q itself must refuse it.
+    h0, beta = cq.chain(4), 3.0
+    A = cq.build_generator(h0, beta).matrix.toarray()
+    delta = A[4, 5] * 1e-6
+    A[4, 5] += delta
+    A[5, 5] -= delta
+    W = GeneratorMatrix(4, sparse.csr_array(A), "heat-bath", beta)
+    report = cq.verify_dynamics(W, cq.gibbs_distribution(h0, beta))
+    assert report.detailed_balance_residual < 1e-10
+    with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
+        cq.classical_to_quantum(h0, beta, W)
+
+
+@pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
+def test_c2q_matches_dense_similarity(rng, rule):
+    h0, beta = random_model(rng, 4), 0.8
+    W = cq.build_generator(h0, beta, rule)
+    H = cq.classical_to_quantum(h0, beta, W)
+    a = np.exp(0.5 * beta * naive_energy_table(h0))
+    expected = -np.diag(a) @ W.matrix.toarray() @ np.diag(1.0 / a)
+    assert np.all(np.abs(H.matrix.toarray() - expected) <= 1e-13 * np.abs(expected))
+    assert np.array_equal(H.matrix.indptr, W.matrix.indptr)
+    assert np.array_equal(H.matrix.indices, W.matrix.indices)
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
+def test_c2q_rejects_invalid_beta(beta):
+    h0 = cq.chain(3)
+    with pytest.raises(ValidationError, match="beta must be finite"):
+        cq.classical_to_quantum(h0, beta, cq.build_generator(h0, 1.0))
 
 
 def test_c2q_dimension_mismatch():
@@ -256,6 +291,31 @@ def test_q2c_generator_is_valid_dynamics(rng):
     assert np.abs(flux - flux.T).max() < 1e-9 * np.abs(flux).max()
 
 
+def test_q2c_generator_matches_dense_similarity():
+    H = cq.transverse_field_hamiltonian(cq.chain(4), 0.8)
+    vals, vecs = scipy.linalg.eigh(H.matrix.toarray())
+    phi = np.abs(vecs[:, 0])
+    shifted = H.matrix.toarray() - vals[0] * np.eye(16)
+    expected = -np.diag(phi) @ shifted @ np.diag(1.0 / phi)
+    W = cq.quantum_to_classical(H).generator.matrix
+    assert np.abs(W.toarray() - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("entries, expected", [
+    # No stored diagonal: the shift puts one on every row.
+    ([(0, 1, -1.0), (1, 0, -1.0)], [[-1.0, 1.0], [1.0, -1.0]]),
+    # lambda0 rounds to H[0, 0], so (H - lambda0)[0, 0] is exactly 0.
+    ([(0, 0, 1.0), (0, 1, -1e-9), (1, 0, -1e-9), (1, 1, 2.0)],
+     [[0.0, 1.0], [1e-18, -1.0]]),
+])
+def test_q2c_generator_stores_every_diagonal_entry(entries, expected):
+    rows, cols, vals = zip(*entries)
+    matrix = sparse.csr_array((vals, (rows, cols)), shape=(2, 2))
+    W = cq.quantum_to_classical(cq.QuantumHamiltonian(1, matrix)).generator.matrix
+    assert W.nnz == 4
+    assert np.allclose(W.toarray(), expected, rtol=1e-9, atol=1e-15)
+
+
 def test_q2c_rejects_positive_offdiagonal():
     bad = np.array([[0.0, 0.5], [0.5, 0.0]])
     with pytest.raises(NonStoquasticError, match="non-stoquastic"):
@@ -275,6 +335,10 @@ def test_q2c_rejects_nonsymmetric_matrix():
     bad = np.array([[0.0, -1.0], [-0.2, 1.0]])
     with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
         cq.quantum_to_classical(cq.QuantumHamiltonian(1, sparse.csr_array(bad)))
+    # A NaN entry makes the asymmetry NaN, which the gate must not pass.
+    nan = np.array([[np.nan, -1.0], [-1.0, 0.0]])
+    with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
+        cq.quantum_to_classical(cq.QuantumHamiltonian(1, sparse.csr_array(nan)))
 
 
 def test_q2c_shift_applied_internally():

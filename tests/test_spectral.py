@@ -157,6 +157,15 @@ def test_sweep_records_per_row_failures_and_continues():
     assert np.isnan(rows[1].gap)
 
 
+def test_sweep_row_with_unresolved_gap_is_an_error():
+    # 3x3 field grid at beta=3: Krylov returns lambda_1 - lambda_0 ~ 1e-14
+    # with residuals ~ 1e-12, which must not become tau ~ 1e14.
+    row = cq.gap_scaling_sweep({"kind": "grid", "h": 0.1}, [3], 3.0)[0]
+    assert row.method == "error"
+    assert "not resolved" in row.error
+    assert np.isnan(row.tau)
+
+
 def test_sweep_csv_format():
     rows = cq.gap_scaling_sweep({"kind": "chain"}, [4, 6], 0.5)
     text = sweep_csv(rows)
