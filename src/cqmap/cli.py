@@ -328,7 +328,7 @@ def _cmd_map_q2c(args):
     profile = model.interaction_profile(result.model.coeffs,
                                         tol=1e-10 * _coeff_scale(result.model))
     payload = {
-        "shift": result.shift,
+        "shift": result.lambda0,
         "lambda0": result.lambda0,
         "positivity_margin": result.positivity_margin,
         "coefficient_histogram": {

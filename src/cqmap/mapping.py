@@ -158,30 +158,32 @@ def transverse_field_hamiltonian(h0, gamma):
 def ground_state(H, *, degeneracy_rtol=DEGENERACY_RTOL):
     """Lowest eigenpair with the Perron-Frobenius sign convention.
 
-    The vector is normalized, its largest-magnitude component made positive,
-    and the ratio min/max of components reported as positivity_margin.
-    Raises DegenerateGroundStateError when the gap is below
-    degeneracy_rtol * spectral width.
+    Up to MAX_DENSE_SPINS a dense solve computes only the two lowest pairs;
+    above it a Krylov iteration does. The vector is normalized, its
+    largest-magnitude component made positive, and the ratio min/max of
+    components reported as positivity_margin. Raises ValidationError on a
+    NaN or infinite entry, and DegenerateGroundStateError when the gap is
+    below degeneracy_rtol * width, where the width is the Gershgorin bound
+    minus lambda_0 in both branches.
     """
-    dim = H.matrix.shape[0]
     if H.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(f"n={H.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
-    if H.n <= MAX_DENSE_SPINS:
-        vals, vecs = np.linalg.eigh(H.dense())
-        lam0, lam1, width = vals[0], vals[1], vals[-1] - vals[0]
-        vec = vecs[:, 0]
-    else:
-        from .spectral import extreme_eigenpairs, gershgorin_bound
+    if not np.all(np.isfinite(H.matrix.data)):
+        raise ValidationError("H has a NaN or infinite entry")
+    from .spectral import _dense_lowest, extreme_eigenpairs, gershgorin_bound
 
+    if H.n <= MAX_DENSE_SPINS:
+        vals, vecs = _dense_lowest(H.dense(), 2)
+    else:
         result = extreme_eigenpairs(H, k=2)
-        lam0, lam1 = result.eigenvalues[0], result.eigenvalues[1]
-        width = gershgorin_bound(H) - lam0
-        vec = result.eigenvectors[:, 0]
+        vals, vecs = result.eigenvalues, result.eigenvectors
+    lam0, lam1 = vals[0], vals[1]
+    width = gershgorin_bound(H) - lam0
     if lam1 - lam0 <= degeneracy_rtol * max(width, 1.0):
         raise DegenerateGroundStateError(
             f"ground state degenerate: gap {lam1 - lam0:.3e} vs width {width:.3e}"
         )
-    vec = np.asarray(vec, dtype=float)
+    vec = np.asarray(vecs[:, 0], dtype=float)
     vec = vec / np.linalg.norm(vec)
     top = np.argmax(np.abs(vec))
     if vec[top] < 0:
@@ -196,7 +198,6 @@ class QtoCResult:
 
     model: ClassicalHamiltonian
     generator: GeneratorMatrix
-    shift: float
     lambda0: float
     positivity_margin: float
 
@@ -259,7 +260,7 @@ def quantum_to_classical(H, tol=1e-12):
     )
     generator = GeneratorMatrix(H.n, _conjugate(shifted, recovered_energy, -0.5),
                                 rule="q2c", beta=1.0)
-    return QtoCResult(model, generator, shift=float(lam0), lambda0=float(lam0),
+    return QtoCResult(model, generator, lambda0=float(lam0),
                       positivity_margin=gs.positivity_margin)
 
 
@@ -296,7 +297,7 @@ def roundtrip_check(h0, beta, rule="heat-bath"):
 
     diff = back.generator.matrix - W.matrix
     gen_residual = float(np.abs(diff.data).max()) if diff.nnz else 0.0
-    return RoundTripReport(coeff_residual, gen_residual, back.shift,
+    return RoundTripReport(coeff_residual, gen_residual, back.lambda0,
                            back.positivity_margin)
 
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import io as cqio
@@ -44,6 +45,14 @@ def _as_result(vals, vecs, matrix, method):
         residuals = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
     gap = float(vals[1] - vals[0]) if vals.size >= 2 else float("nan")
     return SpectrumResult(vals, vecs, gap, method, residuals)
+
+
+def _dense_lowest(dense, k):
+    """k lowest eigenpairs of a dense symmetric array, which is overwritten.
+
+    LAPACK tridiagonalises the matrix and back-transforms only k vectors.
+    """
+    return scipy.linalg.eigh(dense, subset_by_index=[0, k - 1], overwrite_a=True)
 
 
 def dense_spectrum(H, want_vectors=False):
@@ -80,8 +89,8 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0):
         raise ValidationError(f"k={k} must be smaller than the dimension {dim}")
 
     if dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2):
-        vals, vecs = np.linalg.eigh(matrix.toarray())
-        return _as_result(vals[:k], vecs[:, :k], matrix, "dense")
+        vals, vecs = _dense_lowest(matrix.toarray(), k)
+        return _as_result(vals, vecs, matrix, "dense")
 
     v0 = np.ones(dim) / math.sqrt(dim)
     ncv = min(dim, max(40, 4 * k + 1))

@@ -4,6 +4,7 @@ import scipy.linalg
 from scipy import sparse
 
 import cqmap as cq
+from cqmap import mapping
 from cqmap.dynamics import GeneratorMatrix
 from cqmap.errors import (
     DegenerateGroundStateError,
@@ -14,6 +15,7 @@ from cqmap.errors import (
 )
 from cqmap.mapping import read_hamiltonian, write_hamiltonian
 from cqmap.model import dense_coefficients
+from cqmap.spectral import _dense_lowest, gershgorin_bound
 
 from conftest import naive_energy_table, random_model
 
@@ -222,6 +224,79 @@ def test_ground_state_degeneracy_rejected():
         cq.ground_state(H)
 
 
+def random_stoquastic(rng, n):
+    """Dense symmetric matrix with negative off-diagonals (irreducible)."""
+    dim = 1 << n
+    off = -rng.random((dim, dim))
+    dense = (off + off.T) / 2.0
+    np.fill_diagonal(dense, rng.normal(size=dim))
+    return cq.QuantumHamiltonian(n, sparse.csr_array(dense))
+
+
+def perron_oracle(dense):
+    """Full np.linalg.eigh: all eigenvalues and the positive ground vector."""
+    vals, vecs = np.linalg.eigh(dense)
+    vec = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
+    return vals, vec
+
+
+@pytest.mark.parametrize("case", ["random-8", "tf-chain-6"])
+def test_dense_ground_state_matches_full_eigh_oracle(rng, case):
+    if case == "random-8":
+        H = random_stoquastic(rng, 8)
+    else:
+        H = cq.transverse_field_hamiltonian(cq.chain(6), 1.0)
+    vals, vec = perron_oracle(H.dense())
+    lowest, _ = _dense_lowest(H.dense(), 2)
+    assert np.abs(lowest - vals[:2]).max() <= 1e-12 * np.abs(vals[:2]).max()
+    gs = cq.ground_state(H)
+    assert abs(gs.value - vals[0]) <= 1e-12 * abs(vals[0])
+    assert np.abs(gs.vector - vec).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["random-8", "tf-chain-8"])
+def test_dense_and_krylov_ground_states_agree(rng, monkeypatch, case):
+    if case == "random-8":
+        H = random_stoquastic(rng, 8)
+    else:
+        H = cq.transverse_field_hamiltonian(cq.chain(8), 1.0)
+    dense = cq.ground_state(H)
+    monkeypatch.setattr(mapping, "MAX_DENSE_SPINS", 0)
+    krylov = cq.ground_state(H)
+    assert krylov.value == pytest.approx(dense.value, rel=1e-12)
+    assert np.abs(krylov.vector - dense.vector).max() <= 1e-10
+
+
+def test_ground_state_degeneracy_width_is_gershgorin_bound():
+    # State 0 alone at energy 0; a three-state star holds lambda_1 = gap.
+    # The star's top eigenvalue is c + b sqrt2, its Gershgorin bound c + 2b.
+    b = 10.0
+    width = 20.0 + b * np.sqrt(2.0)
+    for factor, degenerate in [(0.99, True), (1.01, False)]:
+        gap = factor * mapping.DEGENERACY_RTOL * width
+        c = gap + b * np.sqrt(2.0)
+        dense = np.zeros((4, 4))
+        dense[1:, 1:] = [[c, -b, -b], [-b, c, 0.0], [-b, 0.0, c]]
+        H = cq.QuantumHamiltonian(2, sparse.csr_array(dense))
+        assert gershgorin_bound(H) == pytest.approx(width + gap, rel=1e-15)
+        if degenerate:
+            with pytest.raises(DegenerateGroundStateError):
+                cq.ground_state(H)
+        else:
+            assert abs(cq.ground_state(H).value) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("branch", ["dense", "krylov"])
+def test_ground_state_rejects_non_finite_entry(monkeypatch, branch, bad):
+    if branch == "krylov":
+        monkeypatch.setattr(mapping, "MAX_DENSE_SPINS", 0)
+    H = cq.transverse_field_hamiltonian(cq.chain(6), 1.0)
+    H.matrix.data[3] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        cq.ground_state(H)
+
+
 # ---------------------------------------------------------- quantum_to_classical
 
 def test_q2c_uniform_ground_state_recovers_two_state_generator():
@@ -344,7 +419,7 @@ def test_q2c_rejects_nonsymmetric_matrix():
 def test_q2c_shift_applied_internally():
     shifted = half_i_minus_sx().matrix + 3.0 * sparse.eye_array(2)
     result = cq.quantum_to_classical(cq.QuantumHamiltonian(1, sparse.csr_array(shifted)))
-    assert abs(result.shift - 3.0) < 1e-12
+    assert abs(result.lambda0 - 3.0) < 1e-12
     expected_w = np.array([[-0.5, 0.5], [0.5, -0.5]])
     assert np.abs(result.generator.matrix.toarray() - expected_w).max() < 1e-12
 
