@@ -16,7 +16,6 @@ atomically, so identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -47,17 +46,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _ArgumentError(f"{self.prog}: {message}")
-
-
-def _threads_from_env():
-    raw = os.environ.get("CQMAP_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"CQMAP_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ValidationError(f"CQMAP_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _build_parser():
@@ -490,7 +478,6 @@ def dispatch(argv):
     """Run one subcommand; map failures onto the exit-code taxonomy."""
     opname = "cqmap"
     try:
-        _threads_from_env()
         args = _build_parser().parse_args(argv)
         opname = f"{args.group} {args.command}"
         summary, report_path = _HANDLERS[(args.group, args.command)](args)

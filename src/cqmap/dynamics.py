@@ -310,15 +310,16 @@ def relaxation_time(spectrum):
         raise ValidationError(
             f"leading eigenvalue {lam[0]:.3e} is not a stationary mode (|lambda_0| > 1e-10)"
         )
-    if lam[1] <= 1e-14:
-        raise ReducibleOperatorError(
-            "degenerate stationary state: lambda_1 <= 1e-14 (reducible chain)"
-        )
-    # A symmetric Ritz value lies within its residual of an eigenvalue.
+    # A symmetric Ritz value lies within its residual of an eigenvalue, so an
+    # unresolved gap says nothing about reducibility.
     res = getattr(spectrum, "residual_norms", None)
     if res is not None and lam[1] - lam[0] <= res[0] + res[1]:
         raise NumericalError(f"gap {lam[1] - lam[0]:.3e} is within the eigensolver "
                              f"residuals {res[0] + res[1]:.3e}; lambda_1 is not resolved")
+    if lam[1] <= 1e-14:
+        raise ReducibleOperatorError(
+            "degenerate stationary state: lambda_1 <= 1e-14 (reducible chain)"
+        )
     return 1.0 / float(lam[1])
 
 

@@ -39,7 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    MAX_DENSE_SPINS,
     MAX_OPERATOR_SPINS,
     ClassicalHamiltonian,
     check_beta,
@@ -158,33 +157,26 @@ def transverse_field_hamiltonian(h0, gamma):
 def ground_state(H, *, degeneracy_rtol=DEGENERACY_RTOL):
     """Lowest eigenpair with the Perron-Frobenius sign convention.
 
-    Up to MAX_DENSE_SPINS a dense solve computes only the two lowest pairs;
-    above it a Krylov iteration does. The vector is normalized, its
-    largest-magnitude component made positive, and the ratio min/max of
+    The two lowest pairs come from the one lowest-pairs solver of spectral
+    (dense LAPACK up to 32 states, ARPACK above). The vector is normalized,
+    its largest-magnitude component made positive, and the ratio min/max of
     components reported as positivity_margin. Raises ValidationError on a
     NaN or infinite entry, and DegenerateGroundStateError when the gap is
     below degeneracy_rtol * width, where the width is the Gershgorin bound
-    minus lambda_0 in both branches.
+    minus lambda_0.
     """
     if H.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(f"n={H.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
-    if not np.all(np.isfinite(H.matrix.data)):
-        raise ValidationError("H has a NaN or infinite entry")
-    from .spectral import _dense_lowest, extreme_eigenpairs, gershgorin_bound
+    from .spectral import _lowest_pairs, gershgorin_bound
 
-    if H.n <= MAX_DENSE_SPINS:
-        vals, vecs = _dense_lowest(H.dense(), 2)
-    else:
-        result = extreme_eigenpairs(H, k=2)
-        vals, vecs = result.eigenvalues, result.eigenvectors
-    lam0, lam1 = vals[0], vals[1]
+    pairs = _lowest_pairs(H.matrix, 2)
+    lam0, lam1 = pairs.eigenvalues
     width = gershgorin_bound(H) - lam0
     if lam1 - lam0 <= degeneracy_rtol * max(width, 1.0):
         raise DegenerateGroundStateError(
             f"ground state degenerate: gap {lam1 - lam0:.3e} vs width {width:.3e}"
         )
-    vec = np.asarray(vecs[:, 0], dtype=float)
-    vec = vec / np.linalg.norm(vec)
+    vec = pairs.eigenvectors[:, 0] / np.linalg.norm(pairs.eigenvectors[:, 0])
     top = np.argmax(np.abs(vec))
     if vec[top] < 0:
         vec = -vec

@@ -24,7 +24,7 @@ from .errors import ResourceLimitError, ValidationError
 
 MAX_TABLE_SPINS = 30  # 2^N address-space guard for full tables
 MAX_OPERATOR_SPINS = 24  # sparse flip-structured operators and Krylov solves
-MAX_DENSE_SPINS = 13  # dense 2^N x 2^N eigendecompositions
+MAX_DENSE_SPINS = 13  # full dense 2^N x 2^N spectra (dense_spectrum)
 
 
 def _is_integer(value):

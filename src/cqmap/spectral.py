@@ -1,13 +1,14 @@
 """Eigensolvers over 2^N state spaces and gap-scaling classification.
 
-Dense solves are capped at 13 spins (8192^2); larger systems go through a
-Krylov scheme (ARPACK Lanczos with restarts and reorthogonalization) with a
-deterministic all-ones start vector, so repeated runs are bit-identical.
+Full dense spectra are capped at 13 spins (8192^2). The lowest few pairs
+come from one solver: LAPACK up to 32 states, above that ARPACK Lanczos
+(restarts and reorthogonalization) from the fixed vector 1 + 0.5 sin(s),
+which has no spin-flip or translation symmetry and uses no RNG, so repeated
+runs are bit-identical.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,52 +48,41 @@ def _as_result(vals, vecs, matrix, method):
     return SpectrumResult(vals, vecs, gap, method, residuals)
 
 
-def _dense_lowest(dense, k):
-    """k lowest eigenpairs of a dense symmetric array, which is overwritten.
-
-    LAPACK tridiagonalises the matrix and back-transforms only k vectors.
-    """
-    return scipy.linalg.eigh(dense, subset_by_index=[0, k - 1], overwrite_a=True)
+def _check_finite(matrix):
+    if not np.all(np.isfinite(matrix.data)):
+        raise ValidationError("H has a NaN or infinite entry")
 
 
-def dense_spectrum(H, want_vectors=False):
-    """Full symmetric eigendecomposition (LAPACK), deterministic ordering."""
+def dense_spectrum(H):
+    """Full symmetric eigenvalue spectrum (LAPACK), ascending."""
     if H.n > MAX_DENSE_SPINS:
         raise ResourceLimitError(
             f"n={H.n} exceeds the {MAX_DENSE_SPINS}-spin dense cap"
         )
-    dense = H.dense()
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(dense)
-        return _as_result(vals, vecs, dense, "dense")
-    vals = np.linalg.eigvalsh(dense)
+    _check_finite(H.matrix)
+    vals = np.linalg.eigvalsh(H.dense())
     gap = float(vals[1] - vals[0]) if vals.size >= 2 else float("nan")
     return SpectrumResult(np.asarray(vals, dtype=float), None, gap, "dense", None)
 
 
-def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0):
-    """k lowest eigenpairs of a symmetric matrix via a Krylov iteration.
+def _lowest_pairs(matrix, k, max_iter=None, tol=0.0):
+    """k lowest eigenpairs of a symmetric sparse matrix.
 
-    Uses a deterministic start vector (normalized all-ones). Small systems
-    fall back to a dense solve. Non-convergence raises ConvergenceError
-    carrying the best eigenvalues and residual norms found.
+    The only place that picks a solver: up to _DENSE_FALLBACK_DIM states
+    LAPACK computes just those k pairs (k may equal the dimension), above it
+    ARPACK does, from the fixed start vector 1 + 0.5 sin(s). Raises
+    ValidationError on a NaN or infinite entry, and ConvergenceError carrying
+    the best eigenvalues and residual norms found on non-convergence.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if H.n > MAX_OPERATOR_SPINS:
-        raise ResourceLimitError(
-            f"n={H.n} exceeds the {MAX_OPERATOR_SPINS}-spin iterative cap"
-        )
-    matrix = H.matrix
+    _check_finite(matrix)
     dim = matrix.shape[0]
-    if k >= dim:
-        raise ValidationError(f"k={k} must be smaller than the dimension {dim}")
-
     if dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2):
-        vals, vecs = _dense_lowest(matrix.toarray(), k)
+        vals, vecs = scipy.linalg.eigh(matrix.toarray(), subset_by_index=[0, k - 1],
+                                       overwrite_a=True)
         return _as_result(vals, vecs, matrix, "dense")
 
-    v0 = np.ones(dim) / math.sqrt(dim)
+    v0 = 1.0 + 0.5 * np.sin(np.arange(dim))
+    v0 /= np.linalg.norm(v0)
     ncv = min(dim, max(40, 4 * k + 1))
     try:
         vals, vecs = eigsh(matrix, k=k, which="SA", v0=v0, ncv=ncv,
@@ -108,6 +98,25 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0):
             eigenvalues=got, residual_norms=res,
         ) from exc
     return _as_result(vals, vecs, matrix, "iterative")
+
+
+def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0):
+    """k lowest eigenpairs of a symmetric matrix, k smaller than its dimension.
+
+    Small systems are solved densely, larger ones by a Krylov iteration from a
+    fixed start vector (see _lowest_pairs). Raises ValidationError on a NaN or
+    infinite entry.
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if H.n > MAX_OPERATOR_SPINS:
+        raise ResourceLimitError(
+            f"n={H.n} exceeds the {MAX_OPERATOR_SPINS}-spin iterative cap"
+        )
+    dim = H.matrix.shape[0]
+    if k >= dim:
+        raise ValidationError(f"k={k} must be smaller than the dimension {dim}")
+    return _lowest_pairs(H.matrix, k, max_iter, tol)
 
 
 def gershgorin_bound(H):

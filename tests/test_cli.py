@@ -292,15 +292,6 @@ def test_nonzero_exit_names_failing_operation(tmp_path):
     assert "model validate" in outcome.diagnostics
 
 
-def test_threads_env_validated(chain4, monkeypatch):
-    monkeypatch.setenv("CQMAP_THREADS", "zero")
-    outcome = run(["model", "validate", "--model", chain4])
-    assert outcome.exit_code == 1
-    monkeypatch.setenv("CQMAP_THREADS", "2")
-    outcome = run(["model", "validate", "--model", chain4])
-    assert outcome.exit_code == 0
-
-
 def test_outputs_byte_identical_across_runs(chain4, tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):

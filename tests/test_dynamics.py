@@ -271,12 +271,15 @@ def test_relaxation_time_preconditions():
 
 
 def test_relaxation_time_rejects_gap_within_residuals():
-    class Unresolved:
-        eigenvalues = np.array([0.0, 1e-13])
-        residual_norms = np.array([1e-12, 1e-12])
+    # The second input is an unresolved gap, not evidence of a second
+    # stationary state: the residual gate runs before the reducibility check.
+    for lam in ([0.0, 1e-13], [-2e-14, -8e-15]):
+        class Unresolved:
+            eigenvalues = np.array(lam)
+            residual_norms = np.array([1e-12, 1e-12])
 
-    with pytest.raises(NumericalError, match="not resolved"):
-        cq.relaxation_time(Unresolved())
+        with pytest.raises(NumericalError, match="not resolved"):
+            cq.relaxation_time(Unresolved())
 
 
 # -------------------------------------------------------------------- exports

@@ -41,13 +41,6 @@ def test_dense_mapped_chain_positive_semidefinite():
     assert np.sum(np.abs(result.eigenvalues) <= 1e-10) == 1
 
 
-def test_dense_residuals_with_vectors():
-    H = mapped_chain(4, 0.5)
-    result = cq.dense_spectrum(H, want_vectors=True)
-    width = result.eigenvalues[-1] - result.eigenvalues[0]
-    assert result.residual_norms.max() <= 1e-8 * width
-
-
 def test_dense_size_guard():
     H = cq.QuantumHamiltonian(14, sparse.eye_array(1 << 14).tocsr())
     with pytest.raises(ResourceLimitError):
@@ -57,10 +50,14 @@ def test_dense_size_guard():
 # ---------------------------------------------------------- extreme_eigenpairs
 
 def test_extreme_matches_dense_on_mapped_chain():
-    H = mapped_chain(4, 1.0)
-    dense = cq.dense_spectrum(H)
-    extreme = cq.extreme_eigenpairs(H, k=2)
-    assert np.abs(extreme.eigenvalues - dense.eigenvalues[:2]).max() < 1e-8
+    for beta in (1.0, 0.5):
+        H = mapped_chain(4, beta)  # dim 16: the dense fallback
+        dense = cq.dense_spectrum(H)
+        extreme = cq.extreme_eigenpairs(H, k=2)
+        assert extreme.method == "dense"
+        assert np.abs(extreme.eigenvalues - dense.eigenvalues[:2]).max() < 1e-8
+        width = dense.eigenvalues[-1] - dense.eigenvalues[0]
+        assert extreme.residual_norms.max() <= 1e-8 * width
 
 
 def test_extreme_uses_arpack_beyond_fallback_dim():
@@ -95,6 +92,18 @@ def test_extreme_degenerate_lowest_pair_two_sectors():
     result = cq.extreme_eigenpairs(H, k=2)
     assert np.abs(result.eigenvalues).max() <= 1e-10
     assert result.gap <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [4, 6])
+def test_non_finite_entry_is_validation_error(n, bad):
+    # chain(4) has 16 states (dense fallback), chain(6) has 64 (ARPACK).
+    H = cq.transverse_field_hamiltonian(cq.chain(n), 1.0)
+    H.matrix.data[3] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        cq.extreme_eigenpairs(H, k=2)
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        cq.dense_spectrum(H)
 
 
 def test_extreme_validates_k():
@@ -164,6 +173,18 @@ def test_sweep_row_with_unresolved_gap_is_an_error():
     assert row.method == "error"
     assert "not resolved" in row.error
     assert np.isnan(row.tau)
+
+
+def test_sweep_row_of_field_grid_matches_dense_gap():
+    # The gap of the 3x3 field grid at beta=1 is 7.04e-6; a start vector
+    # with the grid's symmetries returns it as lambda_0.
+    row = cq.gap_scaling_sweep({"kind": "grid", "h": 0.1}, [3], 1.0)[0]
+    h0 = cq.grid(3, 3, field_h=0.1)
+    H = cq.classical_to_quantum(h0, 1.0, cq.build_generator(h0, 1.0))
+    lam1 = np.linalg.eigvalsh(H.dense())[1]
+    assert row.method != "error"
+    assert abs(row.gap - lam1) <= 1e-10
+    assert abs(lam1 - 7.04350424e-6) <= 1e-13
 
 
 def test_sweep_csv_format():
