@@ -2,9 +2,14 @@
 
 Full dense spectra are capped at 13 spins (8192^2). The lowest few pairs
 come from one solver: LAPACK up to 32 states, above that ARPACK Lanczos
-(restarts and reorthogonalization) from the fixed vector 1 + 0.5 sin(s),
-which has no spin-flip or translation symmetry and uses no RNG, so repeated
-runs are bit-identical.
+(restarts and reorthogonalization, a basis of max(20, 4k + 1) vectors for k
+pairs) from the fixed vector 1 + 0.5 sin(s), which has no spin-flip or
+translation symmetry and uses no RNG, so repeated runs are bit-identical.
+
+A mapped generator's ground state is known before any solve: lambda_0 = 0
+with phi_0 = sqrt(p_eq). Given that vector, the solver checks it, deflates it
+by a Hotelling shift H + sigma phi_0 phi_0^T and asks ARPACK for one pair
+fewer, so a gap sweep solves for lambda_1 alone.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import io as cqio
 from .dynamics import build_generator, relaxation_time
-from .errors import ConvergenceError, ResourceLimitError, ValidationError
+from .errors import ConvergenceError, NumericalError, ResourceLimitError, ValidationError
 from .mapping import classical_to_quantum
-from .model import MAX_DENSE_SPINS, MAX_OPERATOR_SPINS
+from .model import MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, gibbs_distribution
 from .model import chain as chain_model
 from .model import grid as grid_model
 
@@ -65,47 +70,94 @@ def dense_spectrum(H):
     return SpectrumResult(np.asarray(vals, dtype=float), None, gap, "dense", None)
 
 
-def _lowest_pairs(matrix, k, max_iter=None, tol=0.0):
+def _known_ground_state(matrix, known):
+    """known normalized, after checking that it is a zero mode of matrix."""
+    phi0 = np.asarray(known, dtype=float)
+    if phi0.shape != (matrix.shape[0],):
+        raise ValidationError(f"known vector has shape {phi0.shape}, "
+                              f"expected ({matrix.shape[0]},)")
+    norm = np.linalg.norm(phi0)
+    if not np.isfinite(norm) or norm == 0:
+        raise ValidationError("known vector must be finite and nonzero")
+    phi0 = phi0 / norm
+    residual = np.abs(matrix @ phi0).max()
+    if not residual <= 1e-10:
+        raise NumericalError(f"known vector is not a stationary mode: "
+                             f"|H phi_0|_inf = {residual:.3e} > 1e-10")
+    return phi0
+
+
+def _lowest_pairs(matrix, k, max_iter=None, tol=0.0, known=None):
     """k lowest eigenpairs of a symmetric sparse matrix.
 
     The only place that picks a solver: up to _DENSE_FALLBACK_DIM states
     LAPACK computes just those k pairs (k may equal the dimension), above it
-    ARPACK does, from the fixed start vector 1 + 0.5 sin(s). Raises
-    ValidationError on a NaN or infinite entry, and ConvergenceError carrying
-    the best eigenvalues and residual norms found on non-convergence.
+    ARPACK does, from the fixed start vector 1 + 0.5 sin(s) with a basis of
+    max(20, 4k + 1) vectors, k counting the pairs ARPACK is asked for.
+
+    known, if given, is a vector phi_0 with H phi_0 = 0 (NumericalError if
+    |H phi_0|_inf > 1e-10). ARPACK then computes the k - 1 lowest pairs of
+    H + sigma phi_0 phi_0^T, sigma twice the largest absolute row sum so that
+    phi_0 moves above the spectrum, from the part of the start vector
+    orthogonal to phi_0; lambda_0 is phi_0's Rayleigh quotient, and all
+    residuals are taken on H. Raises ValidationError on a NaN or infinite
+    entry or a malformed known vector, and ConvergenceError carrying the best
+    eigenvalues and residual norms found on non-convergence.
     """
     _check_finite(matrix)
     dim = matrix.shape[0]
+    phi0 = None
+    if known is not None:
+        if k < 2:
+            raise ValidationError("a known ground state needs k >= 2")
+        phi0 = _known_ground_state(matrix, known)
     if dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2):
         vals, vecs = scipy.linalg.eigh(matrix.toarray(), subset_by_index=[0, k - 1],
                                        overwrite_a=True)
         return _as_result(vals, vecs, matrix, "dense")
 
     v0 = 1.0 + 0.5 * np.sin(np.arange(dim))
+    operator = matrix
+    if phi0 is not None:
+        sigma = 2.0 * float(_abs_row_sums(matrix).max())
+        operator = LinearOperator(
+            matrix.shape, dtype=float,
+            matvec=lambda x: matrix @ x.ravel() + (sigma * (phi0 @ x.ravel())) * phi0)
+        v0 -= (phi0 @ v0) * phi0
+        k -= 1
     v0 /= np.linalg.norm(v0)
-    ncv = min(dim, max(40, 4 * k + 1))
+
+    def with_known(vals, vecs):
+        if phi0 is None:
+            return vals, vecs
+        return (np.append(phi0 @ (matrix @ phi0), vals),
+                np.column_stack([phi0, vecs]))
+
+    ncv = min(dim, max(20, 4 * k + 1))
     try:
-        vals, vecs = eigsh(matrix, k=k, which="SA", v0=v0, ncv=ncv,
+        vals, vecs = eigsh(operator, k=k, which="SA", v0=v0, ncv=ncv,
                            maxiter=max_iter, tol=tol)
     except ArpackNoConvergence as exc:
-        got = np.asarray(exc.eigenvalues, dtype=float)
-        res = None
-        if exc.eigenvectors is not None and exc.eigenvectors.size:
-            vecs = np.asarray(exc.eigenvectors)
-            res = np.linalg.norm(matrix @ vecs - vecs * got[None, :], axis=0)
+        # scipy hands back the converged pairs, possibly none, as arrays
+        got, vecs = with_known(np.asarray(exc.eigenvalues, dtype=float),
+                               np.asarray(exc.eigenvectors))
+        res = np.linalg.norm(matrix @ vecs - vecs * got[None, :], axis=0)
         raise ConvergenceError(
-            f"Krylov iteration converged only {got.size}/{k} pairs",
+            f"Krylov iteration converged only {exc.eigenvalues.size}/{k} pairs",
             eigenvalues=got, residual_norms=res,
         ) from exc
-    return _as_result(vals, vecs, matrix, "iterative")
+    return _as_result(*with_known(vals, vecs), matrix, "iterative")
 
 
-def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0):
+def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
     """k lowest eigenpairs of a symmetric matrix, k smaller than its dimension.
 
     Small systems are solved densely, larger ones by a Krylov iteration from a
-    fixed start vector (see _lowest_pairs). Raises ValidationError on a NaN or
-    infinite entry.
+    fixed start vector (see _lowest_pairs). known is an optional ground state
+    phi_0 with H phi_0 = 0, such as sqrt(p_eq) of a mapped generator; the
+    Krylov iteration then deflates it and computes only the k - 1 pairs above.
+    Raises ValidationError on a NaN or infinite entry or a malformed known
+    vector, and NumericalError when known is not a zero mode of H.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -116,14 +168,18 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0):
     dim = H.matrix.shape[0]
     if k >= dim:
         raise ValidationError(f"k={k} must be smaller than the dimension {dim}")
-    return _lowest_pairs(H.matrix, k, max_iter, tol)
+    return _lowest_pairs(H.matrix, k, max_iter, tol, known)
+
+
+def _abs_row_sums(matrix):
+    return np.abs(matrix) @ np.ones(matrix.shape[0])
 
 
 def gershgorin_bound(H):
     """Upper bound on the largest eigenvalue from Gershgorin discs."""
     matrix = H.matrix
     diag = matrix.diagonal()
-    absrow = np.abs(matrix) @ np.ones(matrix.shape[0])
+    absrow = _abs_row_sums(matrix)
     return float((diag + (absrow - np.abs(diag))).max())
 
 
@@ -138,8 +194,10 @@ class SweepRow:
 
 
 def _family_builder(family):
+    """(build, spin_count): the model of a size and its spin count. A
+    callable family's size is taken as its spin count until its model is built."""
     if callable(family):
-        return family
+        return family, int
     if not isinstance(family, dict) or "kind" not in family:
         raise ValidationError("family must be callable or a {'kind': ...} description")
     kind = family["kind"]
@@ -147,33 +205,37 @@ def _family_builder(family):
     coupling = float(family.get("J", 1.0))
     field_h = float(family.get("h", 0.0))
     if kind == "chain":
-        return lambda size: chain_model(size, periodic=periodic,
-                                        coupling=coupling, field_h=field_h)
+        return (lambda size: chain_model(size, periodic=periodic,
+                                         coupling=coupling, field_h=field_h), int)
     if kind == "grid":
         # size is the linear side; the reported system size is side^2 spins
-        return lambda side: grid_model(side, side, periodic=periodic,
-                                       coupling=coupling, field_h=field_h)
+        return (lambda side: grid_model(side, side, periodic=periodic,
+                                        coupling=coupling, field_h=field_h),
+                lambda side: side * side)
     raise ValidationError(f"unknown family kind {kind!r}")
 
 
 def gap_scaling_sweep(family, sizes, beta, rule="heat-bath"):
     """Gap and relaxation time of the mapped Hamiltonian across system sizes.
 
-    Per-size failures are recorded in the row and the sweep continues.
+    Each row's size is its spin count. The mapped ground state sqrt(p_eq) is
+    handed to the eigensolver, which then solves for lambda_1 alone. Per-size
+    failures are recorded in the row and the sweep continues.
     """
-    build = _family_builder(family)
+    build, spin_count = _family_builder(family)
     rows = []
     for size in sizes:
+        n = spin_count(int(size))
         try:
             h0 = build(int(size))
-            W = build_generator(h0, beta, rule)
-            H = classical_to_quantum(h0, beta, W)
-            spec = extreme_eigenpairs(H, k=2)
+            n = h0.n
+            H = classical_to_quantum(h0, beta, build_generator(h0, beta, rule))
+            spec = extreme_eigenpairs(H, k=2, known=np.sqrt(gibbs_distribution(h0, beta).p))
             tau = relaxation_time(spec)
-            resid = float(spec.residual_norms.max()) if spec.residual_norms is not None else 0.0
-            rows.append(SweepRow(h0.n, spec.gap, tau, spec.method, resid))
+            rows.append(SweepRow(n, spec.gap, tau, spec.method,
+                                 float(spec.residual_norms.max())))
         except Exception as exc:  # noqa: BLE001 - per-row fault isolation
-            rows.append(SweepRow(int(size), float("nan"), float("nan"),
+            rows.append(SweepRow(n, float("nan"), float("nan"),
                                  "error", float("nan"), error=str(exc)))
     return rows
 

@@ -205,6 +205,17 @@ def test_spectrum_sweep_then_fit(chain4, tmp_path):
     assert payload["preferred"] in ("polynomial", "exponential")
 
 
+def test_spectrum_sweep_sizes_are_spin_counts(tmp_path):
+    # the 9-spin grid row fails (lambda_1 is not resolved at beta=3) and
+    # still reports 9 spins, not the side 3
+    out = tmp_path / "sweep.csv"
+    outcome = run(["spectrum", "sweep", "--family", "grid", "--sizes", "2,3",
+                   "--beta", "3", "--h", "0.1", "--out", str(out)])
+    assert outcome.exit_code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("4", "dense"), ("9", "error")]
+
+
 def test_spectrum_fit_rejects_two_rows(tmp_path):
     table = tmp_path / "short.csv"
     table.write_text("size,gap,tau,method,residual\n4,0.1,10,dense,0\n6,0.05,20,dense,0\n")

@@ -3,7 +3,8 @@ import pytest
 from scipy import sparse
 
 import cqmap as cq
-from cqmap.errors import ResourceLimitError, ValidationError
+from cqmap import spectral
+from cqmap.errors import NumericalError, ResourceLimitError, ValidationError
 from cqmap.spectral import (
     fit_json,
     gershgorin_bound,
@@ -17,6 +18,14 @@ from conftest import random_model
 def mapped_chain(n, beta, rule="heat-bath"):
     h0 = cq.chain(n)
     return cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta, rule))
+
+
+def mapped(h0, beta, rule="heat-bath"):
+    return cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta, rule))
+
+
+def sqrt_peq(h0, beta):
+    return np.sqrt(cq.gibbs_distribution(h0, beta).p)
 
 
 # -------------------------------------------------------------- dense_spectrum
@@ -133,6 +142,39 @@ def test_extreme_on_sixteen_spin_mapped_grid():
     assert result.residual_norms.max() <= 1e-8 * width
 
 
+@pytest.mark.parametrize("h0, beta, rule, parity", [
+    (cq.chain(10), 0.7, "heat-bath", -1.0),  # h=0: lambda_1 is odd under a global flip
+    (cq.chain(9, field_h=0.3), 0.5, "metropolis", None),
+    (cq.grid(3, 3, field_h=0.1), 0.44, "heat-bath", None),
+])
+def test_deflated_solve_matches_dense_lambda1(h0, beta, rule, parity):
+    H = mapped(h0, beta, rule)
+    lam1 = np.linalg.eigvalsh(H.dense())[1]
+    result = cq.extreme_eigenpairs(H, k=2, known=sqrt_peq(h0, beta))
+    assert result.method == "iterative"
+    assert abs(result.eigenvalues[1] - lam1) <= 1e-12 * lam1
+    assert abs(result.eigenvalues[0]) <= 1e-14
+    assert result.residual_norms.max() <= 1e-12
+    if parity is not None:
+        vec = result.eigenvectors[:, 1]
+        assert abs(vec @ vec[::-1] - parity) <= 1e-10  # s -> ~s reverses the index
+
+
+def test_known_vector_is_checked():
+    h0 = cq.chain(8, field_h=0.3)
+    H = mapped(h0, 1.0)
+    dim = 1 << 8
+    # neither the uniform vector nor sqrt(p_eq) at another beta is a zero mode
+    for wrong in (np.ones(dim), sqrt_peq(h0, 0.5)):
+        with pytest.raises(NumericalError, match="not a stationary mode"):
+            cq.extreme_eigenpairs(H, k=2, known=wrong)
+    for bad in (np.ones(dim - 1), np.ones((dim, 1)), np.full(dim, np.nan), np.zeros(dim)):
+        with pytest.raises(ValidationError, match="known"):
+            cq.extreme_eigenpairs(H, k=2, known=bad)
+    with pytest.raises(ValidationError, match="k >= 2"):
+        cq.extreme_eigenpairs(H, k=1, known=sqrt_peq(h0, 1.0))
+
+
 def test_gershgorin_bounds_top_eigenvalue():
     H = mapped_chain(5, 0.9)
     top = cq.dense_spectrum(H).eigenvalues[-1]
@@ -159,11 +201,21 @@ def test_sweep_callable_family_and_single_row():
 
 
 def test_sweep_records_per_row_failures_and_continues():
-    rows = cq.gap_scaling_sweep({"kind": "grid"}, [2, 5], 0.44)
+    rows = cq.gap_scaling_sweep({"kind": "grid"}, [2, 5, 6], 0.44)
     assert rows[0].error is None
     assert rows[1].error is not None  # 5x5 = 25 spins exceeds the sparse cap
     assert rows[1].method == "error"
     assert np.isnan(rows[1].gap)
+    assert rows[2].error is not None  # 6x6 = 36 spins: the model itself is refused
+    assert [r.size for r in rows] == [4, 25, 36]  # spin counts, failed rows too
+
+
+def test_sweep_row_with_wrong_known_vector_is_an_error(monkeypatch):
+    monkeypatch.setattr(spectral, "gibbs_distribution",
+                        lambda h0, beta: cq.gibbs_distribution(h0, 2 * beta))
+    row = cq.gap_scaling_sweep({"kind": "chain", "h": 0.3}, [8], 1.0)[0]
+    assert row.method == "error"
+    assert "not a stationary mode" in row.error
 
 
 def test_sweep_row_with_unresolved_gap_is_an_error():
