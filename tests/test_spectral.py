@@ -15,13 +15,12 @@ from cqmap.spectral import (
 from conftest import random_model
 
 
-def mapped_chain(n, beta, rule="heat-bath"):
-    h0 = cq.chain(n)
-    return cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta, rule))
-
-
 def mapped(h0, beta, rule="heat-bath"):
     return cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta, rule))
+
+
+def mapped_chain(n, beta, rule="heat-bath"):
+    return mapped(cq.chain(n), beta, rule)
 
 
 def sqrt_peq(h0, beta):
@@ -129,6 +128,15 @@ def test_extreme_nonconvergence_carries_partial_results():
     with pytest.raises(cq.ConvergenceError) as excinfo:
         cq.extreme_eigenpairs(H, k=2, max_iter=1)
     assert excinfo.value.eigenvalues is not None
+
+
+def test_deflated_nonconvergence_still_reports_the_known_pair():
+    h0 = cq.grid(3, 3)
+    with pytest.raises(cq.ConvergenceError) as excinfo:
+        cq.extreme_eigenpairs(mapped(h0, 0.44), k=2, max_iter=1, known=sqrt_peq(h0, 0.44))
+    err = excinfo.value
+    assert abs(err.eigenvalues[0]) <= 1e-14
+    assert err.residual_norms.shape == err.eigenvalues.shape
 
 
 def test_extreme_on_sixteen_spin_mapped_grid():
