@@ -108,8 +108,9 @@ def run_sa(h0, sched, rule="heat-bath", steps=200, *, max_step=None):
 
     The schedule provides beta(t) directly (linear/power kinds) or the
     temperature (logarithmic kind, beta = 1/value). beta must be
-    nondecreasing over the horizon. ``max_step`` overrides the internal
-    substep size (for convergence checks at finer resolution).
+    nondecreasing over the horizon. Steps are error-controlled (see
+    integrate_master); ``max_step`` forces fixed steps no longer than it
+    instead (for convergence checks at finer resolution).
     """
     _check_anneal_size(h0.n)
     if steps < 1:

@@ -283,8 +283,8 @@ def _cmd_dynamics_evolve(args):
     h0 = model.load_model(args.model)
     if args.points < 2:
         raise ValidationError("--points must be >= 2")
-    if args.t_final <= 0:
-        raise ValidationError("--t-final must be positive")
+    if not (np.isfinite(args.t_final) and args.t_final > 0):
+        raise ValidationError(f"--t-final must be positive and finite, got {args.t_final!r}")
     provider = dynamics.constant_provider(h0, args.beta, args.rule)
     p0 = _parse_p0(args.p0, h0, args.beta)
     t_grid = np.linspace(0.0, args.t_final, args.points)

@@ -34,8 +34,44 @@ from .model import MAX_OPERATOR_SPINS, check_beta, energy_table, gibbs_from_ener
 _RULE_ALIASES = {"heat-bath": "heat-bath", "glauber": "heat-bath",
                  "heat_bath": "heat-bath", "metropolis": "metropolis"}
 
-# Fixed-step RK4: substep h chosen so that (spectral bound) * h <= _RK4_THETA.
-_RK4_THETA = 0.2
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 19 (1980)). Row 6 of _DP_A holds the fifth-order weights, so the last stage
+# of a step is the first stage of the next one (first same as last); _DP_E is
+# the fifth- minus fourth-order weights, the embedded local error estimate.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.zeros((7, 7))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+# Fourth-order continuous extension (Shampine, Math. Comp. 46, 135 (1986)):
+# the state at t + theta h is p + h * (_DP_P @ [theta, .., theta^4]) @ stages.
+# At theta = 1 it reproduces the fifth-order weights.
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+# A step is kept when the L1 norm of its error estimate is at most _STEP_TOL.
+_STEP_TOL = 1e-10
+# Spans longer than this many units of 1/spectral_bound (or of a forced
+# max_step) are refused before any work. This guards span * bound; steps
+# limited by accuracy can be shorter than 1/spectral_bound, so it does not cap
+# the number of steps actually taken.
+_MAX_STEPS = 1e8
 
 
 def canonical_rule(rule):
@@ -229,16 +265,43 @@ class Trajectory:
     p_ground: np.ndarray
     l1_to_equilibrium: np.ndarray
     norm_drift: float
+    steps: int                  # accepted integrator steps
+    rejected: int               # steps refused by the error control
+
+
+def _dp5_step(provider, t, p, h, k1):
+    """One Dormand-Prince step of size h from (t, p), given k1 = W(t) p.
+
+    Returns the fifth-order state, the L1 norm of its error estimate and the
+    seven stages; the last is W(t + h) applied to the new state.
+    """
+    stages = np.empty((7, p.size))
+    stages[0] = k1
+    for i in range(1, 7):
+        y = p + h * (_DP_A[i, :i] @ stages[:i])
+        stages[i] = provider.apply(t + _DP_C[i] * h, y)
+    err = h * float(np.abs(_DP_E @ stages).sum())
+    return y, err, stages
 
 
 def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
-    """Integrate dP/dt = W(t) P on a time grid with classical RK4 substeps.
+    """Integrate dP/dt = W(t) P on a time grid with error-controlled steps.
 
     ``w_of_t`` is a GeneratorProvider/MatrixProvider (use constant_provider
-    for fixed beta). Substeps satisfy h * spectral_bound <= 0.2 unless
-    ``max_step`` overrides. Column sums of W vanish, so RK4 conserves the
-    total probability exactly; drift and positivity are still checked and
-    raise IntegrationError when violated.
+    for fixed beta). Steps are Dormand-Prince 5(4): a step is kept when the
+    L1 norm of its embedded error estimate is at most 1e-10, and the next
+    step is scaled by 0.9 (tol/err)^(1/5), clamped to [0.2, 5]. The first
+    step is 1/spectral_bound. Steps run across grid times, whose states are
+    read off each step's fourth-order continuous extension, so a fine grid
+    costs no extra steps; only the last step is clipped to land on the
+    final time. ``max_step`` forces fixed steps instead: each grid interval
+    is split into equal steps no longer than it, with the controller off
+    (for convergence checks against a finer resolution). Column sums of W
+    vanish, so steps and interpolants conserve the total probability
+    exactly; drift and positivity are still checked and raise
+    IntegrationError when violated, as do a non-finite error estimate and
+    a step that shrinks below 1e-14 of the span. Spans longer than 1e8
+    units of 1/spectral_bound (or of max_step) raise ResourceLimitError.
     """
     provider = w_of_t
     if isinstance(provider, GeneratorMatrix):
@@ -248,41 +311,82 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValidationError("t_grid must be a 1D vector of times")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValidationError("t_grid has a non-finite time")
     if np.any(np.diff(t_grid) <= 0):
         raise ValidationError("t_grid must be strictly increasing")
+    forced = max_step is not None
+    if forced and not (math.isfinite(max_step) and max_step > 0):
+        raise ValidationError(f"max_step must be positive and finite, got {max_step!r}")
 
     p = np.array(p0.p if hasattr(p0, "p") else p0, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("initial distribution has a non-finite entry")
+    if np.any(p < 0.0):
+        raise ValidationError("initial distribution has a negative entry")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValidationError("initial distribution is not normalized")
 
+    bound = getattr(provider, "spectral_bound", 1.0)
+    span = float(t_grid[-1] - t_grid[0])
+    needed = span / max_step if forced else span * bound
+    if needed > _MAX_STEPS:
+        raise ResourceLimitError(
+            f"a span of {span:.6g} is {needed:.3g} units of "
+            f"{'max_step' if forced else '1/spectral_bound'} (cap {_MAX_STEPS:.0e})"
+        )
+
     states = np.empty((t_grid.size, p.size))
     states[0] = p
-    bound = getattr(provider, "spectral_bound", 1.0)
-    h_target = max_step if max_step is not None else _RK4_THETA / max(bound, 1e-30)
-
-    for k in range(t_grid.size - 1):
-        t0, t1 = t_grid[k], t_grid[k + 1]
-        steps = max(1, int(math.ceil((t1 - t0) / h_target)))
-        h = (t1 - t0) / steps
-        t = t0
-        for _ in range(steps):
-            k1 = provider.apply(t, p)
-            k2 = provider.apply(t + 0.5 * h, p + 0.5 * h * k1)
-            k3 = provider.apply(t + 0.5 * h, p + 0.5 * h * k2)
-            k4 = provider.apply(t + h, p + h * k3)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            low = p.min()
-            if low < -1e-8:
+    steps = rejected = 0
+    h_prop = 1.0 / max(bound, 1e-30)
+    t, k = t_grid[0], 1  # k: next grid row to fill
+    k1 = provider.apply(t, p) if t_grid.size > 1 else None
+    while k < t_grid.size:
+        if forced:
+            gap = t_grid[k] - t_grid[k - 1]
+            h_prop = gap / math.ceil(gap / max_step)
+        target = t_grid[k] if forced else t_grid[-1]
+        # A step within a relative 1e-10 of the remaining time lands on target.
+        clipped = h_prop >= (target - t) * (1.0 - 1e-10)
+        h = target - t if clipped else h_prop
+        y, err, stages = _dp5_step(provider, t, p, h, k1)
+        if not math.isfinite(err):
+            raise IntegrationError(f"non-finite error estimate at t={t:.6g} (step {h:.3e})")
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.2))
+        if not (forced or err <= _STEP_TOL):
+            rejected += 1
+            h_prop = h * factor
+            if h_prop < 1e-14 * span:
                 raise IntegrationError(
-                    f"negative probability {low:.3e} at t={t:.6g} (step too large)"
+                    f"step {h_prop:.3e} at t={t:.6g} fell below 1e-14 of the span "
+                    f"(error estimate {err:.3e})"
                 )
-        states[k + 1] = p
+            continue
+        low = y.min()
+        if low < -1e-8:
+            raise IntegrationError(
+                f"negative probability {low:.3e} at t={t + h:.6g} (step too large)"
+            )
+        t_new = target if clipped else t + h
+        while k < t_grid.size and t_grid[k] < t_new:
+            theta = (t_grid[k] - t) / h
+            states[k] = p + h * ((_DP_P @ theta ** np.arange(1, 5)) @ stages)
+            k += 1
+        if k < t_grid.size and t_grid[k] == t_new:
+            states[k] = y
+            k += 1
+        t, p, k1 = t_new, y, stages[6]
+        steps += 1
+        if not forced:
+            h_prop = h * factor
 
+    low = states.min()
+    if low < -1e-8:
+        raise IntegrationError(f"negative probability {low:.3e} at an interpolated grid time")
     sums = states.sum(axis=1)
     drift = float(np.abs(sums - 1.0).max())
-    span = max(1.0, float(t_grid[-1] - t_grid[0]))
-    if drift > 1e-9 * span:
+    if drift > 1e-9 * max(1.0, span):
         raise IntegrationError(f"probability normalization drifted by {drift:.3e}")
 
     energies = getattr(provider, "energies", None)
@@ -298,7 +402,7 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
         peq = provider.equilibrium(t)
         l1[k] = np.abs(states[k] - peq).sum() if peq is not None else np.nan
 
-    return Trajectory(t_grid, states, mean_e, p_ground, l1, drift)
+    return Trajectory(t_grid, states, mean_e, p_ground, l1, drift, steps, rejected)
 
 
 def relaxation_time(spectrum):

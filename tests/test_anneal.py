@@ -60,6 +60,15 @@ def test_sa_linear_ramp_finds_ground_pair():
     assert abs(fine.final_success - result.final_success) < 1e-6
 
 
+def test_sa_adaptive_steps_match_forced_fine_steps():
+    h0 = cq.chain(8, field_h=0.1)
+    sched = cq.make_schedule("linear", (0.1, 3.0), 20.0)
+    adaptive = cq.run_sa(h0, sched, steps=40)
+    fine = cq.run_sa(h0, sched, steps=40, max_step=0.0125)
+    assert abs(adaptive.final_success - fine.final_success) < 1e-9
+    assert abs(adaptive.residual_energy[-1] - fine.residual_energy[-1]) < 1e-9
+
+
 def test_sa_sudden_quench_stays_uniform():
     sched = cq.make_schedule("linear", (0.1, 3.0), 1e-6)
     result = cq.run_sa(cq.chain(4), sched, steps=1)

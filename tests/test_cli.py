@@ -68,6 +68,16 @@ def test_dynamics_evolve_writes_trajectory(chain4, tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("t_final, code", [("nan", 1), ("inf", 1), ("1e308", 3)])
+def test_dynamics_evolve_refuses_unreachable_times(chain4, tmp_path, t_final, code):
+    out = tmp_path / "traj.csv"
+    outcome = run(["dynamics", "evolve", "--model", chain4, "--beta", "0.5",
+                   "--t-final", t_final, "--out", str(out)])
+    assert outcome.exit_code == code, outcome.diagnostics
+    assert "dynamics evolve" in outcome.diagnostics
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- map group
 
 def test_map_c2q_q2c_pipeline(chain4, tmp_path):
@@ -254,6 +264,13 @@ def test_anneal_sa_rejects_cooling_schedule(chain4, tmp_path):
                    "--c0", "2.0", "--c1", "0.1", "--horizon", "10",
                    "--out", str(tmp_path / "x.csv")])
     assert outcome.exit_code == 1
+
+
+def test_anneal_sa_refuses_span_beyond_step_cap(chain4, tmp_path):
+    outcome = run(["anneal", "sa", "--model", chain4, "--schedule", "linear",
+                   "--c0", "0.1", "--c1", "2.0", "--horizon", "1e12",
+                   "--out", str(tmp_path / "x.csv")])
+    assert outcome.exit_code == 3, outcome.diagnostics
 
 
 # ------------------------------------------------------------------ diagnostics

@@ -4,6 +4,8 @@ from scipy import sparse
 
 import cqmap as cq
 from cqmap.dynamics import (
+    _DP_A,
+    _DP_P,
     GeneratorMatrix,
     GeneratorProvider,
     MatrixProvider,
@@ -198,6 +200,113 @@ def test_integrator_input_validation():
     with pytest.raises(ValidationError):
         cq.integrate_master(provider, np.array([0.5, 0.5, 0.5, 0.5]),
                             np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]],
+                         ids=["nan", "inf", "-inf"])
+def test_integrator_refuses_non_finite_times(t_grid):
+    provider = cq.constant_provider(cq.chain(2, periodic=False), 1.0)
+    with pytest.raises(ValidationError, match="non-finite"):
+        cq.integrate_master(provider, np.full(4, 0.25), np.array(t_grid))
+
+
+@pytest.mark.parametrize("p0, match", [
+    ([np.nan, 1.0], "non-finite"),
+    ([np.inf, 0.0], "non-finite"),
+    ([-np.inf, 1.0], "non-finite"),
+    ([1.5, -0.5], "negative entry"),
+], ids=["nan", "inf", "-inf", "negative"])
+def test_integrator_refuses_bad_initial_distribution(p0, match):
+    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
+    with pytest.raises(ValidationError, match=match):
+        cq.integrate_master(provider, np.array(p0), np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("max_step", [0.0, -1.0, np.nan, np.inf])
+def test_integrator_refuses_bad_forced_step(max_step):
+    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
+    with pytest.raises(ValidationError, match="max_step"):
+        cq.integrate_master(provider, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                            max_step=max_step)
+
+
+def test_integrator_refuses_span_beyond_step_cap():
+    # chain(2) has spectral bound 4: a span of 2.5e7 is 1e8 units of
+    # 1/spectral_bound, at the cap; one unit more is refused before any step.
+    provider = cq.constant_provider(cq.chain(2, periodic=False), 1.0)
+    with pytest.raises(ResourceLimitError, match="1/spectral_bound"):
+        cq.integrate_master(provider, np.full(4, 0.25), np.array([0.0, 2.5e7 + 1.0]))
+    with pytest.raises(ResourceLimitError, match="max_step"):
+        cq.integrate_master(provider, np.full(4, 0.25), np.array([0.0, 1.0]),
+                            max_step=1e-9)
+
+
+def test_non_finite_error_estimate_raises():
+    # beta(t) turns NaN half-way: the rates, and so the error estimate, follow.
+    provider = GeneratorProvider(cq.chain(2, periodic=False),
+                                 lambda t: 1.0 if t < 0.5 else np.nan)
+    with pytest.raises(IntegrationError, match="non-finite error estimate"):
+        cq.integrate_master(provider, np.full(4, 0.25), np.array([0.0, 1.0]))
+
+
+class _ErraticProvider:
+    """A right-hand side whose stages alternate in sign, so the error
+    estimate is ~1e11 h at every step size."""
+
+    spectral_bound = 1.0
+    energies = None
+
+    def __init__(self):
+        self.calls = 0
+
+    def apply(self, t, p):
+        self.calls += 1
+        return (-1.0) ** self.calls * 1e12 * np.array([1.0, -1.0])
+
+    def equilibrium(self, t):
+        return None
+
+
+def test_step_shrinking_below_span_floor_raises():
+    with pytest.raises(IntegrationError, match="fell below 1e-14"):
+        cq.integrate_master(_ErraticProvider(), np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+
+
+def test_forced_step_counts():
+    provider = GeneratorProvider(cq.chain(4), lambda t: 0.2 * t, "heat-bath")
+    traj = cq.integrate_master(provider, np.full(16, 1.0 / 16), np.linspace(0.0, 10.0, 21),
+                               max_step=0.0125)
+    assert (traj.steps, traj.rejected) == (800, 0)
+
+
+def test_two_state_closed_form_rejects_its_first_step():
+    # The first step, 1/spectral_bound = 0.5, misses the 1e-10 tolerance.
+    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
+    t_grid = np.array([0.0, 0.5, 1.0, 2.0])
+    traj = cq.integrate_master(provider, np.array([1.0, 0.0]), t_grid)
+    assert traj.rejected > 0
+    assert traj.steps > 0
+    assert np.abs(traj.states[:, 0] - (0.5 + 0.5 * np.exp(-t_grid))).max() < 1e-9
+
+
+def test_fine_grid_is_interpolated_not_stepped():
+    # 100 grid intervals of 0.01 are 0.16/spectral_bound each on chain(8):
+    # steps run across grid times, so there are fewer steps than intervals,
+    # and every interpolated row matches a forced fine-step reference.
+    p0 = np.full(256, 1.0 / 256)
+    grid = np.linspace(0.0, 1.0, 101)
+    for provider in (cq.constant_provider(cq.chain(8), 1.0),
+                     GeneratorProvider(cq.chain(8), lambda t: 0.1 + 2.0 * t)):
+        traj = cq.integrate_master(provider, p0, grid)
+        ref = cq.integrate_master(provider, p0, grid, max_step=1e-3)
+        assert traj.steps < grid.size - 1
+        assert np.abs(traj.states - ref.states).sum(axis=1).max() < 1e-9
+        assert np.abs(traj.mean_energy - ref.mean_energy).max() < 1e-9
+
+
+def test_continuous_extension_ends_on_the_step():
+    # At theta = 1 the interpolant weights are the fifth-order weights.
+    assert np.abs(_DP_P.sum(axis=1) - _DP_A[6]).max() < 1e-15
 
 
 def test_matrix_provider_runs_arbitrary_generator():
