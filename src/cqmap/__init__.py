@@ -14,7 +14,6 @@ from .dynamics import (
     DynamicsReport,
     GeneratorMatrix,
     GeneratorProvider,
-    MatrixProvider,
     Trajectory,
     build_generator,
     constant_provider,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io as cqio
-from .dynamics import GeneratorProvider, flip_table, integrate_master
+from .dynamics import GeneratorProvider, integrate_master
 from .errors import IntegrationError, ResourceLimitError, ValidationError
-from .model import ground_space
+from .model import MAX_STEPS, energy_table, ground_space
 
 MAX_ANNEAL_SPINS = 12
 
@@ -134,7 +134,7 @@ def run_sa(h0, sched, rule="heat-bath", steps=200, *, max_step=None):
     t_grid = np.linspace(0.0, sched.horizon, steps + 1)
     traj = integrate_master(provider, p0, t_grid, max_step=max_step)
 
-    gmask, e_gs = ground_space(provider.table.energies)
+    gmask, e_gs = ground_space(provider.energies)
     control = np.array([sched.value(t) for t in t_grid])
     residual = traj.mean_energy - e_gs
     return AnnealResult(t_grid, control, traj.p_ground, residual,
@@ -159,23 +159,36 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
     with Gamma at each midpoint) built from exact, matrix-free factors, so
     the norm is kept to roundoff; (max|E| + n |Gamma|) h <= 0.125. ``refine``
     multiplies the substep count (for convergence checks at finer
-    resolution). A norm drift beyond 1e-6 raises IntegrationError.
+    resolution). Runs that would take more than 1e8 substeps, counted as
+    refine * T * (max|E| + n max(|Gamma(0)|, |Gamma(T)|)) / 0.125, raise
+    ResourceLimitError before any work (a field that is 0 throughout takes
+    no substeps). A norm drift beyond 1e-6 raises IntegrationError.
     """
     _check_anneal_size(h0.n)
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    if refine < 1.0:
-        raise ValidationError("refine must be >= 1")
-    gamma0 = sched.initial()
-    if abs(sched.final()) > 1e-9 * max(1.0, abs(gamma0)):
+    if not refine >= 1.0:  # also refuses NaN, which would slip past the substep cap
+        raise ValidationError(f"refine must be >= 1, got {refine!r}")
+    gamma0, gamma_end = sched.initial(), sched.final()
+    if abs(gamma_end) > 1e-9 * max(1.0, abs(gamma0)):
         raise ValidationError(
-            f"QA schedule must reach Gamma(T) = 0, got {sched.final()!r}"
+            f"QA schedule must reach Gamma(T) = 0, got {gamma_end!r}"
         )
 
-    table = flip_table(h0)
-    energies = table.energies
+    energies = energy_table(h0).values
     gmask, e_gs = ground_space(energies)
     e_scale = float(np.abs(energies).max())
+    # Schedules are monotone: a field that starts and ends at 0 is 0 throughout,
+    # and every interval is exact phase propagation with no substeps.
+    field = max(abs(gamma0), abs(gamma_end))
+    needed = refine * sched.horizon * (e_scale + h0.n * field) / _QA_THETA if field else 0.0
+    if needed > MAX_STEPS:
+        raise ResourceLimitError(
+            f"a horizon of {sched.horizon:.6g} needs {needed:.3g} QA substeps "
+            f"(cap {MAX_STEPS:.0e})"
+        )
+    idx = np.arange(energies.size)
+    flips = [idx ^ (1 << j) for j in range(h0.n)]
 
     psi = np.full(energies.size, 1.0 / math.sqrt(energies.size), dtype=complex)
     t_grid = np.linspace(0.0, sched.horizon, steps + 1)
@@ -213,9 +226,9 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
         inner = np.exp(-0.5j * (tau1 + tau0) * energies)
         for i in range(substeps):
             t = t0 + i * h
-            psi = _rotate_driver(outer * psi, table.flips, tau1 * sched.value(t + 0.5 * tau1))
-            psi = _rotate_driver(inner * psi, table.flips, tau0 * sched.value(t + 0.5 * h))
-            psi = _rotate_driver(inner * psi, table.flips, tau1 * sched.value(t + h - 0.5 * tau1))
+            psi = _rotate_driver(outer * psi, flips, tau1 * sched.value(t + 0.5 * tau1))
+            psi = _rotate_driver(inner * psi, flips, tau0 * sched.value(t + 0.5 * h))
+            psi = _rotate_driver(inner * psi, flips, tau1 * sched.value(t + h - 0.5 * tau1))
             psi = outer * psi
         record(k + 1, t1, psi)
         if worst_drift > 1e-6:

@@ -29,7 +29,8 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .model import MAX_OPERATOR_SPINS, check_beta, energy_table, gibbs_from_energies, ground_space
+from .model import MAX_OPERATOR_SPINS, MAX_STEPS, check_beta, energy_table
+from .model import gibbs_from_energies, ground_space
 
 _RULE_ALIASES = {"heat-bath": "heat-bath", "glauber": "heat-bath",
                  "heat_bath": "heat-bath", "metropolis": "metropolis"}
@@ -67,11 +68,6 @@ _DP_P = np.array([
 
 # A step is kept when the L1 norm of its error estimate is at most _STEP_TOL.
 _STEP_TOL = 1e-10
-# Spans longer than this many units of 1/spectral_bound (or of a forced
-# max_step) are refused before any work. This guards span * bound; steps
-# limited by accuracy can be shorter than 1/spectral_bound, so it does not cap
-# the number of steps actually taken.
-_MAX_STEPS = 1e8
 
 
 def canonical_rule(rule):
@@ -93,14 +89,20 @@ class GeneratorMatrix:
     beta: float
 
 
+def flipped(x, j):
+    """``x`` read at ``s ^ (1 << j)`` for every configuration ``s``: a strided
+    view of shape (2^n / 2^(j+1), 2, 2^j), no copy. ``x.reshape(-1, 2, 1 << j)``
+    is the matching unflipped view."""
+    return x.reshape(-1, 2, 1 << j)[:, ::-1, :]
+
+
 @dataclass
 class FlipTable:
-    """Per-model cache: energies plus flip targets and dE for every spin."""
+    """Per-model cache: energies plus dE for every spin."""
 
     n: int
     energies: np.ndarray   # (2^n,)
-    flips: np.ndarray      # (n, 2^n) flip target indices
-    delta_e: np.ndarray    # (n, 2^n) E[flip] - E
+    delta_e: np.ndarray    # (n, 2^n) E[s ^ (1 << j)] - E[s]
 
 
 def flip_table(h0):
@@ -109,13 +111,11 @@ def flip_table(h0):
             f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap for generators"
         )
     energies = energy_table(h0).values
-    dim = energies.size
-    idx = np.arange(dim, dtype=np.int64)
-    flips = np.empty((h0.n, dim), dtype=np.int64)
-    for j in range(h0.n):
-        flips[j] = idx ^ (1 << j)
-    delta_e = energies[flips] - energies[None, :]
-    return FlipTable(h0.n, energies, flips, delta_e)
+    delta_e = np.empty((h0.n, energies.size))
+    for j, row in enumerate(delta_e):
+        np.subtract(flipped(energies, j), energies.reshape(-1, 2, 1 << j),
+                    out=row.reshape(-1, 2, 1 << j))
+    return FlipTable(h0.n, energies, delta_e)
 
 
 def flip_matrix(diag, off):
@@ -217,7 +217,10 @@ class GeneratorProvider:
     def apply(self, t, p):
         rates = self._rates(t)
         moved = rates * p[None, :]
-        out = np.take_along_axis(moved, self.table.flips, axis=1).sum(axis=0)
+        # Rows are added from 0 in spin order, the rounding of a sum over axis 0.
+        out = np.zeros_like(p)
+        for j, row in enumerate(moved):
+            out.reshape(-1, 2, 1 << j)[...] += flipped(row, j)
         out -= rates.sum(axis=0) * p
         return out
 
@@ -228,31 +231,6 @@ class GeneratorProvider:
 def constant_provider(h0, beta, rule="heat-bath"):
     check_beta(beta)
     return GeneratorProvider(h0, lambda t: beta, rule)
-
-
-class MatrixProvider:
-    """Adapter for a prebuilt (possibly non-rule-based) constant generator."""
-
-    def __init__(self, W, h0=None, equilibrium_vector=None):
-        self.matrix = W.matrix
-        self.n = W.n
-        self.energies = energy_table(h0).values if h0 is not None else None
-        self.rule = W.rule
-        self._beta = W.beta
-        self._peq = equilibrium_vector
-        if self._peq is None and h0 is not None:
-            self._peq = gibbs_from_energies(h0.n, self.energies, W.beta).p
-        diag = np.abs(self.matrix.diagonal())
-        self.spectral_bound = 2.0 * float(diag.max()) if diag.size else 1.0
-
-    def beta(self, t):
-        return self._beta
-
-    def apply(self, t, p):
-        return self.matrix @ p
-
-    def equilibrium(self, t):
-        return self._peq
 
 
 @dataclass
@@ -287,8 +265,11 @@ def _dp5_step(provider, t, p, h, k1):
 def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
     """Integrate dP/dt = W(t) P on a time grid with error-controlled steps.
 
-    ``w_of_t`` is a GeneratorProvider/MatrixProvider (use constant_provider
-    for fixed beta). Steps are Dormand-Prince 5(4): a step is kept when the
+    ``w_of_t`` is a provider (GeneratorProvider; constant_provider for fixed
+    beta): ``apply(t, p)`` returns W(t) @ p, ``spectral_bound`` bounds the
+    magnitude of W's eigenvalues, ``energies`` holds the 2^n configuration
+    energies that p is indexed by, and ``equilibrium(t)`` returns the Gibbs
+    vector at time t. Steps are Dormand-Prince 5(4): a step is kept when the
     L1 norm of its embedded error estimate is at most 1e-10, and the next
     step is scaled by 0.9 (tol/err)^(1/5), clamped to [0.2, 5]. The first
     step is 1/spectral_bound. Steps run across grid times, whose states are
@@ -306,7 +287,8 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
     provider = w_of_t
     if isinstance(provider, GeneratorMatrix):
         raise ValidationError(
-            "wrap a bare GeneratorMatrix in MatrixProvider (observables need the model)"
+            "integrate_master takes a provider, not a GeneratorMatrix "
+            "(use constant_provider(h0, beta, rule))"
         )
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -320,6 +302,9 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
         raise ValidationError(f"max_step must be positive and finite, got {max_step!r}")
 
     p = np.array(p0.p if hasattr(p0, "p") else p0, dtype=float)
+    if p.shape != provider.energies.shape:
+        raise ValidationError(f"initial distribution has shape {p.shape}, "
+                              f"expected {provider.energies.shape}")
     if not np.all(np.isfinite(p)):
         raise ValidationError("initial distribution has a non-finite entry")
     if np.any(p < 0.0):
@@ -327,13 +312,13 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValidationError("initial distribution is not normalized")
 
-    bound = getattr(provider, "spectral_bound", 1.0)
+    bound = provider.spectral_bound
     span = float(t_grid[-1] - t_grid[0])
     needed = span / max_step if forced else span * bound
-    if needed > _MAX_STEPS:
+    if needed > MAX_STEPS:
         raise ResourceLimitError(
             f"a span of {span:.6g} is {needed:.3g} units of "
-            f"{'max_step' if forced else '1/spectral_bound'} (cap {_MAX_STEPS:.0e})"
+            f"{'max_step' if forced else '1/spectral_bound'} (cap {MAX_STEPS:.0e})"
         )
 
     states = np.empty((t_grid.size, p.size))
@@ -389,18 +374,11 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
     if drift > 1e-9 * max(1.0, span):
         raise IntegrationError(f"probability normalization drifted by {drift:.3e}")
 
-    energies = getattr(provider, "energies", None)
-    if energies is not None:
-        gmask, _ = ground_space(energies)
-        mean_e = states @ energies
-        p_ground = states[:, gmask].sum(axis=1)
-    else:
-        mean_e = np.full(t_grid.size, np.nan)
-        p_ground = np.full(t_grid.size, np.nan)
-    l1 = np.empty(t_grid.size)
-    for k, t in enumerate(t_grid):
-        peq = provider.equilibrium(t)
-        l1[k] = np.abs(states[k] - peq).sum() if peq is not None else np.nan
+    gmask, _ = ground_space(provider.energies)
+    mean_e = states @ provider.energies
+    p_ground = states[:, gmask].sum(axis=1)
+    l1 = np.array([np.abs(state - provider.equilibrium(t)).sum()
+                   for t, state in zip(t_grid, states)])
 
     return Trajectory(t_grid, states, mean_e, p_ground, l1, drift, steps, rejected)
 

@@ -25,6 +25,9 @@ from .errors import ResourceLimitError, ValidationError
 MAX_TABLE_SPINS = 30  # 2^N address-space guard for full tables
 MAX_OPERATOR_SPINS = 24  # sparse flip-structured operators and Krylov solves
 MAX_DENSE_SPINS = 13  # full dense 2^N x 2^N spectra (dense_spectrum)
+# Integrator runs whose span exceeds this many natural step units are refused
+# before any work: 1/spectral_bound for the master equation, the QA substep.
+MAX_STEPS = 1e8
 
 
 def _is_integer(value):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,28 @@ def test_qa_size_guard():
     with pytest.raises(ResourceLimitError):
         cq.run_qa(cq.ClassicalHamiltonian(13, {}),
                   cq.make_schedule("linear", (5.0, 0.0), 1.0))
+
+
+def test_qa_refuses_horizon_beyond_substep_cap():
+    # chain(4): max|E| = 4, n max|Gamma| = 20, so 1e12 * 24 / 0.125 substeps.
+    sched = cq.make_schedule("linear", (5.0, 0.0), 1e12)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="QA substeps"):
+        cq.run_qa(cq.chain(4), sched, steps=2)
+    assert time.perf_counter() - start < 5.0
+    # refine multiplies the count: a horizon worth 1e8 substeps is refused at 1.5.
+    at_cap = cq.make_schedule("linear", (5.0, 0.0), 1e8 * 0.125 / 24)
+    with pytest.raises(ResourceLimitError, match="QA substeps"):
+        cq.run_qa(cq.chain(4), at_cap, steps=2, refine=1.5)
+    # A field that is 0 throughout takes no substeps, so the long horizon runs.
+    frozen = cq.run_qa(cq.chain(4), cq.make_schedule("linear", (0.0, 0.0), 1e12), steps=2)
+    assert frozen.p_ground.max() - frozen.p_ground.min() <= 1e-10
+
+
+@pytest.mark.parametrize("refine", [0.5, np.nan])
+def test_qa_refuses_bad_refine(refine):
+    with pytest.raises(ValidationError, match="refine"):
+        cq.run_qa(cq.chain(2), cq.make_schedule("linear", (5.0, 0.0), 1.0), refine=refine)
 
 
 # ----------------------------------------------------------------- compare_runs

@@ -273,6 +273,16 @@ def test_anneal_sa_refuses_span_beyond_step_cap(chain4, tmp_path):
     assert outcome.exit_code == 3, outcome.diagnostics
 
 
+def test_anneal_qa_refuses_horizon_beyond_substep_cap(chain4, tmp_path):
+    out = tmp_path / "x.csv"
+    outcome = run(["anneal", "qa", "--model", chain4, "--schedule", "linear",
+                   "--c0", "5", "--c1", "0", "--horizon", "1e12", "--steps", "2",
+                   "--out", str(out)])
+    assert outcome.exit_code == 3, outcome.diagnostics
+    assert "QA substeps" in outcome.diagnostics
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ diagnostics
 
 @pytest.mark.parametrize("command, text", [

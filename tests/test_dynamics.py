@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -8,7 +10,7 @@ from cqmap.dynamics import (
     _DP_P,
     GeneratorMatrix,
     GeneratorProvider,
-    MatrixProvider,
+    flip_table,
     read_generator,
     trajectory_csv,
     write_generator,
@@ -101,6 +103,36 @@ def test_generator_column_sums_vanish(rng):
 def test_generator_size_guard():
     with pytest.raises(ResourceLimitError):
         cq.build_generator(cq.ClassicalHamiltonian(25, {}), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_flip_table_delta_e_matches_xor_index(rng, n):
+    h0 = random_model(rng, n)
+    table = flip_table(h0)
+    idx = np.arange(1 << n)
+    for j in range(n):
+        expected = table.energies[idx ^ (1 << j)] - table.energies
+        assert np.array_equal(table.delta_e[j], expected)
+
+
+def test_flip_table_allocates_little_beyond_its_result():
+    # Flips are read as views: no n x 2^n index table or gathered copy.
+    tracemalloc.start()
+    table = flip_table(cq.chain(14, field_h=0.3))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1.25 * (table.delta_e.nbytes + table.energies.nbytes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
+@pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
+def test_provider_apply_matches_csr_generator(rng, n, rule, beta):
+    h0 = random_model(rng, n)
+    p = rng.random(1 << n)
+    p /= p.sum()
+    out = cq.constant_provider(h0, beta, rule).apply(0.0, p)
+    assert np.abs(out - cq.build_generator(h0, beta, rule).matrix @ p).max() <= 1e-14
 
 
 # -------------------------------------------------------------- verify_dynamics
@@ -215,7 +247,8 @@ def test_integrator_refuses_non_finite_times(t_grid):
     ([np.inf, 0.0], "non-finite"),
     ([-np.inf, 1.0], "non-finite"),
     ([1.5, -0.5], "negative entry"),
-], ids=["nan", "inf", "-inf", "negative"])
+    ([0.25, 0.25, 0.25, 0.25], "shape"),
+], ids=["nan", "inf", "-inf", "negative", "length"])
 def test_integrator_refuses_bad_initial_distribution(p0, match):
     provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
     with pytest.raises(ValidationError, match=match):
@@ -254,7 +287,7 @@ class _ErraticProvider:
     estimate is ~1e11 h at every step size."""
 
     spectral_bound = 1.0
-    energies = None
+    energies = np.zeros(2)
 
     def __init__(self):
         self.calls = 0
@@ -264,7 +297,7 @@ class _ErraticProvider:
         return (-1.0) ** self.calls * 1e12 * np.array([1.0, -1.0])
 
     def equilibrium(self, t):
-        return None
+        return np.full(2, 0.5)
 
 
 def test_step_shrinking_below_span_floor_raises():
@@ -307,17 +340,6 @@ def test_fine_grid_is_interpolated_not_stepped():
 def test_continuous_extension_ends_on_the_step():
     # At theta = 1 the interpolant weights are the fifth-order weights.
     assert np.abs(_DP_P.sum(axis=1) - _DP_A[6]).max() < 1e-15
-
-
-def test_matrix_provider_runs_arbitrary_generator():
-    h0 = cq.chain(3)
-    W = cq.build_generator(h0, 0.6)
-    provider = MatrixProvider(W, h0)
-    p0 = np.zeros(8)
-    p0[0] = 1.0
-    traj = cq.integrate_master(provider, p0, np.linspace(0.0, 4.0, 5))
-    assert traj.norm_drift < 1e-9
-    assert np.all(np.isfinite(traj.mean_energy))
 
 
 def test_asymptotic_decay_rate_matches_lambda1():
