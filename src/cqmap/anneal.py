@@ -103,14 +103,13 @@ def _check_anneal_size(n):
         )
 
 
-def run_sa(h0, sched, rule="heat-bath", steps=200, *, max_step=None):
+def run_sa(h0, sched, rule="heat-bath", steps=200):
     """Anneal the master equation from the uniform distribution.
 
     The schedule provides beta(t) directly (linear/power kinds) or the
     temperature (logarithmic kind, beta = 1/value). beta must be
     nondecreasing over the horizon. Steps are error-controlled (see
-    integrate_master); ``max_step`` forces fixed steps no longer than it
-    instead (for convergence checks at finer resolution).
+    integrate_master).
     """
     _check_anneal_size(h0.n)
     if steps < 1:
@@ -132,7 +131,7 @@ def run_sa(h0, sched, rule="heat-bath", steps=200, *, max_step=None):
     dim = 1 << h0.n
     p0 = np.full(dim, 1.0 / dim)
     t_grid = np.linspace(0.0, sched.horizon, steps + 1)
-    traj = integrate_master(provider, p0, t_grid, max_step=max_step)
+    traj = integrate_master(provider, p0, t_grid)
 
     gmask, e_gs = ground_space(provider.energies)
     control = np.array([sched.value(t) for t in t_grid])

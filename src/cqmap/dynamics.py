@@ -262,7 +262,7 @@ def _dp5_step(provider, t, p, h, k1):
     return y, err, stages
 
 
-def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
+def integrate_master(w_of_t, p0, t_grid):
     """Integrate dP/dt = W(t) P on a time grid with error-controlled steps.
 
     ``w_of_t`` is a provider (GeneratorProvider; constant_provider for fixed
@@ -275,14 +275,11 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
     step is 1/spectral_bound. Steps run across grid times, whose states are
     read off each step's fourth-order continuous extension, so a fine grid
     costs no extra steps; only the last step is clipped to land on the
-    final time. ``max_step`` forces fixed steps instead: each grid interval
-    is split into equal steps no longer than it, with the controller off
-    (for convergence checks against a finer resolution). Column sums of W
-    vanish, so steps and interpolants conserve the total probability
-    exactly; drift and positivity are still checked and raise
-    IntegrationError when violated, as do a non-finite error estimate and
-    a step that shrinks below 1e-14 of the span. Spans longer than 1e8
-    units of 1/spectral_bound (or of max_step) raise ResourceLimitError.
+    final time. Column sums of W vanish, so steps and interpolants conserve
+    the total probability exactly; drift and positivity are still checked
+    and raise IntegrationError when violated, as do a non-finite error
+    estimate and a step that shrinks below 1e-14 of the span. Spans longer
+    than 1e8 units of 1/spectral_bound raise ResourceLimitError.
     """
     provider = w_of_t
     if isinstance(provider, GeneratorMatrix):
@@ -297,9 +294,6 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
         raise ValidationError("t_grid has a non-finite time")
     if np.any(np.diff(t_grid) <= 0):
         raise ValidationError("t_grid must be strictly increasing")
-    forced = max_step is not None
-    if forced and not (math.isfinite(max_step) and max_step > 0):
-        raise ValidationError(f"max_step must be positive and finite, got {max_step!r}")
 
     p = np.array(p0.p if hasattr(p0, "p") else p0, dtype=float)
     if p.shape != provider.energies.shape:
@@ -313,12 +307,12 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
         raise ValidationError("initial distribution is not normalized")
 
     bound = provider.spectral_bound
-    span = float(t_grid[-1] - t_grid[0])
-    needed = span / max_step if forced else span * bound
-    if needed > MAX_STEPS:
+    t_end = t_grid[-1]
+    span = float(t_end - t_grid[0])
+    if span * bound > MAX_STEPS:
         raise ResourceLimitError(
-            f"a span of {span:.6g} is {needed:.3g} units of "
-            f"{'max_step' if forced else '1/spectral_bound'} (cap {MAX_STEPS:.0e})"
+            f"a span of {span:.6g} is {span * bound:.3g} units of "
+            f"1/spectral_bound (cap {MAX_STEPS:.0e})"
         )
 
     states = np.empty((t_grid.size, p.size))
@@ -328,20 +322,16 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
     t, k = t_grid[0], 1  # k: next grid row to fill
     k1 = provider.apply(t, p) if t_grid.size > 1 else None
     while k < t_grid.size:
-        if forced:
-            gap = t_grid[k] - t_grid[k - 1]
-            h_prop = gap / math.ceil(gap / max_step)
-        target = t_grid[k] if forced else t_grid[-1]
-        # A step within a relative 1e-10 of the remaining time lands on target.
-        clipped = h_prop >= (target - t) * (1.0 - 1e-10)
-        h = target - t if clipped else h_prop
+        # A step within a relative 1e-10 of the remaining time lands on t_end.
+        clipped = h_prop >= (t_end - t) * (1.0 - 1e-10)
+        h = t_end - t if clipped else h_prop
         y, err, stages = _dp5_step(provider, t, p, h, k1)
         if not math.isfinite(err):
             raise IntegrationError(f"non-finite error estimate at t={t:.6g} (step {h:.3e})")
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.2))
-        if not (forced or err <= _STEP_TOL):
+        h_prop = h * factor
+        if err > _STEP_TOL:
             rejected += 1
-            h_prop = h * factor
             if h_prop < 1e-14 * span:
                 raise IntegrationError(
                     f"step {h_prop:.3e} at t={t:.6g} fell below 1e-14 of the span "
@@ -353,7 +343,7 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
             raise IntegrationError(
                 f"negative probability {low:.3e} at t={t + h:.6g} (step too large)"
             )
-        t_new = target if clipped else t + h
+        t_new = t_end if clipped else t + h
         while k < t_grid.size and t_grid[k] < t_new:
             theta = (t_grid[k] - t) / h
             states[k] = p + h * ((_DP_P @ theta ** np.arange(1, 5)) @ stages)
@@ -363,8 +353,6 @@ def integrate_master(w_of_t, p0, t_grid, *, max_step=None):
             k += 1
         t, p, k1 = t_new, y, stages[6]
         steps += 1
-        if not forced:
-            h_prop = h * factor
 
     low = states.min()
     if low < -1e-8:
@@ -421,6 +409,6 @@ def write_generator(W, path):
     cqio.write_coordinate(W.matrix, path)
 
 
-def read_generator(path, rule="unknown", beta=float("nan")):
+def read_generator(path):
     n, matrix = cqio.read_coordinate(path)
-    return GeneratorMatrix(n, matrix, rule, beta)
+    return GeneratorMatrix(n, matrix, "unknown", float("nan"))

@@ -154,7 +154,7 @@ def transverse_field_hamiltonian(h0, gamma):
     return QuantumHamiltonian(h0.n, flip_matrix(energies, off))
 
 
-def ground_state(H, *, degeneracy_rtol=DEGENERACY_RTOL):
+def ground_state(H):
     """Lowest eigenpair with the Perron-Frobenius sign convention.
 
     The two lowest pairs come from the one lowest-pairs solver of spectral
@@ -162,7 +162,7 @@ def ground_state(H, *, degeneracy_rtol=DEGENERACY_RTOL):
     its largest-magnitude component made positive, and the ratio min/max of
     components reported as positivity_margin. Raises ValidationError on a
     NaN or infinite entry, and DegenerateGroundStateError when the gap is
-    below degeneracy_rtol * width, where the width is the Gershgorin bound
+    below DEGENERACY_RTOL * width, where the width is the Gershgorin bound
     minus lambda_0.
     """
     if H.n > MAX_OPERATOR_SPINS:
@@ -172,7 +172,7 @@ def ground_state(H, *, degeneracy_rtol=DEGENERACY_RTOL):
     pairs = _lowest_pairs(H.matrix, 2)
     lam0, lam1 = pairs.eigenvalues
     width = gershgorin_bound(H) - lam0
-    if lam1 - lam0 <= degeneracy_rtol * max(width, 1.0):
+    if lam1 - lam0 <= DEGENERACY_RTOL * max(width, 1.0):
         raise DegenerateGroundStateError(
             f"ground state degenerate: gap {lam1 - lam0:.3e} vs width {width:.3e}"
         )
@@ -238,7 +238,7 @@ def quantum_to_classical(H, tol=1e-12):
         )
 
     recovered_energy = -2.0 * np.log(phi)
-    coeff_vec = walsh_transform(recovered_energy, "forward")
+    coeff_vec = walsh_transform(recovered_energy)
     coeffs = {int(mask): float(c) for mask, c in enumerate(coeff_vec)}
     model = ClassicalHamiltonian(H.n, coeffs)
 

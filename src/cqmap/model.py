@@ -278,14 +278,11 @@ def energy_table(h0):
     return EnergyTable(h0.n, values)
 
 
-def walsh_transform(values, direction="forward"):
-    """Orthogonal character transform between tables and coefficients.
+def walsh_transform(values):
+    """Walsh coefficients of a table: c_S = 2^{-N} sum_i f(i) chi_S(i).
 
-    forward: c_S = 2^{-N} sum_i f(i) chi_S(i); inverse reconstructs f.
     In-place butterfly, O(N 2^N). Input length must be a power of two.
     """
-    if direction not in ("forward", "inverse"):
-        raise ValidationError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     a = np.array(values, dtype=float, copy=True).reshape(-1)
     m = a.size
     if m == 0 or (m & (m - 1)) != 0:
@@ -298,8 +295,7 @@ def walsh_transform(values, direction="forward"):
         v[:, 0, :] = s
         v[:, 1, :] = d
         h *= 2
-    if direction == "forward":
-        a /= m
+    a /= m
     return a
 
 
@@ -309,17 +305,6 @@ def dense_coefficients(h0):
     for mask, c in h0.coeffs.items():
         vec[mask] = c
     return vec
-
-
-def hamiltonian_from_table(table, drop_below=0.0):
-    """Recover a ClassicalHamiltonian from a dense energy table."""
-    coeff_vec = walsh_transform(table.values, "forward")
-    coeffs = {
-        int(mask): float(c)
-        for mask, c in enumerate(coeff_vec)
-        if abs(c) > drop_below
-    }
-    return ClassicalHamiltonian(table.n, coeffs)
 
 
 def gibbs_distribution(h0, beta):
@@ -352,18 +337,15 @@ class InteractionProfile:
 
     orders: dict  # order k -> {"count": int, "max_abs": float}
     tol: float
-    max_pair_range: float | None = None
 
     def max_order(self):
         return max(self.orders) if self.orders else 0
 
 
-def interaction_profile(coeffs, tol=None, geometry=None):
+def interaction_profile(coeffs, tol=None):
     """Count couplings per interaction order k = popcount(S).
 
-    tol defaults to 1e-10 * max|c_S| (scale-free noise floor). When
-    ``geometry`` (array of site positions) is given, also reports the
-    maximum Euclidean distance among surviving pair couplings.
+    tol defaults to 1e-10 * max|c_S| (scale-free noise floor).
     """
     if tol is not None and tol < 0:
         raise ValidationError("tol must be >= 0")
@@ -375,8 +357,6 @@ def interaction_profile(coeffs, tol=None, geometry=None):
         tol = 1e-10 * scale
 
     orders = {}
-    max_range = None
-    pos = np.asarray(geometry, dtype=float) if geometry is not None else None
     for mask, c in coeffs.items():
         if abs(c) <= tol:
             continue
@@ -384,12 +364,7 @@ def interaction_profile(coeffs, tol=None, geometry=None):
         entry = orders.setdefault(k, {"count": 0, "max_abs": 0.0})
         entry["count"] += 1
         entry["max_abs"] = max(entry["max_abs"], abs(c))
-        if pos is not None and k == 2:
-            i, j = [b for b in range(int(mask).bit_length()) if mask >> b & 1]
-            dist = float(np.linalg.norm(pos[i] - pos[j]))
-            max_range = dist if max_range is None else max(max_range, dist)
-    return InteractionProfile(orders=dict(sorted(orders.items())), tol=tol,
-                              max_pair_range=max_range)
+    return InteractionProfile(orders=dict(sorted(orders.items())), tol=tol)
 
 
 def load_model(path):

@@ -14,6 +14,7 @@ fewer, so a gap sweep solves for lambda_1 alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,7 @@ from . import io as cqio
 from .dynamics import build_generator, relaxation_time
 from .errors import ConvergenceError, NumericalError, ResourceLimitError, ValidationError
 from .mapping import classical_to_quantum
-from .model import MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, gibbs_distribution
-from .model import chain as chain_model
-from .model import grid as grid_model
+from .model import MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, build_model, gibbs_distribution
 
 _DENSE_FALLBACK_DIM = 32  # ARPACK is pointless below this
 
@@ -193,26 +192,14 @@ class SweepRow:
     error: str | None = None
 
 
-def _family_builder(family):
-    """(build, spin_count): the model of a size and its spin count. A
-    callable family's size is taken as its spin count until its model is built."""
-    if callable(family):
-        return family, int
-    if not isinstance(family, dict) or "kind" not in family:
-        raise ValidationError("family must be callable or a {'kind': ...} description")
-    kind = family["kind"]
-    periodic = bool(family.get("periodic", True))
-    coupling = float(family.get("J", 1.0))
-    field_h = float(family.get("h", 0.0))
-    if kind == "chain":
-        return (lambda size: chain_model(size, periodic=periodic,
-                                         coupling=coupling, field_h=field_h), int)
-    if kind == "grid":
-        # size is the linear side; the reported system size is side^2 spins
-        return (lambda side: grid_model(side, side, periodic=periodic,
-                                        coupling=coupling, field_h=field_h),
-                lambda side: side * side)
-    raise ValidationError(f"unknown family kind {kind!r}")
+def _family_description(family, size):
+    """Model description of one sweep size: a chain of size spins, or a grid
+    of size x size spins for any other kind (build_model refuses an unknown
+    one). The family's kind, periodic, J and h keys form its lattice."""
+    if not isinstance(family, dict):
+        raise ValidationError("family must be a {'kind': ...} description")
+    shape = [size] if family.get("kind") == "chain" else [size, size]
+    return {"n": math.prod(shape), "lattice": {**family, "size": shape}}
 
 
 def gap_scaling_sweep(family, sizes, beta, rule="heat-bath"):
@@ -220,15 +207,16 @@ def gap_scaling_sweep(family, sizes, beta, rule="heat-bath"):
 
     Each row's size is its spin count. The mapped ground state sqrt(p_eq) is
     handed to the eigensolver, which then solves for lambda_1 alone. Per-size
-    failures are recorded in the row and the sweep continues.
+    failures are recorded in the row and the sweep continues; a malformed
+    family is refused before any row runs.
     """
-    build, spin_count = _family_builder(family)
+    build_model(_family_description(family, 1))  # refuses a bad kind, J or h up front
     rows = []
     for size in sizes:
-        n = spin_count(int(size))
+        description = _family_description(family, int(size))
+        n = description["n"]
         try:
-            h0 = build(int(size))
-            n = h0.n
+            h0 = build_model(description)
             H = classical_to_quantum(h0, beta, build_generator(h0, beta, rule))
             spec = extreme_eigenpairs(H, k=2, known=np.sqrt(gibbs_distribution(h0, beta).p))
             tau = relaxation_time(spec)
@@ -298,7 +286,11 @@ def sweep_csv(rows):
 
 
 def read_size_tau_csv(path):
-    """Read (size, tau) pairs from a sweep CSV (or any CSV with those columns)."""
+    """Read (size, tau) pairs from a sweep CSV (or any CSV with those columns).
+
+    Rows whose tau is nan, which sweep_csv writes for failed sizes, are
+    skipped, as fit_scaling skips failed SweepRows.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         try:
@@ -313,9 +305,11 @@ def read_size_tau_csv(path):
                 continue
             parts = line.split(",")
             try:
-                pairs.append((int(parts[size_col]), float(parts[tau_col])))
+                size, tau = int(parts[size_col]), float(parts[tau_col])
             except (IndexError, ValueError):
                 raise ValidationError(f"{path}: malformed row {line!r}") from None
+            if not math.isnan(tau):
+                pairs.append((size, tau))
     return pairs
 
 

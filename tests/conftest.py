@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.special import expit
 
-from cqmap import ClassicalHamiltonian
+from cqmap import ClassicalHamiltonian, build_generator
 
 
 def random_model(rng, n, pair_density=0.8, field_density=0.5, field_scale=0.5):
@@ -46,6 +48,34 @@ def naive_walsh_forward(values):
             acc += values[i] * (-1.0) ** bin(i & mask).count("1")
         out[mask] = acc / m
     return out
+
+
+def master_equation_oracle(h0, beta_of_t, p0, t_eval):
+    """Heat-bath master equation dP/dt = W(beta(t)) P solved by scipy's DOP853
+    at rtol 1e-12, states at t_eval (rows).
+
+    The right-hand side is built once from the definition, rate
+    1/(1 + exp(beta dE)) for every flip s -> s ^ (1 << j) on the naive energy
+    table, so an evaluation costs two bincounts; it is checked against
+    build_generator(h0, beta(t)).matrix at both ends of the span.
+    """
+    energies = naive_energy_table(h0)
+    dim = energies.size
+    src = np.tile(np.arange(dim), h0.n)
+    dst = src ^ np.repeat(1 << np.arange(h0.n), dim)
+    delta_e = energies[dst] - energies[src]
+
+    def rhs(t, p):
+        flow = expit(-beta_of_t(t) * delta_e) * p[src]
+        return np.bincount(dst, flow, dim) - np.bincount(src, flow, dim)
+
+    for t in (t_eval[0], t_eval[-1]):
+        W = build_generator(h0, beta_of_t(t)).matrix
+        assert np.abs(rhs(t, p0) - W @ p0).max() <= 1e-15
+    sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), p0, method="DOP853",
+                    t_eval=t_eval, rtol=1e-12, atol=1e-15)
+    assert sol.success, sol.message
+    return sol.y.T
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cqmap.cli import dispatch
+from cqmap.spectral import fit_json, fit_scaling, gap_scaling_sweep
 
 CHAIN4 = {"n": 4, "lattice": {"kind": "chain", "size": [4], "periodic": True, "J": 1.0}}
 
@@ -226,6 +230,26 @@ def test_spectrum_sweep_sizes_are_spin_counts(tmp_path):
     assert [(row[0], row[3]) for row in rows] == [("4", "dense"), ("9", "error")]
 
 
+def test_spectrum_fit_skips_failed_sweep_rows(tmp_path):
+    # The 25-spin row exceeds the operator cap and is written as nan.
+    sweep_out, fit_out = tmp_path / "sweep.csv", tmp_path / "fit.json"
+    outcome = run(["spectrum", "sweep", "--family", "chain", "--sizes", "4,5,6,25",
+                   "--beta", "0.5", "--out", str(sweep_out)])
+    assert outcome.exit_code == 0
+    assert sweep_out.read_text().splitlines()[-1] == "25,nan,nan,error,nan"
+    outcome = run(["spectrum", "fit", "--table", str(sweep_out), "--out", str(fit_out)])
+    assert outcome.exit_code == 0, outcome.diagnostics
+    rows = gap_scaling_sweep({"kind": "chain"}, [4, 5, 6, 25], 0.5)
+    assert json.loads(fit_out.read_text()) == fit_json(fit_scaling(rows))
+
+    header = "size,gap,tau,method,residual\n25,nan,nan,error,nan\n"
+    rows_4_6 = "4,0.1,10,dense,0\n6,0.05,20,dense,0\n"
+    for body in (rows_4_6, rows_4_6 + "8,0,-1,dense,0\n", rows_4_6 + "8,0,inf,dense,0\n"):
+        table = tmp_path / "bad.csv"
+        table.write_text(header + body)
+        assert run(["spectrum", "fit", "--table", str(table)]).exit_code == 1
+
+
 def test_spectrum_fit_rejects_two_rows(tmp_path):
     table = tmp_path / "short.csv"
     table.write_text("size,gap,tau,method,residual\n4,0.1,10,dense,0\n6,0.05,20,dense,0\n")
@@ -356,3 +380,23 @@ def test_no_partial_output_on_failure(tmp_path, chain4):
     outcome = run(["map", "q2c", "--hamiltonian", str(ham), "--out", str(report)])
     assert outcome.exit_code == 1
     assert not report.exists()
+
+
+# ----------------------------------------------------------------- README
+
+def readme_block(lang, after):
+    """The first fenced ``lang`` block that follows the line ``after``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(rf"```{lang}\n(.*?)```", text[text.index(after):], re.S).group(1)
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch):
+    # The documented commands, run in order on the documented model as chain4.json.
+    commands = readme_block("sh", "## CLI").replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in commands if line.strip()]
+    assert len(commands) == 16 and all(argv[0] == "cqmap" for argv in commands)
+    (tmp_path / "chain4.json").write_text(readme_block("json", "A model description"))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        outcome = run(argv[1:])
+        assert outcome.exit_code == 0, (argv, outcome.diagnostics)

@@ -5,7 +5,7 @@ import pytest
 
 import cqmap as cq
 from cqmap.errors import ResourceLimitError, ValidationError
-from cqmap.model import coefficients_csv, dense_coefficients, hamiltonian_from_table
+from cqmap.model import coefficients_csv, dense_coefficients
 
 from conftest import naive_energy_table, naive_walsh_forward, random_model
 
@@ -100,35 +100,36 @@ def test_energy_table_naive_agreement_up_to_n10(rng):
 # ------------------------------------------------------------ walsh_transform
 
 def test_walsh_forward_single_bond():
-    c = cq.walsh_transform([-1.0, 1.0, 1.0, -1.0], "forward")
+    c = cq.walsh_transform([-1.0, 1.0, 1.0, -1.0])
     expected = np.zeros(4)
     expected[0b11] = -1.0
     assert np.abs(c - expected).max() == 0.0
 
 
 def test_walsh_forward_constant_table():
-    c = cq.walsh_transform(np.full(8, 5.0), "forward")
+    c = cq.walsh_transform(np.full(8, 5.0))
     assert c[0] == 5.0
     assert np.abs(c[1:]).max() == 0.0
 
 
 def test_walsh_matches_naive_quadratic_oracle(rng):
     f = rng.normal(size=16)
-    c = cq.walsh_transform(f, "forward")
+    c = cq.walsh_transform(f)
     assert np.abs(c - naive_walsh_forward(f)).max() < 1e-12
 
 
 def test_walsh_roundtrip_identity(rng):
+    # The character matrix squares to 2^N I, so two transforms return f / 2^N.
     for n in (1, 3, 6, 9, 12):
         f = rng.normal(size=1 << n) * 10
-        back = cq.walsh_transform(cq.walsh_transform(f, "forward"), "inverse")
+        back = cq.walsh_transform(cq.walsh_transform(f)) * (1 << n)
         assert np.abs(back - f).max() < 1e-12
 
 
 def test_walsh_parseval(rng):
     for n in (2, 5, 8):
         f = rng.normal(size=1 << n)
-        c = cq.walsh_transform(f, "forward")
+        c = cq.walsh_transform(f)
         lhs = np.mean(f**2)
         rhs = np.sum(c**2)
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
@@ -136,18 +137,13 @@ def test_walsh_parseval(rng):
 
 def test_walsh_rejects_non_power_of_two():
     with pytest.raises(ValidationError, match="power of two"):
-        cq.walsh_transform(np.zeros(6), "forward")
-    with pytest.raises(ValidationError):
-        cq.walsh_transform(np.zeros(4), "sideways")
+        cq.walsh_transform(np.zeros(6))
 
 
-def test_hamiltonian_from_table_roundtrip(rng):
+def test_walsh_of_energy_table_recovers_coefficients(rng):
     h0 = random_model(rng, 4)
-    table = cq.energy_table(h0)
-    back = hamiltonian_from_table(table, drop_below=1e-12)
-    assert np.abs(
-        dense_coefficients(back) - dense_coefficients(h0)
-    ).max() < 1e-12
+    coeffs = cq.walsh_transform(cq.energy_table(h0).values)
+    assert np.abs(coeffs - dense_coefficients(h0)).max() < 1e-12
 
 
 # --------------------------------------------------------- gibbs_distribution
@@ -208,13 +204,6 @@ def test_profile_of_chain():
 def test_profile_empty_for_zero_coeffs():
     assert cq.interaction_profile({}).orders == {}
     assert cq.interaction_profile({3: 0.0, 5: 0.0}).orders == {}
-
-
-def test_profile_pair_range_with_geometry():
-    coeffs = {0b011: -1.0, 0b101: -0.5}
-    geometry = [[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]
-    profile = cq.interaction_profile(coeffs, geometry=geometry)
-    assert profile.max_pair_range == 5.0
 
 
 def test_profile_noise_floor_is_scale_free():

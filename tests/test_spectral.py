@@ -201,11 +201,32 @@ def test_chain_sweep_rows_and_beta_trend():
         assert cold.tau > warm.tau  # relaxation slows as beta grows
 
 
-def test_sweep_callable_family_and_single_row():
-    rows = cq.gap_scaling_sweep(lambda n: cq.chain(n), [4], 0.5)
+def test_sweep_single_row_is_too_short_to_fit():
+    rows = cq.gap_scaling_sweep({"kind": "chain"}, [4], 0.5)
     assert len(rows) == 1
     with pytest.raises(ValidationError):
         cq.fit_scaling(rows)
+
+
+@pytest.mark.parametrize("family, match", [
+    ({"kind": "chain", "J": "x"}, "lattice J must be a number"),
+    ({"kind": "grid", "h": None}, "lattice h must be a number"),
+    ({"kind": "ladder"}, "unknown lattice kind"),
+    ({}, "unknown lattice kind"),
+    ("chain", "family must be"),
+], ids=["J-str", "h-null", "kind-unknown", "kind-missing", "not-a-dict"])
+def test_sweep_refuses_malformed_family_before_any_row(family, match):
+    # Inside a row the same refusal would become an error row, not a raise.
+    with pytest.raises(ValidationError, match=match):
+        cq.gap_scaling_sweep(family, [4], 0.5)
+
+
+def test_sweep_family_keys_reach_the_model():
+    family = {"kind": "grid", "periodic": False, "J": 0.7, "h": 0.2}
+    row = cq.gap_scaling_sweep(family, [3], 0.5)[0]
+    H = mapped(cq.grid(3, 3, periodic=False, coupling=0.7, field_h=0.2), 0.5)
+    assert row.size == 9
+    assert abs(row.gap - np.linalg.eigvalsh(H.dense())[1]) <= 1e-10
 
 
 def test_sweep_records_per_row_failures_and_continues():
@@ -309,6 +330,8 @@ def test_read_size_tau_csv(tmp_path):
     path.write_text(sweep_csv(rows))
     pairs = read_size_tau_csv(path)
     assert pairs == [(r.size, r.tau) for r in rows]
+    path.write_text("size,tau\n4,nan\n6,-1\n8,inf\n")
+    assert read_size_tau_csv(path) == [(6, -1.0), (8, float("inf"))]
 
 
 # ---------------------------------------------------------- spectral invariants
