@@ -51,7 +51,6 @@ from .model import (
     EnergyTable,
     InteractionProfile,
     ProbabilityVector,
-    SpinConfiguration,
     build_model,
     chain,
     energy_table,

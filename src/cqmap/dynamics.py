@@ -79,14 +79,28 @@ def canonical_rule(rule):
         ) from None
 
 
-@dataclass
 class GeneratorMatrix:
-    """Sparse master-equation generator tied to a flip rule and temperature."""
+    """Master-equation generator tied to a flip rule and temperature.
 
-    n: int
-    matrix: sparse.csr_array
-    rule: str
-    beta: float
+    A generator from build_generator keeps its single-spin-flip form: ``diag``
+    plus ``off[j, s]`` at ``(s ^ (1 << j), s)``. Its CSR ``matrix`` is built by
+    flip_matrix on first read and cached. A generator given as a matrix (the
+    one q2c recovers) has ``diag`` and ``off`` None.
+    """
+
+    def __init__(self, n, matrix, rule, beta, diag, off):
+        self.n = n
+        self.rule = rule
+        self.beta = beta
+        self.diag = diag
+        self.off = off
+        self._matrix = matrix
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = flip_matrix(self.diag, self.off)
+        return self._matrix
 
 
 def flipped(x, j):
@@ -118,34 +132,85 @@ def flip_table(h0):
     return FlipTable(h0.n, energies, delta_e)
 
 
+def _entry_places(rows, n):
+    """Place of every entry of the given rows of a flip matrix within its
+    sorted row: shape (n + 1, len(rows)), the diagonal first, spin j at j + 1."""
+    ones = np.bitwise_count(rows)
+    places = np.empty((n + 1, rows.size), dtype=np.intp)
+    places[0] = ones
+    for j in range(n):
+        # A set bit j comes after the set bits above it; an unset one after the
+        # diagonal and the unset bits below it.
+        set_above = np.bitwise_count(rows >> (j + 1))
+        unset_below = j - np.bitwise_count(rows & ((1 << j) - 1))
+        places[j + 1] = np.where((rows >> j) & 1, set_above, ones + 1 + unset_below)
+    return places
+
+
 def flip_matrix(diag, off):
     """CSR matrix with ``diag`` on the diagonal and ``off[j, s]`` at
     ``(s ^ (1 << j), s)``: the shape of every single-spin-flip operator
-    (generators, the transverse-field and closed-form chain Hamiltonians)."""
+    (generators, mapped, transverse-field and closed-form chain Hamiltonians).
+
+    Written sorted, with int32 indices and no COO or sort: row r holds its
+    n + 1 entries at columns r ^ (1 << j) for the set bits j of r in
+    descending j, then r itself at place popcount(r), then the unset bits in
+    ascending j. Rows are filled in blocks of 4096, whose entries stay in
+    cache. Places add up across aligned blocks: for a block start r0 and
+    s < 4096, place(r0 + s) = place(s) + place(r0) - place(0).
+    """
     n, dim = off.shape
-    idx = np.arange(dim, dtype=np.int64)
-    masks = np.concatenate(([0], 1 << np.arange(n, dtype=np.int64)))
-    rows = (masks[:, None] ^ idx).reshape(-1)
-    cols = np.tile(idx, n + 1)
-    vals = np.concatenate([diag, off.reshape(-1)])
-    return sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    width = n + 1
+    block = min(dim, 1 << 12)
+    local = np.arange(block, dtype=np.int32)
+    starts = np.arange(0, dim, block)
+    base = _entry_places(local, n) + local * width
+    shifts = _entry_places(starts, n) - np.arange(width)[:, None] + starts * width
+    masks = np.concatenate(([0], 1 << np.arange(n)))[:, None].astype(np.int32)
+    data = np.empty(width * dim)
+    indices = np.empty(width * dim, dtype=np.int32)
+    values = np.empty((width, block))
+    for r0, shift in zip(starts, shifts.T):
+        values[0] = diag[r0:r0 + block]
+        for j, row in enumerate(off):
+            # Row r holds off[j, r ^ (1 << j)]: a flip inside the block, or
+            # the partner block's entries in order.
+            if 1 << j < block:
+                values[j + 1].reshape(-1, 2, 1 << j)[...] = flipped(row[r0:r0 + block], j)
+            else:
+                values[j + 1] = row[r0 ^ (1 << j):][:block]
+        place = base + shift[:, None]
+        data[place] = values
+        indices[place] = (local + np.int32(r0)) ^ masks
+    indptr = np.arange(0, width * dim + 1, width, dtype=np.int32)
+    return sparse.csr_array((data, indices, indptr), shape=(dim, dim))
 
 
 def flip_rates(table, beta, rule):
-    """Flip rate of every (spin, configuration) pair; shape (n, 2^n)."""
+    """Flip rate of every (spin, configuration) pair; shape (n, 2^n).
+
+    Computed in place in one output array.
+    """
     rule = canonical_rule(rule)
-    x = beta * table.delta_e
-    if rule == "heat-bath":
-        return 0.5 * (1.0 - np.tanh(0.5 * x))
-    return np.exp(np.minimum(0.0, -x))
+    x = np.multiply(beta, table.delta_e)
+    if rule == "heat-bath":  # 0.5 * (1 - tanh(0.5 x))
+        x *= 0.5
+        np.tanh(x, out=x)
+        np.subtract(1.0, x, out=x)
+        x *= 0.5
+        return x
+    np.negative(x, out=x)  # exp(min(0, -x))
+    np.minimum(x, 0.0, out=x)
+    return np.exp(x, out=x)
 
 
 def build_generator(h0, beta, rule="heat-bath"):
-    """Single-spin-flip generator at fixed inverse temperature."""
+    """Single-spin-flip generator at fixed inverse temperature, kept as
+    ``(diag, off)``; its CSR ``matrix`` is built on first read."""
     check_beta(beta)
     rule = canonical_rule(rule)
     rates = flip_rates(flip_table(h0), beta, rule)
-    return GeneratorMatrix(h0.n, flip_matrix(-rates.sum(axis=0), rates), rule, beta)
+    return GeneratorMatrix(h0.n, None, rule, beta, diag=-rates.sum(axis=0), off=rates)
 
 
 @dataclass
@@ -408,7 +473,3 @@ def trajectory_csv(traj):
 def write_generator(W, path):
     cqio.write_coordinate(W.matrix, path)
 
-
-def read_generator(path):
-    n, matrix = cqio.read_coordinate(path)
-    return GeneratorMatrix(n, matrix, "unknown", float("nan"))

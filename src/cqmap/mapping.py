@@ -27,6 +27,7 @@ from .dynamics import (
     build_generator,
     canonical_rule,
     flip_matrix,
+    flipped,
     relative_asymmetry,
 )
 from .errors import (
@@ -74,7 +75,11 @@ class GroundState:
 
 
 def _conjugate(matrix, energies, scale):
-    """-diag(a) M diag(a)^-1, a = exp(scale * energies), on a CSR copy of M."""
+    """-diag(a) M diag(a)^-1, a = exp(scale * energies), on a CSR copy of M.
+
+    q2c's direction, on a general CSR; classical_to_quantum does the same
+    arithmetic on the generator's flip form.
+    """
     out = sparse.csr_array(matrix, dtype=float, copy=True)
     # Only energy differences are exponentiated, in place: at 2^18 states each
     # temporary of length nnz takes 40 MB.
@@ -84,9 +89,9 @@ def _conjugate(matrix, energies, scale):
     return out
 
 
-def _require_symmetric(matrix, hint=""):
-    """The precondition of both directions: relative_asymmetry <= SYMMETRY_RTOL."""
-    asym = relative_asymmetry(matrix)
+def _require_symmetric(asym, hint=""):
+    """The precondition of both directions: max|H - H^T| / max|H| = asym is at
+    most SYMMETRY_RTOL (a NaN fails)."""
     if not asym <= SYMMETRY_RTOL:
         raise MappingPreconditionError(
             f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds "
@@ -97,15 +102,41 @@ def _require_symmetric(matrix, hint=""):
 def classical_to_quantum(h0, beta, W):
     """Map a generator to H = -diag(a) W diag(a)^-1 with a = exp(beta E / 2).
 
+    W must be build_generator's single-spin-flip form (diag, off); H keeps
+    that shape, with off[j, s] scaled by -exp(beta/2 (E(s ^ (1 << j)) - E(s)))
+    in _conjugate's arithmetic, and is written as one CSR by flip_matrix.
     Raises MappingPreconditionError when H is not symmetric to SYMMETRY_RTOL,
-    that is when W is not in detailed balance at beta.
+    that is when W is not in detailed balance at beta. The gate compares each
+    off[j] with its flipped partner in place; its value equals
+    relative_asymmetry of the CSR.
     """
     if W.n != h0.n:
         raise ValidationError(f"generator is for n={W.n}, model has n={h0.n}")
     check_beta(beta)
-    matrix = _conjugate(W.matrix, energy_table(h0).values, beta / 2)
-    _require_symmetric(matrix, "; the generator is not in detailed balance at this beta")
-    return QuantumHamiltonian(h0.n, matrix)
+    if W.off is None:
+        raise ValidationError("classical_to_quantum needs a generator in single-spin-flip "
+                              "form (diag, off), as build_generator returns")
+    energies = energy_table(h0).values
+    diag = -W.diag
+    off = np.empty_like(W.off)
+    asym = np.zeros(h0.n + 1)  # per spin; the diagonal is symmetric
+    peak = np.empty(h0.n + 1)
+    peak[-1] = np.abs(diag).max()
+    for j, (rates, out) in enumerate(zip(W.off, off)):
+        unflipped = out.reshape(-1, 2, 1 << j)
+        np.subtract(flipped(energies, j), energies.reshape(-1, 2, 1 << j), out=unflipped)
+        out *= beta / 2
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        out *= rates
+        # H[s ^ (1 << j), s] = off[j, s] has its transposed partner at s ^ (1 << j).
+        asym[j] = np.abs(unflipped - flipped(out, j)).max()
+        peak[j] = np.abs(out).max()
+    # NaN propagates through both maxima and fails the gate.
+    scale = peak.max()
+    asym = float(asym.max() / scale) if scale != 0 else 0.0
+    _require_symmetric(asym, "; the generator is not in detailed balance at this beta")
+    return QuantumHamiltonian(h0.n, flip_matrix(diag, off))
 
 
 def heat_bath_chain_closed_form(n, beta):
@@ -205,7 +236,7 @@ def quantum_to_classical(H, tol=1e-12):
     """
     if tol < 0:
         raise ValidationError("tol must be >= 0")
-    _require_symmetric(H.matrix)
+    _require_symmetric(relative_asymmetry(H.matrix))
     coo = sparse.coo_array(H.matrix)
     off = coo.row != coo.col
     if np.any(coo.data[off] > tol):
@@ -251,7 +282,7 @@ def quantum_to_classical(H, tol=1e-12):
         shape=(dim, dim),
     )
     generator = GeneratorMatrix(H.n, _conjugate(shifted, recovered_energy, -0.5),
-                                rule="q2c", beta=1.0)
+                                rule="q2c", beta=1.0, diag=None, off=None)
     return QtoCResult(model, generator, lambda0=float(lam0),
                       positivity_margin=gs.positivity_margin)
 

@@ -43,34 +43,10 @@ def _check_spin_count(n):
         )
 
 
-def spins_from_index(index, n):
-    """Return the +-1 spin values sigma_0..sigma_{n-1} of a configuration index."""
-    bits = (index >> np.arange(n)) & 1
-    return 1 - 2 * bits
-
-
 def character_column(mask, n):
     """chi_S over the whole configuration space: (-1)^popcount(i & mask)."""
     idx = np.arange(1 << n, dtype=np.int64)
     return 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(mask)) & 1)
-
-
-@dataclass(frozen=True)
-class SpinConfiguration:
-    """A single configuration, carried as (index, n)."""
-
-    index: int
-    n: int
-
-    def __post_init__(self):
-        _check_spin_count(self.n)
-        if not 0 <= self.index < (1 << self.n):
-            raise ValidationError(
-                f"configuration index {self.index} outside [0, 2^{self.n})"
-            )
-
-    def spins(self):
-        return spins_from_index(self.index, self.n)
 
 
 @dataclass

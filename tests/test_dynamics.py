@@ -11,8 +11,8 @@ from cqmap.dynamics import (
     _DP_P,
     GeneratorMatrix,
     GeneratorProvider,
+    flip_matrix,
     flip_table,
-    read_generator,
     trajectory_csv,
     write_generator,
 )
@@ -23,6 +23,7 @@ from cqmap.errors import (
     ResourceLimitError,
     ValidationError,
 )
+from cqmap.io import read_coordinate
 from cqmap.mapping import classical_to_quantum
 from cqmap.spectral import dense_spectrum
 
@@ -106,6 +107,30 @@ def test_generator_size_guard():
         cq.build_generator(cq.ClassicalHamiltonian(25, {}), 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 13, 14])
+def test_flip_matrix_matches_coo_assembly(rng, n):
+    # 13 and 14 spins fill more than one block of rows.
+    dim = 1 << n
+    diag, off = rng.standard_normal(dim), rng.standard_normal((n, dim))
+    idx = np.arange(dim)
+    rows = np.concatenate([idx] + [idx ^ (1 << j) for j in range(n)])
+    cols = np.tile(idx, n + 1)
+    vals = np.concatenate([diag, off.reshape(-1)])
+    oracle = sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    M = flip_matrix(diag, off)
+    assert M.has_canonical_format
+    assert M.indptr.dtype == M.indices.dtype == np.int32
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(M, name), getattr(oracle, name))
+
+
+def test_generator_matrix_is_built_once_from_its_flip_form():
+    W = cq.build_generator(cq.chain(4), 0.7)
+    assert W.off.shape == (4, 16)
+    assert W.matrix is W.matrix
+    assert np.array_equal(W.matrix.diagonal(), W.diag)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_flip_table_delta_e_matches_xor_index(rng, n):
     h0 = random_model(rng, n)
@@ -153,7 +178,8 @@ def test_verify_flags_injected_violation():
     W = cq.build_generator(h0, 1.0)
     M = W.matrix.tolil()
     M[1, 0] += 1e-3
-    broken = GeneratorMatrix(3, sparse.csr_array(M.tocsr()), W.rule, W.beta)
+    broken = GeneratorMatrix(3, sparse.csr_array(M.tocsr()), W.rule, W.beta,
+                             diag=None, off=None)
     report = cq.verify_dynamics(broken, cq.gibbs_distribution(h0, 1.0))
     assert not report.passed
     # injected absolute violation of 1e-3 surfaces at that scale (relative measure)
@@ -427,9 +453,9 @@ def test_generator_coordinate_roundtrip(tmp_path):
     write_generator(W, path)
     text = path.read_text()
     assert text.startswith("%%sparse-coordinate real\n8 8 ")
-    back = read_generator(path)
-    assert back.n == 3
-    assert np.abs((back.matrix - W.matrix).toarray()).max() == 0.0
+    n, back = read_coordinate(path)
+    assert n == 3
+    assert np.abs((back - W.matrix).toarray()).max() == 0.0
 
 
 def test_trajectory_csv_header():

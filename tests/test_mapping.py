@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,7 @@ from scipy import sparse
 
 import cqmap as cq
 from cqmap import mapping
-from cqmap.dynamics import GeneratorMatrix
+from cqmap.dynamics import GeneratorMatrix, relative_asymmetry
 from cqmap.errors import (
     DegenerateGroundStateError,
     MappingPreconditionError,
@@ -110,20 +112,95 @@ def test_detailed_balance_precondition_enforced():
         cq.classical_to_quantum(h0, 1.0, W_wrong_temp)
 
 
-def test_c2q_rejects_generator_off_balance_in_a_rare_state():
-    # The flip out of state 5 (E=4, Gibbs weight ~1e-5 at beta=3) is 1e-6 too
-    # fast. The flux residual stays at 1.5e-12, but the mapped H is
-    # nonsymmetric at 6e-10, so c2q itself must refuse it.
+def off_balance_in_a_rare_state():
+    """chain(4) at beta=3 whose flip out of state 5 (spin 0, to state 4) is
+    1e-6 too fast, with the diagonal keeping its column sum at zero."""
     h0, beta = cq.chain(4), 3.0
-    A = cq.build_generator(h0, beta).matrix.toarray()
-    delta = A[4, 5] * 1e-6
-    A[4, 5] += delta
-    A[5, 5] -= delta
-    W = GeneratorMatrix(4, sparse.csr_array(A), "heat-bath", beta)
+    W = cq.build_generator(h0, beta)
+    diag, off = W.diag.copy(), W.off.copy()
+    delta = off[0, 5] * 1e-6  # W[4, 5]
+    off[0, 5] += delta
+    diag[5] -= delta
+    return h0, beta, GeneratorMatrix(4, None, W.rule, beta, diag=diag, off=off)
+
+
+def test_c2q_rejects_generator_off_balance_in_a_rare_state():
+    # State 5 has E=4, Gibbs weight ~1e-5 at beta=3. The flux residual stays
+    # at 1.5e-12, but the mapped H is nonsymmetric at 6e-10, so c2q itself
+    # must refuse it.
+    h0, beta, W = off_balance_in_a_rare_state()
     report = cq.verify_dynamics(W, cq.gibbs_distribution(h0, beta))
     assert report.detailed_balance_residual < 1e-10
     with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
         cq.classical_to_quantum(h0, beta, W)
+
+
+@pytest.mark.parametrize("case", ["random", "rare state"])
+def test_c2q_gate_equals_relative_asymmetry_of_the_csr(rng, monkeypatch, case):
+    # The general CSR kernel, run on W's CSR, is the oracle: c2q's output and
+    # its in-place asymmetry must both match it bit for bit.
+    if case == "random":
+        h0, beta = random_model(rng, 5), 0.9
+        W = cq.build_generator(h0, beta, "metropolis")
+    else:
+        h0, beta, W = off_balance_in_a_rare_state()
+    oracle = mapping._conjugate(W.matrix, cq.energy_table(h0).values, beta / 2)
+    seen = []
+    gate = mapping._require_symmetric
+    monkeypatch.setattr(mapping, "_require_symmetric",
+                        lambda asym, hint="": gate(seen.append(asym) or asym, hint))
+    if case == "random":
+        H = cq.classical_to_quantum(h0, beta, W)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(H.matrix, name), getattr(oracle, name))
+    else:
+        with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
+            cq.classical_to_quantum(h0, beta, W)
+    assert seen == [relative_asymmetry(oracle)]
+    assert (seen[0] > mapping.SYMMETRY_RTOL) == (case == "rare state")
+
+
+def test_c2q_of_a_flip_generator_needs_neither_csr_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("general CSR path taken")
+
+    monkeypatch.setattr(mapping, "_conjugate", refuse)
+    monkeypatch.setattr(mapping, "relative_asymmetry", refuse)
+    h0 = cq.chain(5, field_h=0.2)
+    H = cq.classical_to_quantum(h0, 0.6, cq.build_generator(h0, 0.6))
+    assert H.matrix.nnz == 6 * 32
+
+
+@pytest.mark.parametrize("where", ["off", "diag"])
+def test_c2q_rejects_nan_generator_entry(where):
+    h0, beta = cq.chain(4), 1.0
+    W = cq.build_generator(h0, beta)
+    if where == "off":
+        W.off[0, 5] = np.nan
+    else:
+        W.diag[5] = np.nan
+    with pytest.raises(MappingPreconditionError, match="= nan exceeds"):
+        cq.classical_to_quantum(h0, beta, W)
+
+
+def test_c2q_refuses_a_generator_without_flip_form():
+    h0 = cq.chain(3)
+    W = GeneratorMatrix(3, cq.build_generator(h0, 1.0).matrix, "heat-bath", 1.0,
+                        diag=None, off=None)
+    with pytest.raises(ValidationError, match="single-spin-flip form"):
+        cq.classical_to_quantum(h0, 1.0, W)
+
+
+def test_c2q_allocates_little_beyond_its_result():
+    # No COO build, CSR copy or H - H^T: the peak stays within five arrays of
+    # (n + 1) 2^n doubles.
+    h0, beta = cq.chain(14), 0.44
+    W = cq.build_generator(h0, beta)
+    tracemalloc.start()
+    cq.classical_to_quantum(h0, beta, W)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 5 * 15 * (1 << 14) * 8
 
 
 @pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])

@@ -62,14 +62,11 @@ def test_grid_2x2_periodic_doubles_bonds():
     assert len(h0.coeffs) == 4
 
 
-def test_spin_configuration_guards():
-    cfg = cq.SpinConfiguration(0, 3)
-    assert cfg.spins().tolist() == [1, 1, 1]
-    assert cq.SpinConfiguration(5, 3).spins().tolist() == [-1, 1, -1]
-    with pytest.raises(ValidationError):
-        cq.SpinConfiguration(8, 3)
-    with pytest.raises(ResourceLimitError):
-        cq.SpinConfiguration(0, 31)
+def test_spin_count_guards():
+    with pytest.raises(ValidationError, match="positive integer"):
+        cq.ClassicalHamiltonian(0, {})
+    with pytest.raises(ResourceLimitError, match="30-spin cap"):
+        cq.ClassicalHamiltonian(31, {})
 
 
 # --------------------------------------------------------------- energy_table
