@@ -48,7 +48,6 @@ from .mapping import (
 )
 from .model import (
     ClassicalHamiltonian,
-    EnergyTable,
     InteractionProfile,
     ProbabilityVector,
     build_model,

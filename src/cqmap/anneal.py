@@ -77,6 +77,9 @@ def make_schedule(kind, params, horizon):
         raise ValidationError("power schedule needs exponent p > 0")
     if kind == "logarithmic" and (params[0] <= 0 or params[1] <= 0):
         raise ValidationError("logarithmic schedule needs c0 > 0 and alpha > 0")
+    if kind == "logarithmic" and not math.isfinite(params[1] * horizon):
+        # c0 / log(2 + alpha t) would reach 0 within the horizon.
+        raise ValidationError("logarithmic schedule needs a finite alpha * horizon")
     return Schedule(kind, params, float(horizon))
 
 
@@ -174,7 +177,7 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
             f"QA schedule must reach Gamma(T) = 0, got {gamma_end!r}"
         )
 
-    energies = energy_table(h0).values
+    energies = energy_table(h0)
     gmask, e_gs = ground_space(energies)
     e_scale = float(np.abs(energies).max())
     # Schedules are monotone: a field that starts and ends at 0 is 0 throughout,

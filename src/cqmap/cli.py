@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,41 +52,35 @@ def _build_parser():
     parser = _Parser(prog="cqmap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add(group_parser, name, **kwargs):
-        p = group_parser.add_parser(name, **kwargs)
-        return p
-
     # model ---------------------------------------------------------------
-    model_p = add(sub, "model", help="model description tooling")
+    model_p = sub.add_parser("model", help="model description tooling")
     model_sub = model_p.add_subparsers(dest="command", required=True)
 
-    p = add(model_sub, "validate", help="parse a model file and summarize it")
+    p = model_sub.add_parser("validate", help="parse a model file and summarize it")
     p.add_argument("--model", required=True)
 
-    p = add(model_sub, "coeffs", help="dump the coefficient table as CSV")
+    p = model_sub.add_parser("coeffs", help="dump the coefficient table as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=None,
-                   help="noise floor for the interaction profile summary")
 
     # dynamics --------------------------------------------------------------
-    dyn_p = add(sub, "dynamics", help="Markov generators and master-equation runs")
+    dyn_p = sub.add_parser("dynamics", help="Markov generators and master-equation runs")
     dyn_sub = dyn_p.add_subparsers(dest="command", required=True)
 
-    p = add(dyn_sub, "generator", help="write the flip generator as sparse coordinates")
+    p = dyn_sub.add_parser("generator", help="write the flip generator as sparse coordinates")
     p.add_argument("--model", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--rule", default="heat-bath")
     p.add_argument("--out", required=True)
 
-    p = add(dyn_sub, "verify", help="check column sums, detailed balance, stationarity")
+    p = dyn_sub.add_parser("verify", help="check column sums, detailed balance, stationarity")
     p.add_argument("--model", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--rule", default="heat-bath")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out")
 
-    p = add(dyn_sub, "evolve", help="integrate dP/dt = W P at fixed beta")
+    p = dyn_sub.add_parser("evolve", help="integrate dP/dt = W P at fixed beta")
     p.add_argument("--model", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--rule", default="heat-bath")
@@ -97,49 +91,49 @@ def _build_parser():
     p.add_argument("--out", required=True)
 
     # map --------------------------------------------------------------------
-    map_p = add(sub, "map", help="classical<->quantum mapping")
+    map_p = sub.add_parser("map", help="classical<->quantum mapping")
     map_sub = map_p.add_subparsers(dest="command", required=True)
 
-    p = add(map_sub, "c2q", help="map a generator to the symmetric Hamiltonian")
+    p = map_sub.add_parser("c2q", help="map a generator to the symmetric Hamiltonian")
     p.add_argument("--model", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--rule", default="heat-bath")
     p.add_argument("--out", required=True)
 
-    p = add(map_sub, "q2c", help="invert a stoquastic Hamiltonian to classical dynamics")
+    p = map_sub.add_parser("q2c", help="invert a stoquastic Hamiltonian to classical dynamics")
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--coeffs-out", help="recovered coefficient table CSV")
     p.add_argument("--generator-out", help="recovered generator sparse coordinates")
 
-    p = add(map_sub, "roundtrip", help="c2q followed by q2c; report residuals")
+    p = map_sub.add_parser("roundtrip", help="c2q followed by q2c; report residuals")
     p.add_argument("--model", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--rule", default="heat-bath")
     p.add_argument("--out")
 
-    p = add(map_sub, "chain-oracle", help="closed-form heat-bath chain Hamiltonian")
+    p = map_sub.add_parser("chain-oracle", help="closed-form heat-bath chain Hamiltonian")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--out", required=True)
 
     # spectrum ----------------------------------------------------------------
-    spec_p = add(sub, "spectrum", help="eigensolves and gap scaling")
+    spec_p = sub.add_parser("spectrum", help="eigensolves and gap scaling")
     spec_sub = spec_p.add_subparsers(dest="command", required=True)
 
-    p = add(spec_sub, "dense", help="full symmetric eigendecomposition")
+    p = spec_sub.add_parser("dense", help="full symmetric eigendecomposition")
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--out", required=True)
 
-    p = add(spec_sub, "iterative", help="lowest-k eigenpairs, Krylov scheme")
+    p = spec_sub.add_parser("iterative", help="lowest-k eigenpairs, Krylov scheme")
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--out", required=True)
 
-    p = add(spec_sub, "sweep", help="gap and relaxation time across sizes")
+    p = spec_sub.add_parser("sweep", help="gap and relaxation time across sizes")
     p.add_argument("--family", choices=["chain", "grid"], required=True)
     p.add_argument("--sizes", required=True, help="comma-separated (grid: linear sides)")
     p.add_argument("--beta", type=float, required=True)
@@ -149,16 +143,16 @@ def _build_parser():
     p.add_argument("--open-boundary", action="store_true")
     p.add_argument("--out", required=True)
 
-    p = add(spec_sub, "fit", help="polynomial vs exponential scaling fit")
+    p = spec_sub.add_parser("fit", help="polynomial vs exponential scaling fit")
     p.add_argument("--table", required=True)
     p.add_argument("--out")
 
     # anneal --------------------------------------------------------------------
-    ann_p = add(sub, "anneal", help="simulated vs quantum annealing")
+    ann_p = sub.add_parser("anneal", help="simulated vs quantum annealing")
     ann_sub = ann_p.add_subparsers(dest="command", required=True)
 
-    def schedule_args(p, default_kind="linear"):
-        p.add_argument("--schedule", default=default_kind,
+    def schedule_args(p):
+        p.add_argument("--schedule", default="linear",
                        choices=list(anneal.SCHEDULE_KINDS))
         p.add_argument("--c0", type=float, required=True)
         p.add_argument("--c1", type=float, default=None,
@@ -169,18 +163,18 @@ def _build_parser():
         p.add_argument("--horizon", type=float, required=True)
         p.add_argument("--steps", type=int, default=200)
 
-    p = add(ann_sub, "sa", help="master-equation anneal over beta(t)")
+    p = ann_sub.add_parser("sa", help="master-equation anneal over beta(t)")
     p.add_argument("--model", required=True)
     p.add_argument("--rule", default="heat-bath")
     schedule_args(p)
     p.add_argument("--out", required=True)
 
-    p = add(ann_sub, "qa", help="Schroedinger anneal over Gamma(t)")
+    p = ann_sub.add_parser("qa", help="Schroedinger anneal over Gamma(t)")
     p.add_argument("--model", required=True)
     schedule_args(p)
     p.add_argument("--out", required=True)
 
-    p = add(ann_sub, "compare", help="run SA and QA on one model, report both")
+    p = ann_sub.add_parser("compare", help="run SA and QA on one model, report both")
     p.add_argument("--model", required=True)
     p.add_argument("--rule", default="heat-bath")
     p.add_argument("--beta0", type=float, required=True)
@@ -243,15 +237,8 @@ def _cmd_dynamics_verify(args):
     W = dynamics.build_generator(h0, args.beta, args.rule)
     peq = model.gibbs_distribution(h0, args.beta)
     report = dynamics.verify_dynamics(W, peq, tol=args.tol)
-    payload = {
-        "column_sum_residual": report.column_sum_residual,
-        "detailed_balance_residual": report.detailed_balance_residual,
-        "stationarity_residual": report.stationarity_residual,
-        "tol": report.tol,
-        "passed": report.passed,
-    }
     if args.out:
-        cqio.write_json(payload, args.out)
+        cqio.write_json(asdict(report), args.out)
     status = "pass" if report.passed else "FAIL"
     return (
         f"verify {status}: colsum={cqio.format_float(report.column_sum_residual)} "
@@ -309,8 +296,8 @@ def _cmd_map_q2c(args):
     H = mapping.read_hamiltonian(args.hamiltonian)
     result = mapping.quantum_to_classical(H, tol=args.tol)
     W = result.generator
-    col_resid = float(np.abs(np.asarray(W.matrix.sum(axis=0))).max())
-    coo = W.matrix.tocoo()
+    col_resid = float(np.abs(np.asarray(W.sum(axis=0))).max())
+    coo = W.tocoo()
     offmask = coo.row != coo.col
     offdiag_min = float(coo.data[offmask].min()) if offmask.any() else 0.0
     profile = model.interaction_profile(result.model.coeffs,
@@ -331,7 +318,7 @@ def _cmd_map_q2c(args):
     if args.coeffs_out:
         cqio.atomic_write_text(args.coeffs_out, model.coefficients_csv(result.model))
     if args.generator_out:
-        dynamics.write_generator(W, args.generator_out)
+        cqio.write_coordinate(W, args.generator_out)
     return (
         f"q2c ok: lambda0={cqio.format_float(result.lambda0)} "
         f"margin={cqio.format_float(result.positivity_margin)}",
@@ -346,14 +333,8 @@ def _coeff_scale(h0):
 def _cmd_map_roundtrip(args):
     h0 = model.load_model(args.model)
     report = mapping.roundtrip_check(h0, args.beta, args.rule)
-    payload = {
-        "coefficient_residual": report.coefficient_residual,
-        "generator_residual": report.generator_residual,
-        "shift": report.shift,
-        "positivity_margin": report.positivity_margin,
-    }
     if args.out:
-        cqio.write_json(payload, args.out)
+        cqio.write_json(asdict(report), args.out)
     return (
         f"roundtrip residuals: coeffs={cqio.format_float(report.coefficient_residual)} "
         f"generator={cqio.format_float(report.generator_residual)}",

@@ -80,21 +80,23 @@ def canonical_rule(rule):
 
 
 class GeneratorMatrix:
-    """Master-equation generator tied to a flip rule and temperature.
+    """Single-spin-flip master-equation generator at a flip rule and temperature.
 
-    A generator from build_generator keeps its single-spin-flip form: ``diag``
-    plus ``off[j, s]`` at ``(s ^ (1 << j), s)``. Its CSR ``matrix`` is built by
-    flip_matrix on first read and cached. A generator given as a matrix (the
-    one q2c recovers) has ``diag`` and ``off`` None.
+    Held as ``diag`` plus ``off[j, s]`` at ``(s ^ (1 << j), s)``, the flip rate
+    of spin j out of configuration s. Its CSR ``matrix`` is built by
+    flip_matrix on first read and cached.
     """
 
-    def __init__(self, n, matrix, rule, beta, diag, off):
-        self.n = n
+    def __init__(self, rule, beta, diag, off):
         self.rule = rule
         self.beta = beta
         self.diag = diag
         self.off = off
-        self._matrix = matrix
+        self._matrix = None
+
+    @property
+    def n(self):
+        return self.off.shape[0]
 
     @property
     def matrix(self):
@@ -124,7 +126,7 @@ def flip_table(h0):
         raise ResourceLimitError(
             f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap for generators"
         )
-    energies = energy_table(h0).values
+    energies = energy_table(h0)
     delta_e = np.empty((h0.n, energies.size))
     for j, row in enumerate(delta_e):
         np.subtract(flipped(energies, j), energies.reshape(-1, 2, 1 << j),
@@ -192,7 +194,7 @@ def flip_rates(table, beta, rule):
     Computed in place in one output array.
     """
     rule = canonical_rule(rule)
-    x = np.multiply(beta, table.delta_e)
+    x = beta * table.delta_e
     if rule == "heat-bath":  # 0.5 * (1 - tanh(0.5 x))
         x *= 0.5
         np.tanh(x, out=x)
@@ -204,13 +206,17 @@ def flip_rates(table, beta, rule):
     return np.exp(x, out=x)
 
 
+def _generator(table, beta, rule):
+    rates = flip_rates(table, beta, rule)
+    return GeneratorMatrix(rule, beta, -rates.sum(axis=0), rates)
+
+
 def build_generator(h0, beta, rule="heat-bath"):
     """Single-spin-flip generator at fixed inverse temperature, kept as
     ``(diag, off)``; its CSR ``matrix`` is built on first read."""
     check_beta(beta)
     rule = canonical_rule(rule)
-    rates = flip_rates(flip_table(h0), beta, rule)
-    return GeneratorMatrix(h0.n, None, rule, beta, diag=-rates.sum(axis=0), off=rates)
+    return _generator(flip_table(h0), beta, rule)
 
 
 @dataclass
@@ -231,21 +237,42 @@ def relative_asymmetry(matrix):
     return float(asym / scale) if scale != 0 else 0.0
 
 
+def flip_asymmetry(diag, off):
+    """max|F - F^T| / max|F| of F = flip_matrix(diag, off), with no matrix built.
+
+    Each off[j, s] at (s ^ (1 << j), s) is compared with its transposed
+    partner off[j, s ^ (1 << j)] through a flipped view; the diagonal enters
+    only the scale. For finite entries this is relative_asymmetry(F) bit for
+    bit; 0 if F = 0, NaN if F holds a NaN.
+    """
+    n = off.shape[0]
+    asym = np.zeros(n + 1)
+    peak = np.empty(n + 1)
+    peak[-1] = np.abs(diag).max()
+    for j, row in enumerate(off):
+        asym[j] = np.abs(row.reshape(-1, 2, 1 << j) - flipped(row, j)).max()
+        peak[j] = np.abs(row).max()
+    # NaN propagates through both maxima.
+    scale = peak.max()
+    return float(asym.max() / scale) if scale != 0 else 0.0
+
+
 def verify_dynamics(W, peq, tol=1e-12):
     """Check probability conservation, detailed balance and stationarity.
 
     Detailed balance is measured on the flux matrix F = W diag(peq) as
-    relative_asymmetry(F); the other residuals are absolute.
+    flip_asymmetry of its flip form (W.diag * peq, W.off * peq); the column
+    sums and W @ peq are taken on W's CSR, and their residuals are absolute.
     Failures are reported, not raised.
     """
     p = peq.p if hasattr(peq, "p") else np.asarray(peq, dtype=float)
-    M = W.matrix
-    if M.shape[0] != p.size:
+    if W.diag.size != p.size:
         raise ValidationError(
-            f"generator dimension {M.shape[0]} does not match distribution size {p.size}"
+            f"generator dimension {W.diag.size} does not match distribution size {p.size}"
         )
+    M = W.matrix
     col_resid = float(np.abs(np.asarray(M.sum(axis=0))).max())
-    db_resid = relative_asymmetry(M.multiply(p[None, :]).tocsr())
+    db_resid = flip_asymmetry(W.diag * p, W.off * p)
     stat_resid = float(np.abs(M @ p).max())
     passed = col_resid <= tol and db_resid <= tol and stat_resid <= tol
     return DynamicsReport(col_resid, db_resid, stat_resid, tol, passed)
@@ -254,8 +281,8 @@ def verify_dynamics(W, peq, tol=1e-12):
 class GeneratorProvider:
     """Time-dependent generator with a matrix-free W(t) @ p product.
 
-    Wraps a model plus beta(t); rates are rebuilt from the cached per-flip
-    dE whenever the requested time changes.
+    Wraps a model plus beta(t); the generator is rebuilt from the cached
+    per-flip dE whenever the requested beta changes.
     """
 
     def __init__(self, h0, beta_of_t, rule="heat-bath"):
@@ -264,29 +291,24 @@ class GeneratorProvider:
         self.energies = self.table.energies
         self.n = h0.n
         self._beta_of_t = beta_of_t
-        self._cached_beta = None
-        self._cached_rates = None
+        self._last = None  # the generator at the last beta asked for
         # Rates are <= 1 per spin, so |eigenvalues| <= 2n (Gershgorin).
         self.spectral_bound = 2.0 * max(self.n, 1)
 
     def beta(self, t):
         return float(self._beta_of_t(t))
 
-    def _rates(self, t):
-        beta = self.beta(t)
-        if self._cached_beta != beta:
-            self._cached_rates = flip_rates(self.table, beta, self.rule)
-            self._cached_beta = beta
-        return self._cached_rates
-
     def apply(self, t, p):
-        rates = self._rates(t)
-        moved = rates * p[None, :]
+        beta = self.beta(t)
+        W = self._last
+        if W is None or W.beta != beta:  # a NaN beta rebuilds every time
+            W = self._last = _generator(self.table, beta, self.rule)
+        moved = W.off * p[None, :]
         # Rows are added from 0 in spin order, the rounding of a sum over axis 0.
         out = np.zeros_like(p)
         for j, row in enumerate(moved):
             out.reshape(-1, 2, 1 << j)[...] += flipped(row, j)
-        out -= rates.sum(axis=0) * p
+        out += W.diag * p
         return out
 
     def equilibrium(self, t):

@@ -23,11 +23,11 @@ from scipy import sparse
 
 from . import io as cqio
 from .dynamics import (
-    GeneratorMatrix,
     build_generator,
     canonical_rule,
+    flip_asymmetry,
     flip_matrix,
-    flipped,
+    flip_table,
     relative_asymmetry,
 )
 from .errors import (
@@ -102,40 +102,25 @@ def _require_symmetric(asym, hint=""):
 def classical_to_quantum(h0, beta, W):
     """Map a generator to H = -diag(a) W diag(a)^-1 with a = exp(beta E / 2).
 
-    W must be build_generator's single-spin-flip form (diag, off); H keeps
-    that shape, with off[j, s] scaled by -exp(beta/2 (E(s ^ (1 << j)) - E(s)))
-    in _conjugate's arithmetic, and is written as one CSR by flip_matrix.
-    Raises MappingPreconditionError when H is not symmetric to SYMMETRY_RTOL,
-    that is when W is not in detailed balance at beta. The gate compares each
-    off[j] with its flipped partner in place; its value equals
-    relative_asymmetry of the CSR.
+    H keeps W's single-spin-flip form: off[j, s] is scaled by
+    -exp(beta/2 (E(s ^ (1 << j)) - E(s))) in _conjugate's arithmetic, in
+    place in flip_table's dE array, and H is written as one CSR by
+    flip_matrix. Raises MappingPreconditionError when H is not symmetric to
+    SYMMETRY_RTOL by flip_asymmetry, that is when W is not in detailed
+    balance at beta.
     """
     if W.n != h0.n:
         raise ValidationError(f"generator is for n={W.n}, model has n={h0.n}")
     check_beta(beta)
-    if W.off is None:
-        raise ValidationError("classical_to_quantum needs a generator in single-spin-flip "
-                              "form (diag, off), as build_generator returns")
-    energies = energy_table(h0).values
+    off = flip_table(h0).delta_e
+    for rates, row in zip(W.off, off):  # a row at a time stays in cache
+        row *= beta / 2
+        np.exp(row, out=row)
+        np.negative(row, out=row)
+        row *= rates
     diag = -W.diag
-    off = np.empty_like(W.off)
-    asym = np.zeros(h0.n + 1)  # per spin; the diagonal is symmetric
-    peak = np.empty(h0.n + 1)
-    peak[-1] = np.abs(diag).max()
-    for j, (rates, out) in enumerate(zip(W.off, off)):
-        unflipped = out.reshape(-1, 2, 1 << j)
-        np.subtract(flipped(energies, j), energies.reshape(-1, 2, 1 << j), out=unflipped)
-        out *= beta / 2
-        np.exp(out, out=out)
-        np.negative(out, out=out)
-        out *= rates
-        # H[s ^ (1 << j), s] = off[j, s] has its transposed partner at s ^ (1 << j).
-        asym[j] = np.abs(unflipped - flipped(out, j)).max()
-        peak[j] = np.abs(out).max()
-    # NaN propagates through both maxima and fails the gate.
-    scale = peak.max()
-    asym = float(asym.max() / scale) if scale != 0 else 0.0
-    _require_symmetric(asym, "; the generator is not in detailed balance at this beta")
+    _require_symmetric(flip_asymmetry(diag, off),
+                       "; the generator is not in detailed balance at this beta")
     return QuantumHamiltonian(h0.n, flip_matrix(diag, off))
 
 
@@ -180,7 +165,7 @@ def transverse_field_hamiltonian(h0, gamma):
     gamma >= 0)."""
     if h0.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
-    energies = energy_table(h0).values
+    energies = energy_table(h0)
     off = np.full((h0.n, energies.size), -float(gamma))
     return QuantumHamiltonian(h0.n, flip_matrix(energies, off))
 
@@ -220,7 +205,7 @@ class QtoCResult:
     """Recovered classical dynamics plus the bookkeeping of the inversion."""
 
     model: ClassicalHamiltonian
-    generator: GeneratorMatrix
+    generator: sparse.csr_array   # W'
     lambda0: float
     positivity_margin: float
 
@@ -234,8 +219,8 @@ def quantum_to_classical(H, tol=1e-12):
     W' = -diag(phi) (H - lambda_0) diag(phi)^-1, the classical_to_quantum
     similarity run backwards with a = exp(-E'/2) = phi.
     """
-    if tol < 0:
-        raise ValidationError("tol must be >= 0")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     _require_symmetric(relative_asymmetry(H.matrix))
     coo = sparse.coo_array(H.matrix)
     off = coo.row != coo.col
@@ -281,8 +266,7 @@ def quantum_to_classical(H, tol=1e-12):
          (np.append(coo.row, idx), np.append(coo.col, idx))),
         shape=(dim, dim),
     )
-    generator = GeneratorMatrix(H.n, _conjugate(shifted, recovered_energy, -0.5),
-                                rule="q2c", beta=1.0, diag=None, off=None)
+    generator = _conjugate(shifted, recovered_energy, -0.5)
     return QtoCResult(model, generator, lambda0=float(lam0),
                       positivity_margin=gs.positivity_margin)
 
@@ -318,7 +302,7 @@ def roundtrip_check(h0, beta, rule="heat-bath"):
     recovered[0] = 0.0
     coeff_residual = float(np.abs(recovered - expected).max())
 
-    diff = back.generator.matrix - W.matrix
+    diff = back.generator - W.matrix
     gen_residual = float(np.abs(diff.data).max()) if diff.nnz else 0.0
     return RoundTripReport(coeff_residual, gen_residual, back.lambda0,
                            back.positivity_margin)

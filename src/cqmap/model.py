@@ -70,14 +70,6 @@ class ClassicalHamiltonian:
 
 
 @dataclass
-class EnergyTable:
-    """Dense energies over the full configuration space."""
-
-    n: int
-    values: np.ndarray
-
-
-@dataclass
 class ProbabilityVector:
     """Normalized distribution over the 2^N configurations."""
 
@@ -238,7 +230,7 @@ def grid(rows, cols=None, *, periodic=True, coupling=1.0, field_h=0.0):
 
 
 def energy_table(h0):
-    """Evaluate the Hamiltonian on every configuration.
+    """Evaluate the Hamiltonian on every configuration: a length-2^N array.
 
     values[i] = sum_S c_S chi_S(i), accumulated over masks in ascending
     order so the result is bit-for-bit reproducible.
@@ -251,7 +243,7 @@ def energy_table(h0):
             values += c
         else:
             values += c * character_column(mask, h0.n)
-    return EnergyTable(h0.n, values)
+    return values
 
 
 def walsh_transform(values):
@@ -285,7 +277,7 @@ def dense_coefficients(h0):
 
 def gibbs_distribution(h0, beta):
     """Equilibrium distribution p_i proportional to exp(-beta E_i), max-shifted."""
-    return gibbs_from_energies(h0.n, energy_table(h0).values, beta)
+    return gibbs_from_energies(h0.n, energy_table(h0), beta)
 
 
 def check_beta(beta):

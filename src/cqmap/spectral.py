@@ -156,10 +156,16 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
     phi_0 with H phi_0 = 0, such as sqrt(p_eq) of a mapped generator; the
     Krylov iteration then deflates it and computes only the k - 1 pairs above.
     Raises ValidationError on a NaN or infinite entry or a malformed known
-    vector, and NumericalError when known is not a zero mode of H.
+    vector, and NumericalError when known is not a zero mode of H. max_iter,
+    if given, must be at least 1 and tol finite; a tol <= 0 asks for machine
+    precision.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
+    if max_iter is not None and max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not math.isfinite(tol):
+        raise ValidationError(f"tol must be finite, got {tol!r}")
     if H.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(
             f"n={H.n} exceeds the {MAX_OPERATOR_SPINS}-spin iterative cap"

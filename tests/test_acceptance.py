@@ -42,7 +42,7 @@ def test_criterion_1_closed_form_anchor():
             np.fill_diagonal(diff, 0.0)
             worst_off = max(worst_off, diff.max())
 
-            bond_sum = -cq.energy_table(cq.chain(n)).values
+            bond_sum = -cq.energy_table(cq.chain(n))
             derived = n / 2.0 - np.tanh(2.0 * beta) / 2.0 * bond_sum
             worst_diag = max(worst_diag, np.abs(np.diag(A) - derived).max())
             # document the discrepancy with the printed diagonal
@@ -131,7 +131,7 @@ def test_criterion_5_many_body_emergence():
     chars = 1.0 - 2.0 * (np.bitwise_count(idx & 0b1111) & 1)
     oracle_c4 = (-2.0 * np.log(phi)) @ chars / 16.0
 
-    W = result.generator.matrix
+    W = result.generator
     col = float(np.abs(np.asarray(W.sum(axis=0))).max())
     coo = W.tocoo()
     offmin = float(coo.data[coo.row != coo.col].min())
@@ -155,7 +155,7 @@ def test_criterion_6_relaxation_consistency():
         provider = cq.constant_provider(h0, beta)
         dim = 1 << h0.n
         p0 = np.zeros(dim)
-        p0[int(np.argmin(cq.energy_table(h0).values))] = 1.0
+        p0[int(np.argmin(cq.energy_table(h0)))] = 1.0
         window = np.linspace(2.0 / lam1, 4.0 / lam1, 9)
         traj = cq.integrate_master(provider, p0, np.concatenate([[0.0], window]))
         slope = np.polyfit(window, np.log(traj.l1_to_equilibrium[1:]), 1)[0]

@@ -183,6 +183,16 @@ def test_malformed_coordinate_file_is_validation_error(tmp_path, text):
 
 # --------------------------------------------------------------- spectrum group
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_map_q2c_refuses_a_non_finite_tol(chain4, tmp_path, tol):
+    ham = tmp_path / "H.txt"
+    run(["map", "c2q", "--model", chain4, "--beta", "1.0", "--out", str(ham)])
+    outcome = run(["map", "q2c", "--hamiltonian", str(ham), "--tol", tol,
+                   "--out", str(tmp_path / "r.json")])
+    assert outcome.exit_code == 1, outcome.diagnostics
+    assert "tol must be finite" in outcome.diagnostics
+
+
 def test_spectrum_dense_and_iterative(chain4, tmp_path):
     ham = tmp_path / "H.txt"
     run(["map", "c2q", "--model", chain4, "--beta", "1.0", "--out", str(ham)])
@@ -203,6 +213,44 @@ def test_spectrum_dense_and_iterative(chain4, tmp_path):
     iter_rows = iter_out.read_text().strip().splitlines()
     iter_gap = float(iter_rows[2].split(",")[1])
     assert abs(dense_gap - iter_gap) < 1e-8
+
+
+@pytest.fixture
+def chain8_hamiltonian(tmp_path):
+    model = tmp_path / "chain8.json"
+    model.write_text(json.dumps({"n": 8, "lattice": {"kind": "chain", "size": [8]}}))
+    ham = tmp_path / "H8.txt"
+    assert run(["map", "c2q", "--model", str(model), "--beta", "1.0",
+                "--out", str(ham)]).exit_code == 0
+    return str(ham)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-iter", "0"], "max_iter must be >= 1"),
+    (["--max-iter", "-3"], "max_iter must be >= 1"),
+    (["--tol", "inf"], "tol must be finite"),
+    (["--tol", "nan"], "tol must be finite"),
+])
+def test_spectrum_iterative_refuses_bad_solver_settings(chain8_hamiltonian, tmp_path,
+                                                       flags, message):
+    out = tmp_path / "s.csv"
+    outcome = run(["spectrum", "iterative", "--hamiltonian", chain8_hamiltonian,
+                   *flags, "--out", str(out)])
+    assert outcome.exit_code == 1, outcome.diagnostics
+    assert message in outcome.diagnostics
+    assert not out.exists()
+
+
+def test_spectrum_iterative_reads_a_negative_tol_as_machine_precision(
+        chain8_hamiltonian, tmp_path):
+    gaps = []
+    for tol in ("-1", "0"):
+        out = tmp_path / f"s{tol}.csv"
+        outcome = run(["spectrum", "iterative", "--hamiltonian", chain8_hamiltonian,
+                       "--tol", tol, "--out", str(out)])
+        assert outcome.exit_code == 0, outcome.diagnostics
+        gaps.append(out.read_text())
+    assert gaps[0] == gaps[1]
 
 
 def test_spectrum_sweep_then_fit(chain4, tmp_path):
@@ -295,6 +343,15 @@ def test_anneal_sa_refuses_span_beyond_step_cap(chain4, tmp_path):
                    "--c0", "0.1", "--c1", "2.0", "--horizon", "1e12",
                    "--out", str(tmp_path / "x.csv")])
     assert outcome.exit_code == 3, outcome.diagnostics
+
+
+def test_anneal_sa_refuses_logarithmic_rate_that_overflows(chain4, tmp_path):
+    # alpha * t overflows, so c0 / log(2 + alpha t) would reach 0.
+    outcome = run(["anneal", "sa", "--model", chain4, "--schedule", "logarithmic",
+                   "--c0", "3", "--alpha", "1e300", "--horizon", "1e10",
+                   "--out", str(tmp_path / "x.csv")])
+    assert outcome.exit_code == 1, outcome.diagnostics
+    assert "finite alpha * horizon" in outcome.diagnostics
 
 
 def test_anneal_qa_refuses_horizon_beyond_substep_cap(chain4, tmp_path):

@@ -9,10 +9,12 @@ import cqmap as cq
 from cqmap.dynamics import (
     _DP_A,
     _DP_P,
-    GeneratorMatrix,
     GeneratorProvider,
+    flip_asymmetry,
     flip_matrix,
     flip_table,
+    flipped,
+    relative_asymmetry,
     trajectory_csv,
     write_generator,
 )
@@ -176,15 +178,60 @@ def test_verify_passes_for_heat_bath_construction():
 def test_verify_flags_injected_violation():
     h0 = cq.chain(3)
     W = cq.build_generator(h0, 1.0)
-    M = W.matrix.tolil()
-    M[1, 0] += 1e-3
-    broken = GeneratorMatrix(3, sparse.csr_array(M.tocsr()), W.rule, W.beta,
-                             diag=None, off=None)
-    report = cq.verify_dynamics(broken, cq.gibbs_distribution(h0, 1.0))
+    W.off[0, 0] += 1e-3  # W[1, 0]
+    report = cq.verify_dynamics(W, cq.gibbs_distribution(h0, 1.0))
     assert not report.passed
     # injected absolute violation of 1e-3 surfaces at that scale (relative measure)
     assert 1e-4 < report.detailed_balance_residual < 1e-1
     assert abs(report.column_sum_residual - 1e-3) < 1e-12
+
+
+@pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
+@pytest.mark.parametrize("broken", [False, True])
+def test_verify_detailed_balance_residual_is_that_of_the_flux_matrix(rng, rule, broken):
+    h0, beta = random_model(rng, 6), 0.8
+    W = cq.build_generator(h0, beta, rule)
+    if broken:
+        W.off[2, 9] += 1e-3
+    p = cq.gibbs_distribution(h0, beta).p
+    # max|F - F^T| / max|F| of F = W diag(p), built as a sparse matrix
+    F = W.matrix.multiply(p[None, :]).tocsr()
+    expected = float(np.abs((F - F.T).data).max(initial=0.0) / abs(F).max())
+    report = cq.verify_dynamics(W, p)
+    assert report.detailed_balance_residual == expected
+    assert (expected > 1e-12) == broken
+
+
+def test_flip_asymmetry_is_relative_asymmetry_of_the_flip_matrix(rng):
+    for n in range(1, 7):
+        diag = rng.normal(size=1 << n)
+        off = rng.normal(size=(n, 1 << n))
+        near = (off + np.stack([flipped(row, j).ravel() for j, row in enumerate(off)])) / 2
+        near[n - 1, 1] += 1e-9
+        for d, o in [(diag, off), (diag, near), (np.zeros(1 << n), near)]:
+            assert flip_asymmetry(d, o) == relative_asymmetry(flip_matrix(d, o))
+    zero = np.zeros((3, 8))
+    assert flip_asymmetry(zero[0], zero) == 0.0
+    for where in ("diag", "off"):
+        d, o = rng.normal(size=8), rng.normal(size=(3, 8))
+        (d if where == "diag" else o[1])[5] = np.nan
+        assert np.isnan(flip_asymmetry(d, o))
+        assert np.isnan(relative_asymmetry(flip_matrix(d, o)))
+
+
+def test_verify_allocates_little_beyond_its_generator():
+    # No W diag(p), transpose or difference matrix: the peak stays within two
+    # arrays of (n + 1) 2^n doubles.
+    h0, beta = cq.chain(14), 0.44
+    W = cq.build_generator(h0, beta)
+    W.matrix  # noqa: B018 - CSR prebuilt, as once W has been written or mapped
+    peq = cq.gibbs_distribution(h0, beta)
+    tracemalloc.start()
+    report = cq.verify_dynamics(W, peq)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert report.passed
+    assert peak <= 2 * 15 * (1 << 14) * 8
 
 
 def test_verify_metropolis_brute_force_stationarity(rng):
