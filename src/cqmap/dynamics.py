@@ -263,8 +263,11 @@ def verify_dynamics(W, peq, tol=1e-12):
     Detailed balance is measured on the flux matrix F = W diag(peq) as
     flip_asymmetry of its flip form (W.diag * peq, W.off * peq); the column
     sums and W @ peq are taken on W's CSR, and their residuals are absolute.
-    Failures are reported, not raised.
+    Failures are reported, not raised; a tol that is NaN, infinite or
+    negative raises ValidationError.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     p = peq.p if hasattr(peq, "p") else np.asarray(peq, dtype=float)
     if W.diag.size != p.size:
         raise ValidationError(

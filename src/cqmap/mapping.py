@@ -137,6 +137,8 @@ def heat_bath_chain_closed_form(n, beta):
     constant plus a tanh 2b factor apart). This function materializes the
     formula as stated; callers comparing against the mapped generator should
     compare off-diagonals entrywise and the diagonal against the mapped form.
+    The sx coefficient is evaluated as -((1 + u) - (1 - u) sz_{j-1} sz_{j+1})/4
+    with u = 1/cosh 2b = 2 e^{-2b} / (1 + e^{-4b}), which no beta overflows.
     """
     if n < 3:
         raise ValidationError("closed-form chain needs n >= 3 (distinct j-1, j, j+1)")
@@ -154,9 +156,9 @@ def heat_bath_chain_closed_form(n, beta):
     for j in range(n):
         diag += -0.5 * sz[j] * sz[(j + 1) % n]
 
-    ch, sh = math.cosh(beta) ** 2, math.sinh(beta) ** 2
-    denom = 2.0 * math.cosh(2.0 * beta)
-    off = -(ch - sh * np.roll(sz, 1, axis=0) * np.roll(sz, -1, axis=0)) / denom
+    e = math.exp(-2.0 * beta)
+    u = 2.0 * e / (1.0 + e * e)
+    off = -((1.0 + u) - (1.0 - u) * np.roll(sz, 1, axis=0) * np.roll(sz, -1, axis=0)) / 4.0
     return QuantumHamiltonian(n, flip_matrix(diag, off))
 
 

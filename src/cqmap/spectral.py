@@ -8,8 +8,10 @@ translation symmetry and uses no RNG, so repeated runs are bit-identical.
 
 A mapped generator's ground state is known before any solve: lambda_0 = 0
 with phi_0 = sqrt(p_eq). Given that vector, the solver checks it, deflates it
-by a Hotelling shift H + sigma phi_0 phi_0^T and asks ARPACK for one pair
-fewer, so a gap sweep solves for lambda_1 alone.
+by a Hotelling shift H + sigma phi_0 phi_0^T and finds lambda_1 alone by
+two-pass Lanczos, which keeps three vectors instead of ARPACK's basis and
+has none of its per-step overhead. ARPACK serves only requests without a
+known vector.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import io as cqio
 from .dynamics import build_generator, relaxation_time
@@ -92,23 +95,22 @@ def _lowest_pairs(matrix, k, max_iter=None, tol=0.0, known=None):
     The only place that picks a solver: up to _DENSE_FALLBACK_DIM states
     LAPACK computes just those k pairs (k may equal the dimension), above it
     ARPACK does, from the fixed start vector 1 + 0.5 sin(s) with a basis of
-    max(20, 4k + 1) vectors, k counting the pairs ARPACK is asked for.
+    max(20, 4k + 1) vectors.
 
     known, if given, is a vector phi_0 with H phi_0 = 0 (NumericalError if
-    |H phi_0|_inf > 1e-10). ARPACK then computes the k - 1 lowest pairs of
-    H + sigma phi_0 phi_0^T, sigma twice the largest absolute row sum so that
-    phi_0 moves above the spectrum, from the part of the start vector
-    orthogonal to phi_0; lambda_0 is phi_0's Rayleigh quotient, and all
-    residuals are taken on H. Raises ValidationError on a NaN or infinite
-    entry or a malformed known vector, and ConvergenceError carrying the best
-    eigenvalues and residual norms found on non-convergence.
+    |H phi_0|_inf > 1e-10), and k must be 2. Above the dense size, lambda_0 is
+    then phi_0's Rayleigh quotient and lambda_1 comes from _deflated_pair,
+    not ARPACK. All residuals are taken on H. Raises ValidationError on a NaN
+    or infinite entry or a malformed known vector, and ConvergenceError
+    carrying the best eigenvalues and residual norms found on
+    non-convergence.
     """
     _check_finite(matrix)
     dim = matrix.shape[0]
     phi0 = None
     if known is not None:
-        if k < 2:
-            raise ValidationError("a known ground state needs k >= 2")
+        if k != 2:
+            raise ValidationError(f"a known ground state needs k == 2, got k={k}")
         phi0 = _known_ground_state(matrix, known)
     if dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2):
         vals, vecs = scipy.linalg.eigh(matrix.toarray(), subset_by_index=[0, k - 1],
@@ -116,36 +118,91 @@ def _lowest_pairs(matrix, k, max_iter=None, tol=0.0, known=None):
         return _as_result(vals, vecs, matrix, "dense")
 
     v0 = 1.0 + 0.5 * np.sin(np.arange(dim))
-    operator = matrix
     if phi0 is not None:
-        sigma = 2.0 * float(_abs_row_sums(matrix).max())
-        operator = LinearOperator(
-            matrix.shape, dtype=float,
-            matvec=lambda x: matrix @ x.ravel() + (sigma * (phi0 @ x.ravel())) * phi0)
-        v0 -= (phi0 @ v0) * phi0
-        k -= 1
+        return _deflated_pair(matrix, phi0, v0, max_iter, tol)
     v0 /= np.linalg.norm(v0)
-
-    def with_known(vals, vecs):
-        if phi0 is None:
-            return vals, vecs
-        return (np.append(phi0 @ (matrix @ phi0), vals),
-                np.column_stack([phi0, vecs]))
-
     ncv = min(dim, max(20, 4 * k + 1))
     try:
-        vals, vecs = eigsh(operator, k=k, which="SA", v0=v0, ncv=ncv,
+        vals, vecs = eigsh(matrix, k=k, which="SA", v0=v0, ncv=ncv,
                            maxiter=max_iter, tol=tol)
     except ArpackNoConvergence as exc:
         # scipy hands back the converged pairs, possibly none, as arrays
-        got, vecs = with_known(np.asarray(exc.eigenvalues, dtype=float),
-                               np.asarray(exc.eigenvectors))
+        got, vecs = np.asarray(exc.eigenvalues, dtype=float), np.asarray(exc.eigenvectors)
         res = np.linalg.norm(matrix @ vecs - vecs * got[None, :], axis=0)
         raise ConvergenceError(
-            f"Krylov iteration converged only {exc.eigenvalues.size}/{k} pairs",
+            f"Krylov iteration converged only {got.size}/{k} pairs",
             eigenvalues=got, residual_norms=res,
         ) from exc
-    return _as_result(*with_known(vals, vecs), matrix, "iterative")
+    return _as_result(vals, vecs, matrix, "iterative")
+
+
+def _lanczos(apply, v0, steps):
+    """Yield (q_i, alpha_i, beta_i) of the Lanczos three-term recurrence from
+    the unit vector v0, for at most steps steps and without
+    reorthogonalization, holding three vectors. Stops after a step whose
+    beta is exactly 0: the Krylov space is then invariant. The arithmetic is
+    fixed, so a second run repeats the first bit for bit."""
+    q_prev, q, beta = None, v0, 0.0
+    for _ in range(steps):
+        w = apply(q)
+        alpha = float(q @ w)
+        w -= alpha * q
+        if q_prev is not None:
+            w -= beta * q_prev
+        beta = float(np.linalg.norm(w))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        w /= beta
+        q_prev, q = q, w
+
+
+def _deflated_pair(matrix, phi0, v0, max_iter, tol):
+    """lambda_0 and lambda_1 of H with the zero mode phi0 known, as a result.
+
+    lambda_1 is the lowest eigenvalue of H + sigma phi0 phi0^T, sigma twice
+    the largest absolute row sum so that phi0 moves above the spectrum. Two
+    Lanczos passes run from the part of v0 orthogonal to phi0. The first
+    stops at the first step m where the lowest Ritz pair (theta, s) of the
+    m x m tridiagonal matrix has |beta_m s_m| <= max(tol |theta|, eps sigma),
+    or where beta_m = 0; the second repeats those m steps to sum the Ritz
+    vector y = sum_i s_i q_i. Only the tridiagonal matrix is kept, never a
+    basis. max_iter caps the first pass's steps (one matvec each) and
+    defaults to 10 times the dimension; at the cap ConvergenceError carries
+    [lambda_0, theta] and their residuals on H.
+    """
+    sigma = 2.0 * float(_abs_row_sums(matrix).max())
+    v0 -= (phi0 @ v0) * phi0
+    v0 /= np.linalg.norm(v0)
+
+    def apply(x):
+        y = matrix @ x
+        y += (sigma * (phi0 @ x)) * phi0
+        return y
+
+    steps = 10 * matrix.shape[0] if max_iter is None else max_iter
+    floor = np.finfo(float).eps * sigma
+    alphas, betas = [], []
+    for _, alpha, beta in _lanczos(apply, v0, steps):
+        alphas.append(alpha)
+        betas.append(beta)
+        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1], select="i",
+                                                 select_range=(0, 0))
+        converged = beta == 0.0 or abs(beta * s[-1, 0]) <= max(tol * abs(theta[0]), floor)
+        if converged:
+            break
+    y = np.zeros_like(v0)
+    for (q, _, _), coef in zip(_lanczos(apply, v0, len(alphas)), s[:, 0]):
+        y += coef * q
+    y /= np.linalg.norm(y)
+
+    vals = np.array([phi0 @ (matrix @ phi0), theta[0]])
+    res = np.array([np.linalg.norm(matrix @ v - lam * v) for lam, v in zip(vals, (phi0, y))])
+    if not converged:
+        raise ConvergenceError(f"Lanczos did not converge in {len(alphas)} steps",
+                               eigenvalues=vals, residual_norms=res)
+    return SpectrumResult(vals, np.column_stack([phi0, y]), float(vals[1] - vals[0]),
+                          "iterative", res)
 
 
 def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
@@ -153,12 +210,13 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
 
     Small systems are solved densely, larger ones by a Krylov iteration from a
     fixed start vector (see _lowest_pairs). known is an optional ground state
-    phi_0 with H phi_0 = 0, such as sqrt(p_eq) of a mapped generator; the
-    Krylov iteration then deflates it and computes only the k - 1 pairs above.
-    Raises ValidationError on a NaN or infinite entry or a malformed known
-    vector, and NumericalError when known is not a zero mode of H. max_iter,
-    if given, must be at least 1 and tol finite; a tol <= 0 asks for machine
-    precision.
+    phi_0 with H phi_0 = 0, such as sqrt(p_eq) of a mapped generator, and
+    needs k == 2; the Krylov iteration then deflates it and computes only
+    lambda_1 (see _deflated_pair). Raises ValidationError on a NaN or infinite
+    entry or a malformed known vector, and NumericalError when known is not a
+    zero mode of H. max_iter, if given, must be at least 1 and tol finite; it
+    caps ARPACK's restarts, or the Lanczos steps when known is given. A
+    tol <= 0 asks for machine precision.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -177,7 +235,23 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
 
 
 def _abs_row_sums(matrix):
-    return np.abs(matrix) @ np.ones(matrix.shape[0])
+    """abs(H) @ 1 of a CSR matrix, bit for bit, without a copy of H.
+
+    Each block of rows holding about dim stored entries is summed as a CSR
+    of their absolute values on views of H's indices, so at most one
+    vector's worth of absolute values exists at a time.
+    """
+    dim = matrix.shape[0]
+    ones = np.ones(matrix.shape[1])
+    sums = np.empty(dim)
+    step = max(1, dim * dim // max(matrix.nnz, 1))
+    indptr = matrix.indptr
+    for lo in range(0, dim, step):
+        hi = min(lo + step, dim)
+        a, b = indptr[lo], indptr[hi]
+        sums[lo:hi] = csr_array((np.abs(matrix.data[a:b]), matrix.indices[a:b],
+                                 indptr[lo:hi + 1] - a), shape=(hi - lo, matrix.shape[1])) @ ones
+    return sums
 
 
 def gershgorin_bound(H):

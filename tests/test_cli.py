@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cqmap.cli import dispatch
+from cqmap.mapping import read_hamiltonian
 from cqmap.spectral import fit_json, fit_scaling, gap_scaling_sweep
 
 CHAIN4 = {"n": 4, "lattice": {"kind": "chain", "size": [4], "periodic": True, "J": 1.0}}
@@ -60,6 +61,14 @@ def test_dynamics_generator_and_verify(chain4, tmp_path):
     outcome = run(["dynamics", "verify", "--model", chain4, "--beta", "1.0"])
     assert outcome.exit_code == 0
     assert "pass" in outcome.diagnostics
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_dynamics_verify_refuses_tolerance_that_is_not_finite_and_nonnegative(chain4, tol):
+    # nan used to fail every residual (exit 0, "verify FAIL"), inf to pass any
+    outcome = run(["dynamics", "verify", "--model", chain4, "--beta", "1.0", "--tol", tol])
+    assert outcome.exit_code == 1
+    assert "tol must be finite" in outcome.diagnostics
 
 
 def test_dynamics_evolve_writes_trajectory(chain4, tmp_path):
@@ -147,6 +156,20 @@ def test_map_roundtrip_and_chain_oracle(chain4, tmp_path):
                    "--out", str(out)])
     assert outcome.exit_code == 0
     assert out.exists()
+
+
+def test_map_chain_oracle_at_large_beta(tmp_path):
+    # cosh(1e3) overflows; the sx coefficient tends to -(1 - sz sz)/4
+    out = tmp_path / "oracle.txt"
+    outcome = run(["map", "chain-oracle", "--n", "4", "--beta", "1e3", "--out", str(out)])
+    assert outcome.exit_code == 0
+    H = read_hamiltonian(out).matrix.toarray()
+    limit = np.zeros((16, 16))
+    for state in range(16):
+        sz = [1 - 2 * ((state >> j) & 1) for j in range(4)]
+        for j in range(4):
+            limit[state ^ (1 << j), state] = -(1 - sz[j - 1] * sz[(j + 1) % 4]) / 4
+    assert np.array_equal(H - np.diag(np.diag(H)), limit)
 
 
 def test_map_chain_oracle_resource_guard(tmp_path):

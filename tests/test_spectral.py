@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -139,6 +141,23 @@ def test_deflated_nonconvergence_still_reports_the_known_pair():
     assert err.residual_norms.shape == err.eigenvalues.shape
 
 
+def test_deflated_cap_reports_the_best_ritz_pair_on_H():
+    h0 = cq.chain(10)
+    H = mapped(h0, 0.7)
+    spectrum = np.linalg.eigvalsh(H.dense())
+    with pytest.raises(cq.ConvergenceError, match="in 5 steps") as excinfo:
+        cq.extreme_eigenpairs(H, k=2, max_iter=5, known=sqrt_peq(h0, 0.7))
+    err = excinfo.value
+    assert err.eigenvalues.shape == err.residual_norms.shape == (2,)
+    assert abs(err.eigenvalues[0]) <= 1e-14 and err.residual_norms[0] <= 1e-14
+    # a Ritz value of the deflated operator bounds lambda_1 from above, and
+    # lies within its residual on H of an eigenvalue of H
+    theta, residual = err.eigenvalues[1], err.residual_norms[1]
+    assert spectrum[1] - 1e-12 <= theta
+    assert np.abs(spectrum - theta).min() <= residual + 1e-12
+    assert residual > 1e-6
+
+
 def test_extreme_on_sixteen_spin_mapped_grid():
     h0 = cq.grid(4, 4)  # dim 65536, near-critical temperature
     H = cq.classical_to_quantum(h0, 0.44, cq.build_generator(h0, 0.44))
@@ -168,6 +187,41 @@ def test_deflated_solve_matches_dense_lambda1(h0, beta, rule, parity):
         assert abs(vec @ vec[::-1] - parity) <= 1e-10  # s -> ~s reverses the index
 
 
+def test_deflated_solve_at_beta_zero_has_gap_one():
+    # At beta = 0 every flip rate is 1/2, H = sum_j (1 - sx_j) / 2 and the
+    # deflated Krylov space is exhausted after about ten steps.
+    h0 = cq.chain(10)
+    result = cq.extreme_eigenpairs(mapped(h0, 0.0), k=2, known=sqrt_peq(h0, 0.0))
+    assert result.method == "iterative"
+    assert abs(result.gap - 1.0) <= 1e-12
+    assert result.residual_norms.max() <= 1e-12
+
+
+def test_deflated_pair_ends_on_exact_breakdown():
+    # H = diag(0, 1, ..., 1) from the eigenvector e_1: the first step leaves
+    # w = 0 exactly, which must end the iteration as converged.
+    dim = 64
+    matrix = sparse.diags_array(np.r_[0.0, np.ones(dim - 1)]).tocsr()
+    phi0, v0 = np.eye(dim)[0], np.eye(dim)[1]
+    result = spectral._deflated_pair(matrix, phi0, v0, None, 0.0)
+    assert result.eigenvalues.tolist() == [0.0, 1.0]
+    assert result.residual_norms.tolist() == [0.0, 0.0]
+    assert np.array_equal(result.eigenvectors, np.eye(dim)[:, :2])
+
+
+def test_deflated_solve_keeps_no_krylov_basis():
+    # At most 8 vectors beyond H: neither a copy of H's structure nor an
+    # ncv-sized basis is allocated.
+    h0 = cq.chain(14)
+    H, known = mapped(h0, 0.44), sqrt_peq(h0, 0.44)
+    tracemalloc.start()
+    result = cq.extreme_eigenpairs(H, k=2, known=known)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert result.method == "iterative"
+    assert peak <= 8 * (1 << 14) * 8
+
+
 def test_known_vector_is_checked():
     h0 = cq.chain(8, field_h=0.3)
     H = mapped(h0, 1.0)
@@ -179,8 +233,17 @@ def test_known_vector_is_checked():
     for bad in (np.ones(dim - 1), np.ones((dim, 1)), np.full(dim, np.nan), np.zeros(dim)):
         with pytest.raises(ValidationError, match="known"):
             cq.extreme_eigenpairs(H, k=2, known=bad)
-    with pytest.raises(ValidationError, match="k >= 2"):
-        cq.extreme_eigenpairs(H, k=1, known=sqrt_peq(h0, 1.0))
+    for k in (1, 3):
+        with pytest.raises(ValidationError, match="k == 2"):
+            cq.extreme_eigenpairs(H, k=k, known=sqrt_peq(h0, 1.0))
+
+
+def test_abs_row_sums_match_the_abs_matrix_bit_for_bit(rng):
+    ragged = sparse.random_array((300, 300), density=0.005, rng=rng, format="csr")
+    ragged.data -= 0.5  # both signs, and rows with no entry
+    for matrix in (mapped_chain(9, 0.7).matrix, ragged):
+        reference = abs(matrix) @ np.ones(matrix.shape[0])
+        assert np.array_equal(spectral._abs_row_sums(matrix), reference)
 
 
 def test_gershgorin_bounds_top_eigenvalue():
