@@ -121,6 +121,13 @@ class FlipTable:
     delta_e: np.ndarray    # (n, 2^n) E[s ^ (1 << j)] - E[s]
 
 
+def flip_delta(energies, j, out):
+    """E[s ^ (1 << j)] - E[s] for every s, written into the 2^n vector out."""
+    np.subtract(flipped(energies, j), energies.reshape(-1, 2, 1 << j),
+                out=out.reshape(-1, 2, 1 << j))
+    return out
+
+
 def flip_table(h0):
     if h0.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(
@@ -129,8 +136,7 @@ def flip_table(h0):
     energies = energy_table(h0)
     delta_e = np.empty((h0.n, energies.size))
     for j, row in enumerate(delta_e):
-        np.subtract(flipped(energies, j), energies.reshape(-1, 2, 1 << j),
-                    out=row.reshape(-1, 2, 1 << j))
+        flip_delta(energies, j, row)
     return FlipTable(h0.n, energies, delta_e)
 
 
@@ -188,13 +194,14 @@ def flip_matrix(diag, off):
     return sparse.csr_array((data, indices, indptr), shape=(dim, dim))
 
 
-def flip_rates(table, beta, rule):
+def flip_rates(table, beta, rule, out=None):
     """Flip rate of every (spin, configuration) pair; shape (n, 2^n).
 
-    Computed in place in one output array.
+    Computed in place in one output array: a new one, or ``out``, which may
+    be ``table.delta_e`` itself.
     """
     rule = canonical_rule(rule)
-    x = beta * table.delta_e
+    x = np.multiply(beta, table.delta_e, out=out)
     if rule == "heat-bath":  # 0.5 * (1 - tanh(0.5 x))
         x *= 0.5
         np.tanh(x, out=x)
@@ -206,17 +213,22 @@ def flip_rates(table, beta, rule):
     return np.exp(x, out=x)
 
 
-def _generator(table, beta, rule):
-    rates = flip_rates(table, beta, rule)
+def _generator(table, beta, rule, out=None):
+    rates = flip_rates(table, beta, rule, out)
     return GeneratorMatrix(rule, beta, -rates.sum(axis=0), rates)
 
 
 def build_generator(h0, beta, rule="heat-bath"):
     """Single-spin-flip generator at fixed inverse temperature, kept as
-    ``(diag, off)``; its CSR ``matrix`` is built on first read."""
+    ``(diag, off)``; its CSR ``matrix`` is built on first read.
+
+    The rates are made in place in the dE array of a flip table of its own,
+    so the build holds one n x 2^n array: off is that array.
+    """
     check_beta(beta)
     rule = canonical_rule(rule)
-    return _generator(flip_table(h0), beta, rule)
+    table = flip_table(h0)
+    return _generator(table, beta, rule, out=table.delta_e)
 
 
 @dataclass
@@ -240,21 +252,20 @@ def relative_asymmetry(matrix):
 def flip_asymmetry(diag, off):
     """max|F - F^T| / max|F| of F = flip_matrix(diag, off), with no matrix built.
 
-    Each off[j, s] at (s ^ (1 << j), s) is compared with its transposed
-    partner off[j, s ^ (1 << j)] through a flipped view; the diagonal enters
-    only the scale. For finite entries this is relative_asymmetry(F) bit for
-    bit; 0 if F = 0, NaN if F holds a NaN.
+    off is the (n, 2^n) array or any iterable of its rows in spin order, so
+    a caller may make each row just before it is read. Each off[j, s] at
+    (s ^ (1 << j), s) is compared with its transposed partner
+    off[j, s ^ (1 << j)] through a flipped view; the diagonal enters only the
+    scale, so its sign does not matter. For finite entries this is
+    relative_asymmetry(F) bit for bit; 0 if F = 0, NaN if F holds a NaN.
     """
-    n = off.shape[0]
-    asym = np.zeros(n + 1)
-    peak = np.empty(n + 1)
-    peak[-1] = np.abs(diag).max()
+    asym, peak = [0.0], [np.abs(diag).max()]
     for j, row in enumerate(off):
-        asym[j] = np.abs(row.reshape(-1, 2, 1 << j) - flipped(row, j)).max()
-        peak[j] = np.abs(row).max()
+        asym.append(np.abs(row.reshape(-1, 2, 1 << j) - flipped(row, j)).max())
+        peak.append(np.abs(row).max())
     # NaN propagates through both maxima.
-    scale = peak.max()
-    return float(asym.max() / scale) if scale != 0 else 0.0
+    scale = np.max(peak)
+    return float(np.max(asym) / scale) if scale != 0 else 0.0
 
 
 def verify_dynamics(W, peq, tol=1e-12):
@@ -285,7 +296,8 @@ class GeneratorProvider:
     """Time-dependent generator with a matrix-free W(t) @ p product.
 
     Wraps a model plus beta(t); the generator is rebuilt from the cached
-    per-flip dE whenever the requested beta changes.
+    per-flip dE whenever the requested beta changes, into new rate arrays,
+    so the cached table keeps dE.
     """
 
     def __init__(self, h0, beta_of_t, rule="heat-bath"):

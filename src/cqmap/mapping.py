@@ -26,8 +26,8 @@ from .dynamics import (
     build_generator,
     canonical_rule,
     flip_asymmetry,
+    flip_delta,
     flip_matrix,
-    flip_table,
     relative_asymmetry,
 )
 from .errors import (
@@ -74,18 +74,36 @@ class GroundState:
     positivity_margin: float
 
 
+def _rescale(matrix, energies, scale):
+    """M -> -diag(a) M diag(a)^-1 with a = exp(scale * energies), in place on
+    the stored entries of a CSR M.
+
+    Each entry is multiplied by -exp(scale (E[row] - E[col])). Rows are
+    taken in blocks holding about dim stored entries, so the temporaries
+    stay a few vectors long: at 2^18 states one of length nnz takes 40 MB.
+    """
+    dim = matrix.shape[0]
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    step = max(1, dim * dim // max(matrix.nnz, 1))
+    for lo in range(0, dim, step):
+        hi = min(lo + step, dim)
+        a, b = indptr[lo], indptr[hi]
+        x = np.repeat(energies[lo:hi], np.diff(indptr[lo:hi + 1]))
+        x -= energies[indices[a:b]]
+        x *= scale
+        np.exp(x, out=x)
+        np.negative(x, out=x)
+        data[a:b] *= x
+
+
 def _conjugate(matrix, energies, scale):
     """-diag(a) M diag(a)^-1, a = exp(scale * energies), on a CSR copy of M.
 
-    q2c's direction, on a general CSR; classical_to_quantum does the same
-    arithmetic on the generator's flip form.
+    q2c's direction, on a general CSR; classical_to_quantum runs _rescale
+    on the CSR it writes itself.
     """
     out = sparse.csr_array(matrix, dtype=float, copy=True)
-    # Only energy differences are exponentiated, in place: at 2^18 states each
-    # temporary of length nnz takes 40 MB.
-    exponent = np.repeat(energies, np.diff(out.indptr)) - energies[out.indices]
-    exponent *= scale
-    out.data *= -np.exp(exponent, out=exponent)
+    _rescale(out, energies, scale)
     return out
 
 
@@ -99,29 +117,39 @@ def _require_symmetric(asym, hint=""):
         )
 
 
-def classical_to_quantum(h0, beta, W):
-    """Map a generator to H = -diag(a) W diag(a)^-1 with a = exp(beta E / 2).
-
-    H keeps W's single-spin-flip form: off[j, s] is scaled by
-    -exp(beta/2 (E(s ^ (1 << j)) - E(s))) in _conjugate's arithmetic, in
-    place in flip_table's dE array, and H is written as one CSR by
-    flip_matrix. Raises MappingPreconditionError when H is not symmetric to
-    SYMMETRY_RTOL by flip_asymmetry, that is when W is not in detailed
-    balance at beta.
-    """
-    if W.n != h0.n:
-        raise ValidationError(f"generator is for n={W.n}, model has n={h0.n}")
-    check_beta(beta)
-    off = flip_table(h0).delta_e
-    for rates, row in zip(W.off, off):  # a row at a time stays in cache
+def _mapped_rows(energies, beta, W):
+    """The rows -exp(beta/2 (E(s ^ (1 << j)) - E(s))) W.off[j, s] of H's flip
+    form, one spin at a time in one reused 2^n buffer."""
+    row = np.empty_like(energies)
+    for j, rates in enumerate(W.off):
+        flip_delta(energies, j, row)
         row *= beta / 2
         np.exp(row, out=row)
         np.negative(row, out=row)
         row *= rates
-    diag = -W.diag
-    _require_symmetric(flip_asymmetry(diag, off),
+        yield row
+
+
+def classical_to_quantum(h0, beta, W):
+    """Map a generator to H = -diag(a) W diag(a)^-1 with a = exp(beta E / 2).
+
+    H keeps W's single-spin-flip form. The gate comes first: H's flip form
+    is made one spin at a time on a single 2^n row, and
+    MappingPreconditionError is raised when flip_asymmetry finds H not
+    symmetric to SYMMETRY_RTOL, that is when W is not in detailed balance at
+    beta. Then flip_matrix writes W's (diag, off) as one CSR and _rescale
+    scales its entries in place to H's. So the map holds W, H's CSR and a
+    few 2^n vectors, and never reads or caches W.matrix.
+    """
+    if W.n != h0.n:
+        raise ValidationError(f"generator is for n={W.n}, model has n={h0.n}")
+    check_beta(beta)
+    energies = energy_table(h0)
+    _require_symmetric(flip_asymmetry(W.diag, _mapped_rows(energies, beta, W)),
                        "; the generator is not in detailed balance at this beta")
-    return QuantumHamiltonian(h0.n, flip_matrix(diag, off))
+    matrix = flip_matrix(W.diag, W.off)
+    _rescale(matrix, energies, beta / 2)
+    return QuantumHamiltonian(h0.n, matrix)
 
 
 def heat_bath_chain_closed_form(n, beta):

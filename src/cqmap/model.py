@@ -163,7 +163,9 @@ def _lattice_coefficients(n, lattice):
     if not isinstance(lattice, dict):
         raise ValidationError("'lattice' must be an object")
     kind = lattice.get("kind")
-    periodic = bool(lattice.get("periodic", True))
+    periodic = lattice.get("periodic", True)
+    if not isinstance(periodic, bool):
+        raise ValidationError(f"lattice periodic must be true or false, got {periodic!r}")
     coupling = _number(lattice.get("J", 1.0), "lattice J")
     h_field = _number(lattice.get("h", 0.0), "lattice h")
     if kind == "chain":
@@ -176,6 +178,8 @@ def _lattice_coefficients(n, lattice):
         if not isinstance(size, list) or len(size) != 2 or not all(map(_is_integer, size)):
             raise ValidationError("grid lattice needs size [rows, cols]")
         rows, cols = size
+        if rows < 1 or cols < 1:
+            raise ValidationError(f"grid sides must be positive, got {rows}x{cols}")
         if rows * cols != n:
             raise ValidationError(f"grid {rows}x{cols} inconsistent with n={n}")
         return grid(rows, cols, periodic=periodic, coupling=coupling, field_h=h_field).coeffs

@@ -31,6 +31,8 @@ from .mapping import classical_to_quantum
 from .model import MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, build_model, gibbs_distribution
 
 _DENSE_FALLBACK_DIM = 32  # ARPACK is pointless below this
+# _deflated_pair tests convergence at every Lanczos step up to this one.
+_EVERY_STEP_UP_TO = 256
 
 
 @dataclass
@@ -163,13 +165,17 @@ def _deflated_pair(matrix, phi0, v0, max_iter, tol):
     lambda_1 is the lowest eigenvalue of H + sigma phi0 phi0^T, sigma twice
     the largest absolute row sum so that phi0 moves above the spectrum. Two
     Lanczos passes run from the part of v0 orthogonal to phi0. The first
-    stops at the first step m where the lowest Ritz pair (theta, s) of the
-    m x m tridiagonal matrix has |beta_m s_m| <= max(tol |theta|, eps sigma),
-    or where beta_m = 0; the second repeats those m steps to sum the Ritz
-    vector y = sum_i s_i q_i. Only the tridiagonal matrix is kept, never a
-    basis. max_iter caps the first pass's steps (one matvec each) and
-    defaults to 10 times the dimension; at the cap ConvergenceError carries
-    [lambda_0, theta] and their residuals on H.
+    stops at the first tested step m where the lowest Ritz pair (theta, s)
+    of the m x m tridiagonal matrix has
+    |beta_m s_m| <= max(tol |theta|, eps sigma), or where beta_m = 0; the
+    second repeats those m steps to sum the Ritz vector y = sum_i s_i q_i.
+    Each test solves the whole tridiagonal matrix, O(m), so every step is
+    tested up to step 256 and then only steps about m/32 apart, the cap and
+    a breakdown: a slow solve costs O(m log m) in tests instead of O(m^2).
+    Only the tridiagonal matrix is kept, never a basis. max_iter caps the
+    first pass's steps (one matvec each) and defaults to 10 times the
+    dimension; at the cap ConvergenceError carries [lambda_0, theta] of the
+    last step and their residuals on H.
     """
     sigma = 2.0 * float(_abs_row_sums(matrix).max())
     v0 -= (phi0 @ v0) * phi0
@@ -183,9 +189,13 @@ def _deflated_pair(matrix, phi0, v0, max_iter, tol):
     steps = 10 * matrix.shape[0] if max_iter is None else max_iter
     floor = np.finfo(float).eps * sigma
     alphas, betas = [], []
-    for _, alpha, beta in _lanczos(apply, v0, steps):
+    check = 1  # the next step whose Ritz pair is tested
+    for m, (_, alpha, beta) in enumerate(_lanczos(apply, v0, steps), start=1):
         alphas.append(alpha)
         betas.append(beta)
+        if m < check and m < steps and beta != 0.0:
+            continue
+        check = m + 1 if m < _EVERY_STEP_UP_TO else m + m // 32
         theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1], select="i",
                                                  select_range=(0, 0))
         converged = beta == 0.0 or abs(beta * s[-1, 0]) <= max(tol * abs(theta[0]), floor)

@@ -417,6 +417,26 @@ def test_malformed_model_and_csv_are_validation_errors(tmp_path, command, text):
     assert outcome.exit_code == 1, outcome.diagnostics
 
 
+@pytest.mark.parametrize("lattice, message", [
+    ({"kind": "grid", "size": [-1, -4]}, "grid sides must be positive, got -1x-4"),
+    ({"kind": "grid", "size": [-2, -2]}, "grid sides must be positive, got -2x-2"),
+    ({"kind": "grid", "size": [4, 1], "periodic": "false"}, "periodic must be true or false"),
+    ({"kind": "chain", "size": [4], "periodic": "false"}, "periodic must be true or false"),
+    ({"kind": "chain", "size": [4], "periodic": 0}, "periodic must be true or false"),
+    ({"kind": "chain", "size": [4], "periodic": None}, "periodic must be true or false"),
+], ids=["grid-negative-sides", "grid-negative-square", "grid-periodic-str",
+        "chain-periodic-str", "chain-periodic-int", "chain-periodic-null"])
+def test_model_coeffs_refuses_bad_lattice(tmp_path, lattice, message):
+    # Negative sides multiply to n and built an empty model; bool("false")
+    # built a periodic chain. Both wrote a coefficient file and exited 0.
+    path, out = tmp_path / "model.json", tmp_path / "coeffs.csv"
+    path.write_text(json.dumps({"n": 4, "lattice": lattice}))
+    outcome = run(["model", "coeffs", "--model", str(path), "--out", str(out)])
+    assert outcome.exit_code == 1, outcome.diagnostics
+    assert message in outcome.diagnostics
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_validation_error():
     outcome = run(["transmogrify"])
     assert outcome.exit_code == 1

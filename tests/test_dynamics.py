@@ -234,6 +234,34 @@ def test_verify_allocates_little_beyond_its_generator():
     assert peak <= 2 * 15 * (1 << 14) * 8
 
 
+def test_build_generator_allocates_one_flip_array():
+    # The rates are made in place in the flip table's dE array, which
+    # becomes W.off: no second n x 2^n array.
+    n = 16
+    tracemalloc.start()
+    W = cq.build_generator(cq.chain(n, field_h=0.3), 0.44)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert W.off.shape == (n, 1 << n)
+    assert peak <= 1.25 * n * (1 << n) * 8
+
+
+@pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
+def test_provider_keeps_its_flip_table(rng, rule):
+    # build_generator turns its own table's dE into rates; the provider's
+    # cached table must stay dE across rebuilds at new betas.
+    h0 = random_model(rng, 6)
+    provider = GeneratorProvider(h0, lambda t: 0.4 + t, rule)
+    before = provider.table.delta_e.copy()
+    p = rng.random(1 << 6)
+    for t in (0.0, 1.5):
+        provider.apply(t, p)
+        assert np.array_equal(provider.table.delta_e, before)
+        assert np.array_equal(provider._last.off,
+                              cq.build_generator(h0, provider.beta(t), rule).off)
+    assert np.array_equal(before, flip_table(h0).delta_e)
+
+
 def test_verify_metropolis_brute_force_stationarity(rng):
     h0 = random_model(rng, 3)
     W = cq.build_generator(h0, 0.5, "metropolis")

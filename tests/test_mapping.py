@@ -1,8 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import cqmap as cq
@@ -184,15 +187,50 @@ def test_c2q_rejects_nan_generator_entry(where):
 
 
 def test_c2q_allocates_little_beyond_its_result():
-    # No COO build, CSR copy or H - H^T: the peak stays within five arrays of
-    # (n + 1) 2^n doubles.
-    h0, beta = cq.chain(14), 0.44
+    # No second n x 2^n array beside W's: H's CSR is written once and scaled
+    # in place, and the gate makes one 2^n row at a time.
+    n, beta = 16, 0.44
+    h0 = cq.chain(n)
     W = cq.build_generator(h0, beta)
     tracemalloc.start()
-    cq.classical_to_quantum(h0, beta, W)
+    H = cq.classical_to_quantum(h0, beta, W)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= 5 * 15 * (1 << 14) * 8
+    csr = sum(getattr(H.matrix, name).nbytes for name in ("data", "indices", "indptr"))
+    assert peak <= csr + 0.5 * n * (1 << n) * 8
+    assert W._matrix is None  # W's CSR is neither built nor cached
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       rule=st.sampled_from(["heat-bath", "metropolis"]),
+       beta=st.floats(0.0, 3.0),
+       imbalance=st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)),
+       where=st.integers(0, 2**12 - 1))
+def test_c2q_is_the_csr_kernel_on_random_models(seed, n, rule, beta, imbalance, where):
+    # Oracle: the general CSR kernel on W's CSR. c2q's H and the gate value it
+    # hands _require_symmetric must both match it bit for bit, also when one
+    # flip rate is off balance (its column sum kept at zero).
+    h0 = random_model(np.random.default_rng(seed), n)
+    W = cq.build_generator(h0, beta, rule)
+    j, s = where % n, where % (1 << n)
+    delta = W.off[j, s] * imbalance
+    W.off[j, s] += delta
+    W.diag[s] -= delta
+    oracle = mapping._conjugate(W.matrix, cq.energy_table(h0), beta / 2)
+    expected = relative_asymmetry(oracle)
+    seen = []
+    gate = mapping._require_symmetric
+    with mock.patch.object(mapping, "_require_symmetric",
+                           lambda asym, hint="": gate(seen.append(asym) or asym, hint)):
+        if expected <= mapping.SYMMETRY_RTOL:
+            H = cq.classical_to_quantum(h0, beta, W)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(H.matrix, name), getattr(oracle, name))
+        else:
+            with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
+                cq.classical_to_quantum(h0, beta, W)
+    assert seen == [expected]
 
 
 @pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 
 import cqmap as cq
@@ -317,6 +318,27 @@ def test_sweep_row_with_unresolved_gap_is_an_error():
     assert row.method == "error"
     assert "not resolved" in row.error
     assert np.isnan(row.tau)
+
+
+def test_slow_deflated_solve_tests_convergence_sparsely(monkeypatch):
+    # The unresolved 3x3 row above runs over 2000 Lanczos steps, and each
+    # test solves the whole tridiagonal matrix. Every step is tested up to
+    # 256, then steps m // 32 apart; the cap is always tested.
+    sizes = []
+    solve = scipy.linalg.eigh_tridiagonal
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda d, e, **kw: sizes.append(len(d)) or solve(d, e, **kw))
+    row = cq.gap_scaling_sweep({"kind": "grid", "h": 0.1}, [3], 3.0)[0]
+    assert "not resolved" in row.error
+    assert sizes[:256] == list(range(1, 257))
+    assert [b - a for a, b in zip(sizes[255:], sizes[256:])] == [m // 32 for m in sizes[255:-1]]
+    assert sizes[-1] > 2000 and len(sizes) < 350
+
+    sizes.clear()
+    h0 = cq.grid(3, 3, field_h=0.1)
+    with pytest.raises(cq.ConvergenceError, match="in 300 steps"):
+        cq.extreme_eigenpairs(mapped(h0, 3.0), k=2, max_iter=300, known=sqrt_peq(h0, 3.0))
+    assert sizes[-1] == 300 and sizes[-2] == 297  # 288 + 288 // 32
 
 
 def test_sweep_row_of_field_grid_matches_dense_gap():
