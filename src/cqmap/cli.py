@@ -286,8 +286,7 @@ def _cmd_dynamics_evolve(args):
 
 def _cmd_map_c2q(args):
     h0 = model.load_model(args.model)
-    W = dynamics.build_generator(h0, args.beta, args.rule)
-    H = mapping.classical_to_quantum(h0, args.beta, W)
+    H = mapping.classical_to_quantum(h0, args.beta, args.rule)
     mapping.write_hamiltonian(H, args.out)
     return f"mapped n={H.n} hamiltonian, nnz={H.matrix.nnz}", args.out
 

@@ -194,14 +194,15 @@ def flip_matrix(diag, off):
     return sparse.csr_array((data, indices, indptr), shape=(dim, dim))
 
 
-def flip_rates(table, beta, rule, out=None):
-    """Flip rate of every (spin, configuration) pair; shape (n, 2^n).
+def flip_rates(delta_e, beta, rule, out=None):
+    """Flip rate of every entry of an energy-change array ``delta_e``, such as
+    a flip table's (n, 2^n) ``delta_e`` or one row of it.
 
     Computed in place in one output array: a new one, or ``out``, which may
-    be ``table.delta_e`` itself.
+    be ``delta_e`` itself.
     """
     rule = canonical_rule(rule)
-    x = np.multiply(beta, table.delta_e, out=out)
+    x = np.multiply(beta, delta_e, out=out)
     if rule == "heat-bath":  # 0.5 * (1 - tanh(0.5 x))
         x *= 0.5
         np.tanh(x, out=x)
@@ -213,8 +214,8 @@ def flip_rates(table, beta, rule, out=None):
     return np.exp(x, out=x)
 
 
-def _generator(table, beta, rule, out=None):
-    rates = flip_rates(table, beta, rule, out)
+def _generator(delta_e, beta, rule, out=None):
+    rates = flip_rates(delta_e, beta, rule, out)
     return GeneratorMatrix(rule, beta, -rates.sum(axis=0), rates)
 
 
@@ -228,7 +229,7 @@ def build_generator(h0, beta, rule="heat-bath"):
     check_beta(beta)
     rule = canonical_rule(rule)
     table = flip_table(h0)
-    return _generator(table, beta, rule, out=table.delta_e)
+    return _generator(table.delta_e, beta, rule, out=table.delta_e)
 
 
 @dataclass
@@ -252,12 +253,11 @@ def relative_asymmetry(matrix):
 def flip_asymmetry(diag, off):
     """max|F - F^T| / max|F| of F = flip_matrix(diag, off), with no matrix built.
 
-    off is the (n, 2^n) array or any iterable of its rows in spin order, so
-    a caller may make each row just before it is read. Each off[j, s] at
-    (s ^ (1 << j), s) is compared with its transposed partner
-    off[j, s ^ (1 << j)] through a flipped view; the diagonal enters only the
-    scale, so its sign does not matter. For finite entries this is
-    relative_asymmetry(F) bit for bit; 0 if F = 0, NaN if F holds a NaN.
+    Each off[j, s] at (s ^ (1 << j), s) is compared with its transposed
+    partner off[j, s ^ (1 << j)] through a flipped view, one spin at a time;
+    the diagonal enters only the scale, so its sign does not matter. For
+    finite entries this is relative_asymmetry(F) bit for bit; 0 if F = 0,
+    NaN if F holds a NaN.
     """
     asym, peak = [0.0], [np.abs(diag).max()]
     for j, row in enumerate(off):
@@ -317,7 +317,7 @@ class GeneratorProvider:
         beta = self.beta(t)
         W = self._last
         if W is None or W.beta != beta:  # a NaN beta rebuilds every time
-            W = self._last = _generator(self.table, beta, self.rule)
+            W = self._last = _generator(self.table.delta_e, beta, self.rule)
         moved = W.off * p[None, :]
         # Rows are added from 0 in spin order, the rounding of a sum over axis 0.
         out = np.zeros_like(p)

@@ -9,7 +9,8 @@ import tempfile
 import numpy as np
 from scipy import sparse
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+from .model import MAX_OPERATOR_SPINS
 
 COORDINATE_HEADER = "%%sparse-coordinate real"
 
@@ -55,7 +56,12 @@ def write_coordinate(matrix, path):
 
 def read_coordinate(path):
     """Read a sparse-coordinate text file of a 2^n x 2^n matrix, n >= 1, back
-    into ``(n, CSR array)``."""
+    into ``(n, CSR array)``.
+
+    The size line is checked before any array is allocated: more entries
+    than the matrix has places raise ValidationError, and a dimension above
+    2^MAX_OPERATOR_SPINS raises ResourceLimitError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != COORDINATE_HEADER:
@@ -70,6 +76,11 @@ def read_coordinate(path):
             raise ValidationError(f"{path}: matrix is {nrows}x{ncols}, expected square")
         if nrows < 1 or nnz < 0:
             raise ValidationError(f"{path}: malformed size line")
+        if nnz > nrows * ncols:
+            raise ValidationError(f"{path}: {nnz} entries do not fit a {nrows}x{ncols} matrix")
+        if nrows > 1 << MAX_OPERATOR_SPINS:
+            raise ResourceLimitError(f"{path}: dimension {nrows} exceeds the "
+                                     f"2^{MAX_OPERATOR_SPINS} cap")
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz)

@@ -2,15 +2,19 @@
 Hamiltonians, in both directions.
 
 Classical -> quantum: H[s, s'] = -exp(+beta E(s)/2) W[s, s'] exp(-beta E(s')/2).
-Detailed balance makes H real symmetric; H shares the spectrum of -W, its
-lowest eigenvalue is 0 and the ground state is proportional to exp(-beta E/2).
+Detailed balance makes every flip entry the geometric mean of the two rates
+it joins, so H is written in closed form from the energies and the flip
+rule, exactly symmetric, with no generator built. H shares the spectrum of
+-W, its lowest eigenvalue is 0 and the ground state is proportional to
+exp(-beta E/2).
 
 Quantum -> classical: for a symmetric matrix with non-positive off-diagonals
 and an irreducible coupling graph, the (elementwise positive) ground state
 phi defines an energy E'(s) = -2 log phi_s and a generator
 W'[s, s'] = -phi_s (H - lambda_0)[s, s'] / phi_s', whose stationary
 distribution is phi^2. Applying it to the mapped H recovers beta E up to a
-constant, so the round trip is an identity.
+constant, so the round trip is an identity. H may come from a file, so this
+direction first checks that it is symmetric to SYMMETRY_RTOL.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from . import io as cqio
 from .dynamics import (
     build_generator,
     canonical_rule,
-    flip_asymmetry,
     flip_delta,
     flip_matrix,
+    flip_rates,
     relative_asymmetry,
 )
 from .errors import (
@@ -52,7 +56,7 @@ MAX_ROUNDTRIP_SPINS = 10
 
 # Relative ground-state degeneracy tolerance (fraction of spectral width).
 DEGENERACY_RTOL = 1e-10
-# Tolerance on relative_asymmetry(H), the precondition of c2q and q2c alike.
+# Tolerance on relative_asymmetry(H), the symmetry precondition of q2c.
 SYMMETRY_RTOL = 1e-10
 
 
@@ -74,13 +78,13 @@ class GroundState:
     positivity_margin: float
 
 
-def _rescale(matrix, energies, scale):
+def _conjugate(matrix, energies, scale):
     """M -> -diag(a) M diag(a)^-1 with a = exp(scale * energies), in place on
-    the stored entries of a CSR M.
+    the stored entries of a CSR M, which is returned.
 
     Each entry is multiplied by -exp(scale (E[row] - E[col])). Rows are
     taken in blocks holding about dim stored entries, so the temporaries
-    stay a few vectors long: at 2^18 states one of length nnz takes 40 MB.
+    stay a few vectors long.
     """
     dim = matrix.shape[0]
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
@@ -94,62 +98,35 @@ def _rescale(matrix, energies, scale):
         np.exp(x, out=x)
         np.negative(x, out=x)
         data[a:b] *= x
+    return matrix
 
 
-def _conjugate(matrix, energies, scale):
-    """-diag(a) M diag(a)^-1, a = exp(scale * energies), on a CSR copy of M.
+def classical_to_quantum(h0, beta, rule="heat-bath"):
+    """The mapped Hamiltonian H = -diag(a) W diag(a)^-1, a = exp(beta E / 2),
+    of W = build_generator(h0, beta, rule), written from the energies alone.
 
-    q2c's direction, on a general CSR; classical_to_quantum runs _rescale
-    on the CSR it writes itself.
+    Detailed balance, w(x) / w(-x) = exp(-x), makes the flip entry at
+    (s ^ (1 << j), s) the geometric mean -sqrt(w(x) w(-x)) of the two rates
+    it joins, with x = beta (E(s ^ (1 << j)) - E(s)). With u = exp(-|x|/2)
+    that is -u / (1 + u^2) = -1/(2 cosh(x/2)) for heat-bath and -u for
+    Metropolis, so no beta overflows. Both are even in x, so H is exactly
+    symmetric. The diagonal sums the rule's flip_rates in spin order, which
+    is -W.diag bit for bit. One (n, 2^n) flip array is filled a spin at a
+    time and written as one CSR by flip_matrix.
     """
-    out = sparse.csr_array(matrix, dtype=float, copy=True)
-    _rescale(out, energies, scale)
-    return out
-
-
-def _require_symmetric(asym, hint=""):
-    """The precondition of both directions: max|H - H^T| / max|H| = asym is at
-    most SYMMETRY_RTOL (a NaN fails)."""
-    if not asym <= SYMMETRY_RTOL:
-        raise MappingPreconditionError(
-            f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds "
-            f"{SYMMETRY_RTOL:.1e}{hint}"
-        )
-
-
-def _mapped_rows(energies, beta, W):
-    """The rows -exp(beta/2 (E(s ^ (1 << j)) - E(s))) W.off[j, s] of H's flip
-    form, one spin at a time in one reused 2^n buffer."""
-    row = np.empty_like(energies)
-    for j, rates in enumerate(W.off):
-        flip_delta(energies, j, row)
-        row *= beta / 2
-        np.exp(row, out=row)
-        np.negative(row, out=row)
-        row *= rates
-        yield row
-
-
-def classical_to_quantum(h0, beta, W):
-    """Map a generator to H = -diag(a) W diag(a)^-1 with a = exp(beta E / 2).
-
-    H keeps W's single-spin-flip form. The gate comes first: H's flip form
-    is made one spin at a time on a single 2^n row, and
-    MappingPreconditionError is raised when flip_asymmetry finds H not
-    symmetric to SYMMETRY_RTOL, that is when W is not in detailed balance at
-    beta. Then flip_matrix writes W's (diag, off) as one CSR and _rescale
-    scales its entries in place to H's. So the map holds W, H's CSR and a
-    few 2^n vectors, and never reads or caches W.matrix.
-    """
-    if W.n != h0.n:
-        raise ValidationError(f"generator is for n={W.n}, model has n={h0.n}")
     check_beta(beta)
+    rule = canonical_rule(rule)
+    if h0.n > MAX_OPERATOR_SPINS:
+        raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     energies = energy_table(h0)
-    _require_symmetric(flip_asymmetry(W.diag, _mapped_rows(energies, beta, W)),
-                       "; the generator is not in detailed balance at this beta")
-    matrix = flip_matrix(W.diag, W.off)
-    _rescale(matrix, energies, beta / 2)
-    return QuantumHamiltonian(h0.n, matrix)
+    diag = np.zeros_like(energies)
+    off = np.empty((h0.n, energies.size))
+    for j, x in enumerate(off):
+        flip_delta(energies, j, x)
+        diag += flip_rates(x, beta, rule)
+        np.exp(np.abs(x) * (-0.5 * beta), out=x)
+        x /= -(1.0 + x * x) if rule == "heat-bath" else -1.0
+    return QuantumHamiltonian(h0.n, flip_matrix(diag, off))
 
 
 def heat_bath_chain_closed_form(n, beta):
@@ -159,8 +136,8 @@ def heat_bath_chain_closed_form(n, beta):
         H = -(1/2) sum_j sz_j sz_{j+1}
             - (1/(2 cosh 2b)) sum_j (cosh^2 b - sinh^2 b * sz_{j-1} sz_{j+1}) sx_j
 
-    The off-diagonal part agrees entrywise with classical_to_quantum applied
-    to the heat-bath chain generator. The diagonal written above does NOT:
+    The off-diagonal part agrees entrywise with classical_to_quantum of the
+    chain under heat-bath flips. The diagonal written above does NOT:
     the mapped diagonal is n/2 - (tanh 2b / 2) sum_j sz_j sz_{j+1} (a
     constant plus a tanh 2b factor apart). This function materializes the
     formula as stated; callers comparing against the mapped generator should
@@ -196,7 +173,7 @@ def transverse_field_hamiltonian(h0, gamma):
     if h0.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     energies = energy_table(h0)
-    off = np.full((h0.n, energies.size), -float(gamma))
+    off = np.broadcast_to(-float(gamma), (h0.n, energies.size))
     return QuantumHamiltonian(h0.n, flip_matrix(energies, off))
 
 
@@ -251,7 +228,11 @@ def quantum_to_classical(H, tol=1e-12):
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
-    _require_symmetric(relative_asymmetry(H.matrix))
+    asym = relative_asymmetry(H.matrix)
+    if not asym <= SYMMETRY_RTOL:  # a NaN fails
+        raise MappingPreconditionError(
+            f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds {SYMMETRY_RTOL:.1e}"
+        )
     coo = sparse.coo_array(H.matrix)
     off = coo.row != coo.col
     if np.any(coo.data[off] > tol):
@@ -321,9 +302,8 @@ def roundtrip_check(h0, beta, rule="heat-bath"):
         raise ResourceLimitError(
             f"n={h0.n} exceeds the {MAX_ROUNDTRIP_SPINS}-spin round-trip cap"
         )
-    rule = canonical_rule(rule)
     W = build_generator(h0, beta, rule)
-    H = classical_to_quantum(h0, beta, W)
+    H = classical_to_quantum(h0, beta, rule)
     back = quantum_to_classical(H)
 
     expected = beta * dense_coefficients(h0)

@@ -170,7 +170,8 @@ def _lattice_coefficients(n, lattice):
     h_field = _number(lattice.get("h", 0.0), "lattice h")
     if kind == "chain":
         size = lattice.get("size", [n])
-        if not isinstance(size, list) or len(size) != 1 or size[0] != n:
+        if (not isinstance(size, list) or len(size) != 1 or not _is_integer(size[0])
+                or size[0] != n):
             raise ValidationError(f"chain size {size} inconsistent with n={n}")
         return chain(n, periodic=periodic, coupling=coupling, field_h=h_field).coeffs
     if kind == "grid":

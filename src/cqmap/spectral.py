@@ -25,7 +25,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import io as cqio
-from .dynamics import build_generator, relaxation_time
+from .dynamics import relaxation_time
 from .errors import ConvergenceError, NumericalError, ResourceLimitError, ValidationError
 from .mapping import classical_to_quantum
 from .model import MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, build_model, gibbs_distribution
@@ -307,7 +307,7 @@ def gap_scaling_sweep(family, sizes, beta, rule="heat-bath"):
         n = description["n"]
         try:
             h0 = build_model(description)
-            H = classical_to_quantum(h0, beta, build_generator(h0, beta, rule))
+            H = classical_to_quantum(h0, beta, rule)
             spec = extreme_eigenpairs(H, k=2, known=np.sqrt(gibbs_distribution(h0, beta).p))
             tau = relaxation_time(spec)
             rows.append(SweepRow(n, spec.gap, tau, spec.method,

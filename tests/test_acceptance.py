@@ -21,7 +21,7 @@ def criterion(number, ok, detail):
 
 
 def mapped(h0, beta, rule="heat-bath"):
-    return cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta, rule))
+    return cq.classical_to_quantum(h0, beta, rule)
 
 
 def test_criterion_1_closed_form_anchor():
@@ -66,7 +66,7 @@ def test_criterion_2_spectrum_sharing():
         beta = betas[trial % 3]
         rule = rules[trial % 2]
         W = cq.build_generator(h0, beta, rule)
-        H = cq.classical_to_quantum(h0, beta, W)
+        H = cq.classical_to_quantum(h0, beta, rule)
         hvals = np.sort(np.linalg.eigvalsh(H.matrix.toarray()))
         wvals = np.sort(scipy.linalg.eigvals(-W.matrix.toarray()).real)
         worst = max(worst, float(np.abs(hvals - wvals).max()))

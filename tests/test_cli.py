@@ -1,12 +1,13 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cqmap.cli import dispatch
+from cqmap.cli import dispatch, main
 from cqmap.mapping import read_hamiltonian
 from cqmap.spectral import fit_json, fit_scaling, gap_scaling_sweep
 
@@ -123,7 +124,7 @@ def test_map_c2q_rejects_invalid_beta(chain4, tmp_path, beta):
 
 def test_map_c2q_gates_on_symmetry_not_flux(tmp_path):
     # Heat-bath rates at beta*dE ~ 25 lose relative accuracy, so the flux
-    # residual of W is 3e-8; the mapped H is still symmetric to 5e-13.
+    # residual of W is 3e-8; the mapped H is exactly symmetric.
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"n": 10, "lattice": {"kind": "grid", "size": [2, 5],
                                                      "J": 1.0, "h": 0.1}}))
@@ -202,6 +203,28 @@ def test_malformed_coordinate_file_is_validation_error(tmp_path, text):
     outcome = run(["spectrum", "dense", "--hamiltonian", str(ham), "--out", str(out)])
     assert outcome.exit_code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("size, code, message", [
+    ("2 2 999999999999", 1, "do not fit a 2x2 matrix"),
+    ("33554432 33554432 0", 3, "exceeds the 2^24 cap"),
+    ("1073741824 1073741824 5", 3, "exceeds the 2^24 cap"),
+], ids=["too-many-entries", "25-spins", "30-spins"])
+@pytest.mark.parametrize("command", [["map", "q2c"], ["spectrum", "dense"],
+                                     ["spectrum", "iterative", "--k", "2"]],
+                         ids=["q2c", "dense", "iterative"])
+def test_coordinate_size_line_is_checked_before_allocation(tmp_path, command, size, code,
+                                                           message):
+    ham = tmp_path / "big.txt"
+    ham.write_text(f"%%sparse-coordinate real\n{size}\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    outcome = run([*command, "--hamiltonian", str(ham), "--out", str(out)])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert outcome.exit_code == code, outcome.diagnostics
+    assert message in outcome.diagnostics and not out.exists()
+    assert peak < 1 << 20  # nothing of the promised size was allocated
 
 
 # --------------------------------------------------------------- spectrum group
@@ -424,11 +447,13 @@ def test_malformed_model_and_csv_are_validation_errors(tmp_path, command, text):
     ({"kind": "chain", "size": [4], "periodic": "false"}, "periodic must be true or false"),
     ({"kind": "chain", "size": [4], "periodic": 0}, "periodic must be true or false"),
     ({"kind": "chain", "size": [4], "periodic": None}, "periodic must be true or false"),
+    ({"kind": "chain", "size": [4.0]}, "chain size [4.0] inconsistent with n=4"),
 ], ids=["grid-negative-sides", "grid-negative-square", "grid-periodic-str",
-        "chain-periodic-str", "chain-periodic-int", "chain-periodic-null"])
+        "chain-periodic-str", "chain-periodic-int", "chain-periodic-null", "chain-size-float"])
 def test_model_coeffs_refuses_bad_lattice(tmp_path, lattice, message):
     # Negative sides multiply to n and built an empty model; bool("false")
-    # built a periodic chain. Both wrote a coefficient file and exited 0.
+    # built a periodic chain; a chain size of 4.0 equals n=4. All wrote a
+    # coefficient file and exited 0.
     path, out = tmp_path / "model.json", tmp_path / "coeffs.csv"
     path.write_text(json.dumps({"n": 4, "lattice": lattice}))
     outcome = run(["model", "coeffs", "--model", str(path), "--out", str(out)])
@@ -452,6 +477,22 @@ def test_nonzero_exit_names_failing_operation(tmp_path):
     outcome = run(["model", "validate", "--model", str(tmp_path / "absent.json")])
     assert outcome.exit_code == 1
     assert "model validate" in outcome.diagnostics
+
+
+def test_main_prints_success_to_stdout_and_failures_to_stderr(chain4, tmp_path, capsys):
+    assert main(["model", "validate", "--model", chain4]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("model ok: n=4") and err == ""
+
+    assert main(["model", "validate", "--model", str(tmp_path / "absent.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "model validate" in err
+
+    big = tmp_path / "big.txt"
+    big.write_text("%%sparse-coordinate real\n33554432 33554432 0\n")
+    assert main(["map", "q2c", "--hamiltonian", str(big), "--out", str(tmp_path / "r")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the 2^24 cap" in err
 
 
 def test_outputs_byte_identical_across_runs(chain4, tmp_path):

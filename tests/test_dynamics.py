@@ -452,7 +452,7 @@ def test_continuous_extension_ends_on_the_step():
 def test_asymptotic_decay_rate_matches_lambda1():
     h0 = cq.chain(4)
     beta = 0.7
-    H = classical_to_quantum(h0, beta, cq.build_generator(h0, beta))
+    H = classical_to_quantum(h0, beta)
     lam1 = dense_spectrum(H).eigenvalues[1]
     provider = cq.constant_provider(h0, beta)
     p0 = np.zeros(16)
@@ -468,8 +468,7 @@ def test_asymptotic_decay_rate_matches_lambda1():
 # -------------------------------------------------------------- relaxation_time
 
 def test_relaxation_time_free_spin():
-    W = cq.build_generator(cq.ClassicalHamiltonian(1, {}), 1.0)
-    H = classical_to_quantum(cq.ClassicalHamiltonian(1, {}), 1.0, W)
+    H = classical_to_quantum(cq.ClassicalHamiltonian(1, {}), 1.0)
     assert cq.relaxation_time(dense_spectrum(H)) == 1.0
 
 
@@ -477,7 +476,7 @@ def test_relaxation_time_two_spin_dense_oracle():
     h0 = cq.build_model({"n": 2, "terms": [{"sites": [0, 1], "J": 1}]})
     W = cq.build_generator(h0, 1.0)
     lam = np.sort(np.linalg.eigvals(-W.matrix.toarray()).real)
-    H = classical_to_quantum(h0, 1.0, W)
+    H = classical_to_quantum(h0, 1.0)
     tau = cq.relaxation_time(dense_spectrum(H))
     assert abs(tau - 1.0 / lam[1]) < 1e-10 * tau
 

@@ -1,5 +1,5 @@
+import decimal
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,15 +7,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.special import expit
 
 import cqmap as cq
 from cqmap import mapping
-from cqmap.dynamics import GeneratorMatrix, relative_asymmetry
+from cqmap.dynamics import relative_asymmetry
 from cqmap.errors import (
     DegenerateGroundStateError,
     MappingPreconditionError,
     NonStoquasticError,
     ReducibleOperatorError,
+    ResourceLimitError,
     ValidationError,
 )
 from cqmap.mapping import read_hamiltonian, write_hamiltonian
@@ -68,8 +70,7 @@ def tfim_dense_oracle(n, gamma, coupling=1.0, periodic=True):
 
 def test_free_spin_maps_to_half_i_minus_sx():
     m1 = cq.ClassicalHamiltonian(1, {})
-    W = cq.build_generator(m1, 1.0)
-    H = cq.classical_to_quantum(m1, 1.0, W)
+    H = cq.classical_to_quantum(m1, 1.0)
     assert np.abs(H.matrix.toarray() - [[0.5, -0.5], [-0.5, 0.5]]).max() < 1e-15
     vals = np.linalg.eigvalsh(H.matrix.toarray())
     assert np.abs(vals - [0.0, 1.0]).max() < 1e-14
@@ -78,7 +79,7 @@ def test_free_spin_maps_to_half_i_minus_sx():
 def test_chain_offdiagonals_take_two_closed_form_values():
     beta = 1.0
     h0 = cq.chain(4)
-    H = cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta))
+    H = cq.classical_to_quantum(h0, beta)
     coo = H.matrix.tocoo()
     off = coo.data[coo.row != coo.col]
     aligned = -1.0 / (2.0 * np.cosh(2.0 * beta))
@@ -91,7 +92,7 @@ def test_chain_offdiagonals_take_two_closed_form_values():
 def test_mapped_spectrum_equals_generator_spectrum(rng):
     h0 = random_model(rng, 3)
     W = cq.build_generator(h0, 0.7, "metropolis")
-    H = cq.classical_to_quantum(h0, 0.7, W)
+    H = cq.classical_to_quantum(h0, 0.7, "metropolis")
     hvals = np.sort(np.linalg.eigvalsh(H.matrix.toarray()))
     wvals = np.sort(scipy.linalg.eigvals(-W.matrix.toarray()).real)
     assert np.abs(hvals - wvals).max() < 1e-8
@@ -103,64 +104,8 @@ def test_mapped_spectrum_equals_generator_spectrum(rng):
 def test_mapped_matrix_is_symmetric(rng):
     for n, beta, rule in [(4, 0.3, "heat-bath"), (5, 1.2, "metropolis")]:
         h0 = random_model(rng, n)
-        H = cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta, rule))
-        A = H.matrix.toarray()
-        assert np.abs(A - A.T).max() <= 1e-12
-
-
-def test_detailed_balance_precondition_enforced():
-    h0 = cq.chain(3)
-    W_wrong_temp = cq.build_generator(h0, 0.5)
-    with pytest.raises(MappingPreconditionError):
-        cq.classical_to_quantum(h0, 1.0, W_wrong_temp)
-
-
-def off_balance_in_a_rare_state():
-    """chain(4) at beta=3 whose flip out of state 5 (spin 0, to state 4) is
-    1e-6 too fast, with the diagonal keeping its column sum at zero."""
-    h0, beta = cq.chain(4), 3.0
-    W = cq.build_generator(h0, beta)
-    diag, off = W.diag.copy(), W.off.copy()
-    delta = off[0, 5] * 1e-6  # W[4, 5]
-    off[0, 5] += delta
-    diag[5] -= delta
-    return h0, beta, GeneratorMatrix(W.rule, beta, diag, off)
-
-
-def test_c2q_rejects_generator_off_balance_in_a_rare_state():
-    # State 5 has E=4, Gibbs weight ~1e-5 at beta=3. The flux residual stays
-    # at 1.5e-12, but the mapped H is nonsymmetric at 6e-10, so c2q itself
-    # must refuse it.
-    h0, beta, W = off_balance_in_a_rare_state()
-    report = cq.verify_dynamics(W, cq.gibbs_distribution(h0, beta))
-    assert report.detailed_balance_residual < 1e-10
-    with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
-        cq.classical_to_quantum(h0, beta, W)
-
-
-@pytest.mark.parametrize("case", ["random", "rare state"])
-def test_c2q_gate_equals_relative_asymmetry_of_the_csr(rng, monkeypatch, case):
-    # The general CSR kernel, run on W's CSR, is the oracle: c2q's output and
-    # its in-place asymmetry must both match it bit for bit.
-    if case == "random":
-        h0, beta = random_model(rng, 5), 0.9
-        W = cq.build_generator(h0, beta, "metropolis")
-    else:
-        h0, beta, W = off_balance_in_a_rare_state()
-    oracle = mapping._conjugate(W.matrix, cq.energy_table(h0), beta / 2)
-    seen = []
-    gate = mapping._require_symmetric
-    monkeypatch.setattr(mapping, "_require_symmetric",
-                        lambda asym, hint="": gate(seen.append(asym) or asym, hint))
-    if case == "random":
-        H = cq.classical_to_quantum(h0, beta, W)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(H.matrix, name), getattr(oracle, name))
-    else:
-        with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
-            cq.classical_to_quantum(h0, beta, W)
-    assert seen == [relative_asymmetry(oracle)]
-    assert (seen[0] > mapping.SYMMETRY_RTOL) == (case == "rare state")
+        A = cq.classical_to_quantum(h0, beta, rule).matrix.toarray()
+        assert np.array_equal(A, A.T)
 
 
 def test_c2q_of_a_flip_generator_needs_neither_csr_kernel(monkeypatch):
@@ -170,74 +115,61 @@ def test_c2q_of_a_flip_generator_needs_neither_csr_kernel(monkeypatch):
     monkeypatch.setattr(mapping, "_conjugate", refuse)
     monkeypatch.setattr(mapping, "relative_asymmetry", refuse)
     h0 = cq.chain(5, field_h=0.2)
-    H = cq.classical_to_quantum(h0, 0.6, cq.build_generator(h0, 0.6))
+    H = cq.classical_to_quantum(h0, 0.6)
     assert H.matrix.nnz == 6 * 32
 
 
-@pytest.mark.parametrize("where", ["off", "diag"])
-def test_c2q_rejects_nan_generator_entry(where):
-    h0, beta = cq.chain(4), 1.0
-    W = cq.build_generator(h0, beta)
-    if where == "off":
-        W.off[0, 5] = np.nan
-    else:
-        W.diag[5] = np.nan
-    with pytest.raises(MappingPreconditionError, match="= nan exceeds"):
-        cq.classical_to_quantum(h0, beta, W)
-
-
 def test_c2q_allocates_little_beyond_its_result():
-    # No second n x 2^n array beside W's: H's CSR is written once and scaled
-    # in place, and the gate makes one 2^n row at a time.
+    # No generator: the map holds one n x 2^n flip array, H's CSR, and less
+    # than half a flip array of temporaries (flip_matrix's blocks and a few
+    # 2^n vectors).
     n, beta = 16, 0.44
     h0 = cq.chain(n)
-    W = cq.build_generator(h0, beta)
     tracemalloc.start()
-    H = cq.classical_to_quantum(h0, beta, W)
+    H = cq.classical_to_quantum(h0, beta)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     csr = sum(getattr(H.matrix, name).nbytes for name in ("data", "indices", "indptr"))
-    assert peak <= csr + 0.5 * n * (1 << n) * 8
-    assert W._matrix is None  # W's CSR is neither built nor cached
+    assert peak <= csr + 1.5 * n * (1 << n) * 8
+
+
+def dense_mapped_oracle(h0, beta, rule):
+    """-diag(a) W diag(a)^-1 with a = exp(beta E / 2) and W built densely from
+    the definition on the naive energy table: rate 1/(1 + exp(x)) (expit, no
+    cancellation) or min(1, exp(-x)) at x = beta dE."""
+    energies = naive_energy_table(h0)
+    dim = energies.size
+    W = np.zeros((dim, dim))
+    for j in range(h0.n):
+        s = np.arange(dim)
+        x = beta * (energies[s ^ (1 << j)] - energies)
+        W[s ^ (1 << j), s] = expit(-x) if rule == "heat-bath" else np.exp(np.minimum(0.0, -x))
+    W -= np.diag(W.sum(axis=0))
+    a = np.exp(0.5 * beta * energies)
+    return -(a[:, None] * W) / a[None, :]
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
        rule=st.sampled_from(["heat-bath", "metropolis"]),
-       beta=st.floats(0.0, 3.0),
-       imbalance=st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)),
-       where=st.integers(0, 2**12 - 1))
-def test_c2q_is_the_csr_kernel_on_random_models(seed, n, rule, beta, imbalance, where):
-    # Oracle: the general CSR kernel on W's CSR. c2q's H and the gate value it
-    # hands _require_symmetric must both match it bit for bit, also when one
-    # flip rate is off balance (its column sum kept at zero).
+       beta=st.floats(0.0, 3.0))
+def test_c2q_is_the_closed_form_on_random_models(seed, n, rule, beta):
+    # H is exactly symmetric, its diagonal is the generator's bit for bit,
+    # and its flip entries are the dense similarity of W to roundoff.
     h0 = random_model(np.random.default_rng(seed), n)
-    W = cq.build_generator(h0, beta, rule)
-    j, s = where % n, where % (1 << n)
-    delta = W.off[j, s] * imbalance
-    W.off[j, s] += delta
-    W.diag[s] -= delta
-    oracle = mapping._conjugate(W.matrix, cq.energy_table(h0), beta / 2)
-    expected = relative_asymmetry(oracle)
-    seen = []
-    gate = mapping._require_symmetric
-    with mock.patch.object(mapping, "_require_symmetric",
-                           lambda asym, hint="": gate(seen.append(asym) or asym, hint)):
-        if expected <= mapping.SYMMETRY_RTOL:
-            H = cq.classical_to_quantum(h0, beta, W)
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(H.matrix, name), getattr(oracle, name))
-        else:
-            with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
-                cq.classical_to_quantum(h0, beta, W)
-    assert seen == [expected]
+    H = cq.classical_to_quantum(h0, beta, rule)
+    assert relative_asymmetry(H.matrix) == 0.0
+    assert np.array_equal(H.matrix.diagonal(), -cq.build_generator(h0, beta, rule).diag)
+    A, expected = H.matrix.toarray(), dense_mapped_oracle(h0, beta, rule)
+    off = ~np.eye(1 << n, dtype=bool)
+    assert np.all(np.abs(A - expected)[off] <= 1e-13 * np.abs(expected)[off])
 
 
 @pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
 def test_c2q_matches_dense_similarity(rng, rule):
     h0, beta = random_model(rng, 4), 0.8
     W = cq.build_generator(h0, beta, rule)
-    H = cq.classical_to_quantum(h0, beta, W)
+    H = cq.classical_to_quantum(h0, beta, rule)
     a = np.exp(0.5 * beta * naive_energy_table(h0))
     expected = -np.diag(a) @ W.matrix.toarray() @ np.diag(1.0 / a)
     assert np.all(np.abs(H.matrix.toarray() - expected) <= 1e-13 * np.abs(expected))
@@ -245,16 +177,48 @@ def test_c2q_matches_dense_similarity(rng, rule):
     assert np.array_equal(H.matrix.indices, W.matrix.indices)
 
 
+@pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
+def test_c2q_entries_match_a_50_digit_oracle(rule):
+    # 2x5 grid, h=0.1, beta=3: x = beta dE reaches 24.6, where heat-bath
+    # rates made through tanh lose about 1e-6 of their value. The closed form
+    # has no cancellation, so each flip entry keeps full precision. The
+    # diagonal sums the generator's rates: exact for Metropolis, within an
+    # absolute roundoff of the largest entry for heat-bath.
+    h0, beta = cq.grid(2, 5, field_h=0.1), 3.0
+    decimal.getcontext().prec = 50
+    coeffs = {mask: decimal.Decimal(c) for mask, c in h0.coeffs.items()}
+    energies = [sum((-c if bin(mask & s).count("1") % 2 else c) for mask, c in coeffs.items())
+                for s in range(1 << h0.n)]
+    b, half, one = decimal.Decimal(beta), decimal.Decimal("0.5"), decimal.Decimal(1)
+    diag = [decimal.Decimal(0)] * len(energies)
+    off = {}
+    for s, e in enumerate(energies):
+        for j in range(h0.n):
+            x = b * (energies[s ^ (1 << j)] - e)
+            u = (-abs(x) * half).exp()
+            off[s ^ (1 << j), s] = -u / (one + u * u) if rule == "heat-bath" else -u
+            diag[s] += one / (one + x.exp()) if rule == "heat-bath" else min(one, (-x).exp())
+    coo = cq.classical_to_quantum(h0, beta, rule).matrix.tocoo()
+    flips = coo.row != coo.col
+    exact = np.array([float(off[r, c]) for r, c in zip(coo.row[flips], coo.col[flips])])
+    assert np.all(np.abs(coo.data[flips] - exact) <= 1e-14 * np.abs(exact))
+    exact_diag = np.array([float(d) for d in diag])
+    got = coo.data[~flips][np.argsort(coo.row[~flips])]
+    bound = 1e-14 * (np.abs(exact_diag) if rule == "metropolis" else np.abs(exact_diag).max())
+    assert np.all(np.abs(got - exact_diag) <= bound)
+
+
 @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
 def test_c2q_rejects_invalid_beta(beta):
-    h0 = cq.chain(3)
     with pytest.raises(ValidationError, match="beta must be finite"):
-        cq.classical_to_quantum(h0, beta, cq.build_generator(h0, 1.0))
+        cq.classical_to_quantum(cq.chain(3), beta)
 
 
-def test_c2q_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        cq.classical_to_quantum(cq.chain(3), 1.0, cq.build_generator(cq.chain(4), 1.0))
+def test_c2q_refuses_an_unknown_rule_and_too_many_spins():
+    with pytest.raises(ValidationError, match="unknown flip rule"):
+        cq.classical_to_quantum(cq.chain(3), 1.0, "kawasaki")
+    with pytest.raises(ResourceLimitError, match="25-spin|24-spin"):
+        cq.classical_to_quantum(cq.ClassicalHamiltonian(25, {1: 1.0}), 1.0)
 
 
 # ------------------------------------------------------ heat_bath_chain_closed_form
@@ -285,7 +249,7 @@ def test_closed_form_offdiagonal_matches_mapped_generator():
     for n in (4, 5):
         for beta in (0.3, 1.0):
             h0 = cq.chain(n)
-            mapped = cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta))
+            mapped = cq.classical_to_quantum(h0, beta)
             closed = cq.heat_bath_chain_closed_form(n, beta)
             diff = np.abs(mapped.matrix.toarray() - closed.matrix.toarray())
             np.fill_diagonal(diff, 0.0)
@@ -297,7 +261,7 @@ def test_mapped_diagonal_follows_derived_form_not_printed_form():
     # from the closed form's -(1/2) sum sz sz by a constant and a tanh factor
     n, beta = 4, 1.0
     h0 = cq.chain(n)
-    mapped = cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta))
+    mapped = cq.classical_to_quantum(h0, beta)
     bond_sum = -cq.energy_table(h0)  # sum sz sz = -E for the pure chain
     derived = n / 2.0 - np.tanh(2.0 * beta) / 2.0 * bond_sum
     printed = -0.5 * bond_sum
@@ -317,7 +281,7 @@ def test_ground_state_of_free_spin_map():
 def test_ground_state_of_mapped_chain_is_gibbs_amplitude():
     beta = 1.0
     h0 = cq.chain(4)
-    H = cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta))
+    H = cq.classical_to_quantum(h0, beta)
     gs = cq.ground_state(H)
     expected = np.exp(-beta * cq.energy_table(h0) / 2.0)
     expected /= np.linalg.norm(expected)
@@ -458,6 +422,19 @@ def test_transverse_field_hamiltonian_matches_kronecker_oracle(n, periodic):
     assert np.array_equal(H.matrix.toarray(), tfim_dense_oracle(n, 0.7, periodic=periodic))
 
 
+def test_transverse_field_hamiltonian_allocates_little_beyond_its_result():
+    # The field is one broadcast value, not an n x 2^n array: beside H's CSR
+    # the build holds the energies and flip_matrix's blocks.
+    n = 16
+    h0 = cq.chain(n)
+    tracemalloc.start()
+    H = cq.transverse_field_hamiltonian(h0, 1.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    csr = sum(getattr(H.matrix, name).nbytes for name in ("data", "indices", "indptr"))
+    assert peak <= csr + 6 * (1 << n) * 8
+
+
 def test_q2c_generator_is_valid_dynamics(rng):
     h0 = random_model(rng, 3)
     H = cq.transverse_field_hamiltonian(h0, 0.8)
@@ -563,7 +540,7 @@ def test_roundtrip_metropolis(rng):
 
 def test_hamiltonian_coordinate_roundtrip(tmp_path):
     h0 = cq.chain(3)
-    H = cq.classical_to_quantum(h0, 0.9, cq.build_generator(h0, 0.9))
+    H = cq.classical_to_quantum(h0, 0.9)
     path = tmp_path / "h.txt"
     write_hamiltonian(H, path)
     back = read_hamiltonian(path)

@@ -55,6 +55,14 @@ def test_lattice_description_merges_with_terms():
     assert len(h0.coeffs) == 5
 
 
+@pytest.mark.parametrize("size", [[True], [1.0]])
+def test_chain_size_must_be_an_integer(size):
+    # True == 1 and 1.0 == 1 in Python; a grid's sides are refused alike.
+    with pytest.raises(ValidationError, match="chain size"):
+        cq.build_model({"n": 1, "lattice": {"kind": "chain", "size": size}})
+    assert cq.build_model({"n": 1, "lattice": {"kind": "chain", "size": [1]}}).n == 1
+
+
 def test_grid_2x2_periodic_doubles_bonds():
     h0 = cq.grid(2, 2)
     # 2x2 periodic: every nearest-neighbour pair is doubly bonded

@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy import sparse
 
 import cqmap as cq
-from cqmap import spectral
+from cqmap import mapping, spectral
 from cqmap.errors import NumericalError, ResourceLimitError, ValidationError
 from cqmap.spectral import (
     fit_json,
@@ -19,7 +19,7 @@ from conftest import random_model
 
 
 def mapped(h0, beta, rule="heat-bath"):
-    return cq.classical_to_quantum(h0, beta, cq.build_generator(h0, beta, rule))
+    return cq.classical_to_quantum(h0, beta, rule)
 
 
 def mapped_chain(n, beta, rule="heat-bath"):
@@ -84,7 +84,7 @@ def test_extreme_uses_arpack_beyond_fallback_dim():
 def test_extreme_random_instances_match_dense(rng):
     for n in (5, 6):
         h0 = random_model(rng, n)
-        H = cq.classical_to_quantum(h0, 0.8, cq.build_generator(h0, 0.8))
+        H = cq.classical_to_quantum(h0, 0.8)
         dense = cq.dense_spectrum(H)
         extreme = cq.extreme_eigenpairs(H, k=3)
         assert np.abs(extreme.eigenvalues - dense.eigenvalues[:3]).max() < 1e-8
@@ -127,7 +127,7 @@ def test_extreme_validates_k():
 
 def test_extreme_nonconvergence_carries_partial_results():
     h0 = cq.grid(3, 3)
-    H = cq.classical_to_quantum(h0, 0.44, cq.build_generator(h0, 0.44))
+    H = cq.classical_to_quantum(h0, 0.44)
     with pytest.raises(cq.ConvergenceError) as excinfo:
         cq.extreme_eigenpairs(H, k=2, max_iter=1)
     assert excinfo.value.eigenvalues is not None
@@ -161,7 +161,7 @@ def test_deflated_cap_reports_the_best_ritz_pair_on_H():
 
 def test_extreme_on_sixteen_spin_mapped_grid():
     h0 = cq.grid(4, 4)  # dim 65536, near-critical temperature
-    H = cq.classical_to_quantum(h0, 0.44, cq.build_generator(h0, 0.44))
+    H = cq.classical_to_quantum(h0, 0.44)
     result = cq.extreme_eigenpairs(H, k=2)
     assert result.method == "iterative"
     assert abs(result.eigenvalues[0]) <= 1e-10
@@ -312,32 +312,46 @@ def test_sweep_row_with_wrong_known_vector_is_an_error(monkeypatch):
 
 
 def test_sweep_row_with_unresolved_gap_is_an_error():
-    # 3x3 field grid at beta=3: Krylov returns lambda_1 - lambda_0 ~ 1e-14
-    # with residuals ~ 1e-12, which must not become tau ~ 1e14.
+    # 3x3 field grid at beta=3: lambda_1 ~ 6e-17 is below double precision;
+    # Lanczos returns lambda_1 - lambda_0 ~ 1e-15 with residuals ~ 1e-15,
+    # which must not become tau ~ 1e15.
     row = cq.gap_scaling_sweep({"kind": "grid", "h": 0.1}, [3], 3.0)[0]
     assert row.method == "error"
     assert "not resolved" in row.error
     assert np.isnan(row.tau)
 
 
+def tanh_rounded_mapped(h0, beta):
+    """-diag(a) W diag(a)^-1 of the heat-bath generator's CSR, a = exp(beta E / 2).
+
+    Its rates are rounded through tanh, so entries whose beta dE is large
+    carry relative errors up to 1e-6; on the 3x3 field grid at beta=3 the
+    deflated lambda_1 solve then runs over 2000 Lanczos steps without
+    resolving the gap (the closed-form map takes about 50).
+    """
+    W = cq.build_generator(h0, beta).matrix
+    return cq.QuantumHamiltonian(h0.n, mapping._conjugate(W, cq.energy_table(h0), beta / 2))
+
+
 def test_slow_deflated_solve_tests_convergence_sparsely(monkeypatch):
-    # The unresolved 3x3 row above runs over 2000 Lanczos steps, and each
-    # test solves the whole tridiagonal matrix. Every step is tested up to
-    # 256, then steps m // 32 apart; the cap is always tested.
+    # Each convergence test solves the whole tridiagonal matrix. Every step
+    # is tested up to 256, then steps m // 32 apart; the cap is always tested.
     sizes = []
     solve = scipy.linalg.eigh_tridiagonal
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
                         lambda d, e, **kw: sizes.append(len(d)) or solve(d, e, **kw))
-    row = cq.gap_scaling_sweep({"kind": "grid", "h": 0.1}, [3], 3.0)[0]
-    assert "not resolved" in row.error
+    h0 = cq.grid(3, 3, field_h=0.1)
+    H = tanh_rounded_mapped(h0, 3.0)
+    spec = cq.extreme_eigenpairs(H, k=2, known=sqrt_peq(h0, 3.0))
+    with pytest.raises(NumericalError, match="not resolved"):
+        cq.relaxation_time(spec)
     assert sizes[:256] == list(range(1, 257))
     assert [b - a for a, b in zip(sizes[255:], sizes[256:])] == [m // 32 for m in sizes[255:-1]]
     assert sizes[-1] > 2000 and len(sizes) < 350
 
     sizes.clear()
-    h0 = cq.grid(3, 3, field_h=0.1)
     with pytest.raises(cq.ConvergenceError, match="in 300 steps"):
-        cq.extreme_eigenpairs(mapped(h0, 3.0), k=2, max_iter=300, known=sqrt_peq(h0, 3.0))
+        cq.extreme_eigenpairs(H, k=2, max_iter=300, known=sqrt_peq(h0, 3.0))
     assert sizes[-1] == 300 and sizes[-2] == 297  # 288 + 288 // 32
 
 
@@ -346,7 +360,7 @@ def test_sweep_row_of_field_grid_matches_dense_gap():
     # with the grid's symmetries returns it as lambda_0.
     row = cq.gap_scaling_sweep({"kind": "grid", "h": 0.1}, [3], 1.0)[0]
     h0 = cq.grid(3, 3, field_h=0.1)
-    H = cq.classical_to_quantum(h0, 1.0, cq.build_generator(h0, 1.0))
+    H = cq.classical_to_quantum(h0, 1.0)
     lam1 = np.linalg.eigvalsh(H.dense())[1]
     assert row.method != "error"
     assert abs(row.gap - lam1) <= 1e-10
