@@ -468,6 +468,9 @@ def dispatch(argv):
         return CommandOutcome(EXIT_VALIDATION, None, f"{opname}: {exc}")
     except ResourceLimitError as exc:
         return CommandOutcome(EXIT_RESOURCE, None, f"{opname}: {exc}")
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        return CommandOutcome(EXIT_RESOURCE, None, f"{opname}: out of memory{detail}")
     except CqmapError as exc:
         return CommandOutcome(EXIT_NUMERICAL, None, f"{opname}: {exc}")
     except OSError as exc:

@@ -79,20 +79,20 @@ def canonical_rule(rule):
         ) from None
 
 
+@dataclass
 class GeneratorMatrix:
     """Single-spin-flip master-equation generator at a flip rule and temperature.
 
     Held as ``diag`` plus ``off[j, s]`` at ``(s ^ (1 << j), s)``, the flip rate
     of spin j out of configuration s. Its CSR ``matrix`` is built by
-    flip_matrix on first read and cached.
+    flip_matrix on every read and not kept; the library computes W @ x with
+    flip_apply instead.
     """
 
-    def __init__(self, rule, beta, diag, off):
-        self.rule = rule
-        self.beta = beta
-        self.diag = diag
-        self.off = off
-        self._matrix = None
+    rule: str
+    beta: float
+    diag: np.ndarray   # (2^n,)
+    off: np.ndarray    # (n, 2^n)
 
     @property
     def n(self):
@@ -100,9 +100,7 @@ class GeneratorMatrix:
 
     @property
     def matrix(self):
-        if self._matrix is None:
-            self._matrix = flip_matrix(self.diag, self.off)
-        return self._matrix
+        return flip_matrix(self.diag, self.off)
 
 
 def flipped(x, j):
@@ -194,6 +192,21 @@ def flip_matrix(diag, off):
     return sparse.csr_array((data, indices, indptr), shape=(dim, dim))
 
 
+def flip_apply(diag, off, x):
+    """flip_matrix(diag, off) @ x with no matrix built.
+
+    Each spin's flips ``off[j] * x`` land at ``s ^ (1 << j)`` through a
+    flipped view. They are added from 0 in spin order, the rounding of a sum
+    over axis 0, and ``diag * x`` comes last; one n x 2^n temporary.
+    """
+    moved = off * x[None, :]
+    out = np.zeros_like(x)
+    for j, row in enumerate(moved):
+        out.reshape(-1, 2, 1 << j)[...] += flipped(row, j)
+    out += diag * x
+    return out
+
+
 def flip_rates(delta_e, beta, rule, out=None):
     """Flip rate of every entry of an energy-change array ``delta_e``, such as
     a flip table's (n, 2^n) ``delta_e`` or one row of it.
@@ -221,7 +234,7 @@ def _generator(delta_e, beta, rule, out=None):
 
 def build_generator(h0, beta, rule="heat-bath"):
     """Single-spin-flip generator at fixed inverse temperature, kept as
-    ``(diag, off)``; its CSR ``matrix`` is built on first read.
+    ``(diag, off)``; its CSR ``matrix`` is built on each read.
 
     The rates are made in place in the dE array of a flip table of its own,
     so the build holds one n x 2^n array: off is that array.
@@ -271,9 +284,11 @@ def flip_asymmetry(diag, off):
 def verify_dynamics(W, peq, tol=1e-12):
     """Check probability conservation, detailed balance and stationarity.
 
-    Detailed balance is measured on the flux matrix F = W diag(peq) as
-    flip_asymmetry of its flip form (W.diag * peq, W.off * peq); the column
-    sums and W @ peq are taken on W's CSR, and their residuals are absolute.
+    All three are taken on W's flip form, with no CSR built: the column sums
+    are W.diag + sum_j W.off[j], W @ peq is flip_apply, and detailed balance
+    is measured on the flux matrix F = W diag(peq) as flip_asymmetry of its
+    flip form (W.diag * peq, W.off * peq). The column-sum and stationarity
+    residuals are absolute.
     Failures are reported, not raised; a tol that is NaN, infinite or
     negative raises ValidationError.
     """
@@ -284,10 +299,9 @@ def verify_dynamics(W, peq, tol=1e-12):
         raise ValidationError(
             f"generator dimension {W.diag.size} does not match distribution size {p.size}"
         )
-    M = W.matrix
-    col_resid = float(np.abs(np.asarray(M.sum(axis=0))).max())
+    col_resid = float(np.abs(W.diag + W.off.sum(axis=0)).max())
     db_resid = flip_asymmetry(W.diag * p, W.off * p)
-    stat_resid = float(np.abs(M @ p).max())
+    stat_resid = float(np.abs(flip_apply(W.diag, W.off, p)).max())
     passed = col_resid <= tol and db_resid <= tol and stat_resid <= tol
     return DynamicsReport(col_resid, db_resid, stat_resid, tol, passed)
 
@@ -297,7 +311,7 @@ class GeneratorProvider:
 
     Wraps a model plus beta(t); the generator is rebuilt from the cached
     per-flip dE whenever the requested beta changes, into new rate arrays,
-    so the cached table keeps dE.
+    so the cached table keeps dE. ``apply`` is flip_apply on that generator.
     """
 
     def __init__(self, h0, beta_of_t, rule="heat-bath"):
@@ -318,13 +332,7 @@ class GeneratorProvider:
         W = self._last
         if W is None or W.beta != beta:  # a NaN beta rebuilds every time
             W = self._last = _generator(self.table.delta_e, beta, self.rule)
-        moved = W.off * p[None, :]
-        # Rows are added from 0 in spin order, the rounding of a sum over axis 0.
-        out = np.zeros_like(p)
-        for j, row in enumerate(moved):
-            out.reshape(-1, 2, 1 << j)[...] += flipped(row, j)
-        out += W.diag * p
-        return out
+        return flip_apply(W.diag, W.off, p)
 
     def equilibrium(self, t):
         return gibbs_from_energies(self.n, self.energies, self.beta(t)).p

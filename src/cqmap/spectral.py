@@ -333,7 +333,11 @@ class ScalingFit:
 
 
 def fit_scaling(table):
-    """Least squares on (log N, log tau) and (N, log tau); smaller residual wins."""
+    """Least squares on (log N, log tau) and (N, log tau); smaller residual wins.
+
+    Needs at least three rows, every size >= 1 and at least two distinct
+    sizes, and finite tau > 0; otherwise ValidationError.
+    """
     sizes, taus = [], []
     for row in table:
         if isinstance(row, SweepRow):
@@ -348,6 +352,10 @@ def fit_scaling(table):
     taus = np.asarray(taus, dtype=float)
     if sizes.size < 3:
         raise ValidationError(f"scaling fit needs >= 3 rows, got {sizes.size}")
+    if not np.all(sizes >= 1):
+        raise ValidationError("scaling fit needs a size >= 1 in every row")
+    if np.unique(sizes).size < 2:
+        raise ValidationError("scaling fit needs at least two distinct sizes")
     if np.any(taus <= 0) or not np.all(np.isfinite(taus)):
         raise ValidationError("scaling fit needs finite tau > 0 in every row")
 

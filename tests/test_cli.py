@@ -351,6 +351,21 @@ def test_spectrum_fit_rejects_two_rows(tmp_path):
     assert outcome.exit_code == 1
 
 
+@pytest.mark.parametrize("rows", [
+    ["0,0.1,10", "4,0.05,20", "6,0.02,50"],    # log N is -inf
+    ["-2,0.1,10", "4,0.05,20", "6,0.02,50"],   # log N is NaN
+    ["4,0.1,10", "4,0.05,20", "4,0.02,50"],    # one size: no slope to fit
+])
+def test_spectrum_fit_refuses_sizes_it_cannot_fit(tmp_path, rows):
+    table = tmp_path / "sizes.csv"
+    table.write_text("size,gap,tau\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "fit.json"
+    outcome = run(["spectrum", "fit", "--table", str(table), "--out", str(out)])
+    assert outcome.exit_code == 1, outcome.diagnostics
+    assert "size" in outcome.diagnostics
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- anneal group
 
 def test_anneal_sa_qa_compare(chain4, tmp_path):
@@ -398,6 +413,24 @@ def test_anneal_sa_refuses_logarithmic_rate_that_overflows(chain4, tmp_path):
                    "--out", str(tmp_path / "x.csv")])
     assert outcome.exit_code == 1, outcome.diagnostics
     assert "finite alpha * horizon" in outcome.diagnostics
+
+
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "evolve", "--beta", "1", "--t-final", "1",
+     "--points", "1000000000000000"],
+    ["anneal", "sa", "--c0", "0.1", "--c1", "2", "--horizon", "10",
+     "--steps", "1000000000000000"],
+])
+def test_request_beyond_the_address_space_is_out_of_memory(tmp_path, argv):
+    # 10^15 doubles exceed the address space, so the allocation fails at
+    # once without touching memory.
+    model = tmp_path / "chain2.json"
+    model.write_text(json.dumps({"n": 2, "lattice": {"kind": "chain", "size": [2]}}))
+    out = tmp_path / "x.csv"
+    outcome = run(argv + ["--model", str(model), "--out", str(out)])
+    assert outcome.exit_code == 3, outcome.diagnostics
+    assert "out of memory" in outcome.diagnostics
+    assert not out.exists()
 
 
 def test_anneal_qa_refuses_horizon_beyond_substep_cap(chain4, tmp_path):

@@ -10,6 +10,7 @@ from cqmap.dynamics import (
     _DP_A,
     _DP_P,
     GeneratorProvider,
+    flip_apply,
     flip_asymmetry,
     flip_matrix,
     flip_table,
@@ -126,13 +127,6 @@ def test_flip_matrix_matches_coo_assembly(rng, n):
         assert np.array_equal(getattr(M, name), getattr(oracle, name))
 
 
-def test_generator_matrix_is_built_once_from_its_flip_form():
-    W = cq.build_generator(cq.chain(4), 0.7)
-    assert W.off.shape == (4, 16)
-    assert W.matrix is W.matrix
-    assert np.array_equal(W.matrix.diagonal(), W.diag)
-
-
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_flip_table_delta_e_matches_xor_index(rng, n):
     h0 = random_model(rng, n)
@@ -161,6 +155,11 @@ def test_provider_apply_matches_csr_generator(rng, n, rule, beta):
     p /= p.sum()
     out = cq.constant_provider(h0, beta, rule).apply(0.0, p)
     assert np.abs(out - cq.build_generator(h0, beta, rule).matrix @ p).max() <= 1e-14
+    # The provider's product, flip_apply, on flip arrays that are not
+    # generators: signed entries and columns that do not sum to zero.
+    diag, off = rng.standard_normal(1 << n), rng.standard_normal((n, 1 << n))
+    x = rng.standard_normal(1 << n)
+    assert np.abs(flip_apply(diag, off, x) - flip_matrix(diag, off) @ x).max() <= 1e-14
 
 
 # -------------------------------------------------------------- verify_dynamics
@@ -220,18 +219,30 @@ def test_flip_asymmetry_is_relative_asymmetry_of_the_flip_matrix(rng):
 
 
 def test_verify_allocates_little_beyond_its_generator():
-    # No W diag(p), transpose or difference matrix: the peak stays within two
-    # arrays of (n + 1) 2^n doubles.
-    h0, beta = cq.chain(14), 0.44
+    # No CSR of W, W diag(p), transpose or difference matrix: the peak stays
+    # within one flip array of n 2^n doubles plus a few vectors.
+    n, beta = 14, 0.44
+    h0 = cq.chain(n)
     W = cq.build_generator(h0, beta)
-    W.matrix  # noqa: B018 - CSR prebuilt, as once W has been written or mapped
     peq = cq.gibbs_distribution(h0, beta)
     tracemalloc.start()
     report = cq.verify_dynamics(W, peq)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert report.passed
-    assert peak <= 2 * 15 * (1 << 14) * 8
+    assert peak <= 1.25 * n * (1 << n) * 8
+
+
+def test_verify_builds_no_csr(monkeypatch):
+    def refuse(diag, off):
+        raise AssertionError("verify_dynamics built a CSR matrix")
+
+    monkeypatch.setattr(cq.dynamics, "flip_matrix", refuse)
+    h0 = cq.chain(4)
+    W = cq.build_generator(h0, 1.0)
+    report = cq.verify_dynamics(W, cq.gibbs_distribution(h0, 1.0))
+    assert report.passed
+    assert report.column_sum_residual == 0.0
 
 
 def test_build_generator_allocates_one_flip_array():

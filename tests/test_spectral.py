@@ -406,6 +406,9 @@ def test_fit_rejects_short_or_invalid_tables():
         cq.fit_scaling([(4, 1.0), (8, 2.0)])
     with pytest.raises(ValidationError):
         cq.fit_scaling([(4, 1.0), (8, -2.0), (12, 3.0)])
+    for sizes in [(0, 4, 8), (-2, 4, 8), (4, 4, 4)]:  # size < 1, one distinct size
+        with pytest.raises(ValidationError, match="size"):
+            cq.fit_scaling([(N, float(N) ** 2 + 1.0) for N in sizes])
 
 
 def test_fit_skips_failed_sweep_rows():
