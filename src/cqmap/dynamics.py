@@ -100,7 +100,7 @@ class GeneratorMatrix:
 
     @property
     def matrix(self):
-        return flip_matrix(self.diag, self.off)
+        return flip_matrix(self.n, array_fill(self.diag, self.off))
 
 
 def flipped(x, j):
@@ -153,19 +153,48 @@ def _entry_places(rows, n):
     return places
 
 
-def flip_matrix(diag, off):
-    """CSR matrix with ``diag`` on the diagonal and ``off[j, s]`` at
-    ``(s ^ (1 << j), s)``: the shape of every single-spin-flip operator
-    (generators, mapped, transverse-field and closed-form chain Hamiltonians).
+def read_flipped(x, j, r0, out):
+    """Write ``x[r ^ (1 << j)]`` for the rows r0 <= r < r0 + out.size of an
+    aligned block into ``out``: a flip inside the block, or the partner
+    block's entries in order."""
+    block = out.size
+    if 1 << j < block:
+        out.reshape(-1, 2, 1 << j)[...] = flipped(x[r0:r0 + block], j)
+    else:
+        out[...] = x[r0 ^ (1 << j):][:block]
+
+
+def array_fill(diag, off):
+    """The block fill of flip_matrix for an operator held as arrays: ``diag``
+    on the diagonal and ``off[j, s]`` at ``(s ^ (1 << j), s)``, so row r reads
+    ``off[j, r ^ (1 << j)]``. ``off`` may be a broadcast view."""
+    def fill(r0, values):
+        values[0] = diag[r0:r0 + values.shape[1]]
+        for j, row in enumerate(off):
+            read_flipped(row, j, r0, values[j + 1])
+    return fill
+
+
+def flip_matrix(n, fill):
+    """CSR matrix of an n-spin single-spin-flip operator: a diagonal plus one
+    entry per spin at ``(r, r ^ (1 << j))``, the shape of generators, mapped,
+    transverse-field and closed-form chain Hamiltonians.
+
+    Rows are made in aligned blocks of 4096, whose entries stay in cache:
+    ``fill(r0, values)`` writes the rows r0 <= r < r0 + block into the
+    (n + 1, block) array ``values``, the diagonal in ``values[0]`` and the
+    entry at column r ^ (1 << j) in ``values[j + 1]``. array_fill copies them
+    out of ``(diag, off)``; classical_to_quantum and the closed-form chain
+    compute them from the energies or the spins, so they hold no n x 2^n
+    array.
 
     Written sorted, with int32 indices and no COO or sort: row r holds its
     n + 1 entries at columns r ^ (1 << j) for the set bits j of r in
     descending j, then r itself at place popcount(r), then the unset bits in
-    ascending j. Rows are filled in blocks of 4096, whose entries stay in
-    cache. Places add up across aligned blocks: for a block start r0 and
-    s < 4096, place(r0 + s) = place(s) + place(r0) - place(0).
+    ascending j. Places add up across aligned blocks: for a block start r0
+    and s < 4096, place(r0 + s) = place(s) + place(r0) - place(0).
     """
-    n, dim = off.shape
+    dim = 1 << n
     width = n + 1
     block = min(dim, 1 << 12)
     local = np.arange(block, dtype=np.int32)
@@ -177,14 +206,7 @@ def flip_matrix(diag, off):
     indices = np.empty(width * dim, dtype=np.int32)
     values = np.empty((width, block))
     for r0, shift in zip(starts, shifts.T):
-        values[0] = diag[r0:r0 + block]
-        for j, row in enumerate(off):
-            # Row r holds off[j, r ^ (1 << j)]: a flip inside the block, or
-            # the partner block's entries in order.
-            if 1 << j < block:
-                values[j + 1].reshape(-1, 2, 1 << j)[...] = flipped(row[r0:r0 + block], j)
-            else:
-                values[j + 1] = row[r0 ^ (1 << j):][:block]
+        fill(int(r0), values)
         place = base + shift[:, None]
         data[place] = values
         indices[place] = (local + np.int32(r0)) ^ masks
@@ -193,7 +215,7 @@ def flip_matrix(diag, off):
 
 
 def flip_apply(diag, off, x):
-    """flip_matrix(diag, off) @ x with no matrix built.
+    """flip_matrix(n, array_fill(diag, off)) @ x with no matrix built.
 
     Each spin's flips ``off[j] * x`` land at ``s ^ (1 << j)`` through a
     flipped view. They are added from 0 in spin order, the rounding of a sum
@@ -264,7 +286,8 @@ def relative_asymmetry(matrix):
 
 
 def flip_asymmetry(diag, off):
-    """max|F - F^T| / max|F| of F = flip_matrix(diag, off), with no matrix built.
+    """max|F - F^T| / max|F| of F = flip_matrix(n, array_fill(diag, off)), with
+    no matrix built.
 
     Each off[j, s] at (s ^ (1 << j), s) is compared with its transposed
     partner off[j, s ^ (1 << j)] through a flipped view, one spin at a time;

@@ -27,11 +27,12 @@ from scipy import sparse
 
 from . import io as cqio
 from .dynamics import (
+    array_fill,
     build_generator,
     canonical_rule,
-    flip_delta,
     flip_matrix,
     flip_rates,
+    read_flipped,
     relative_asymmetry,
 )
 from .errors import (
@@ -110,23 +111,29 @@ def classical_to_quantum(h0, beta, rule="heat-bath"):
     it joins, with x = beta (E(s ^ (1 << j)) - E(s)). With u = exp(-|x|/2)
     that is -u / (1 + u^2) = -1/(2 cosh(x/2)) for heat-bath and -u for
     Metropolis, so no beta overflows. Both are even in x, so H is exactly
-    symmetric. The diagonal sums the rule's flip_rates in spin order, which
-    is -W.diag bit for bit. One (n, 2^n) flip array is filled a spin at a
-    time and written as one CSR by flip_matrix.
+    symmetric and row r's entry for spin j is taken at x_j(r). The diagonal
+    sums the rule's flip_rates in spin order, which is -W.diag bit for bit.
+    Each block of flip_matrix's rows is computed from the energies, so the
+    map holds H's CSR, the energies and block-sized temporaries.
     """
     check_beta(beta)
     rule = canonical_rule(rule)
     if h0.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     energies = energy_table(h0)
-    diag = np.zeros_like(energies)
-    off = np.empty((h0.n, energies.size))
-    for j, x in enumerate(off):
-        flip_delta(energies, j, x)
-        diag += flip_rates(x, beta, rule)
-        np.exp(np.abs(x) * (-0.5 * beta), out=x)
+
+    def fill(r0, values):
+        x = values[1:]
+        for j, row in enumerate(x):
+            read_flipped(energies, j, r0, row)
+        x -= energies[r0:r0 + values.shape[1]]
+        flip_rates(x, beta, rule).sum(axis=0, out=values[0])
+        np.abs(x, out=x)
+        x *= -0.5 * beta
+        np.exp(x, out=x)
         x /= -(1.0 + x * x) if rule == "heat-bath" else -1.0
-    return QuantumHamiltonian(h0.n, flip_matrix(diag, off))
+
+    return QuantumHamiltonian(h0.n, flip_matrix(h0.n, fill))
 
 
 def heat_bath_chain_closed_form(n, beta):
@@ -144,27 +151,29 @@ def heat_bath_chain_closed_form(n, beta):
     compare off-diagonals entrywise and the diagonal against the mapped form.
     The sx coefficient is evaluated as -((1 + u) - (1 - u) sz_{j-1} sz_{j+1})/4
     with u = 1/cosh 2b = 2 e^{-2b} / (1 + e^{-4b}), which no beta overflows.
+    Flipping spin j leaves sz_{j-1} and sz_{j+1} alone, so each block of
+    flip_matrix's rows is computed from its own spins, and no n x 2^n array
+    is held.
     """
     if n < 3:
         raise ValidationError("closed-form chain needs n >= 3 (distinct j-1, j, j+1)")
     if n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(f"n={n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     check_beta(beta)
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-
-    sz = np.empty((n, dim))
-    for j in range(n):
-        sz[j] = 1.0 - 2.0 * ((idx >> j) & 1)
-
-    diag = np.zeros(dim)
-    for j in range(n):
-        diag += -0.5 * sz[j] * sz[(j + 1) % n]
-
     e = math.exp(-2.0 * beta)
     u = 2.0 * e / (1.0 + e * e)
-    off = -((1.0 + u) - (1.0 - u) * np.roll(sz, 1, axis=0) * np.roll(sz, -1, axis=0)) / 4.0
-    return QuantumHamiltonian(n, flip_matrix(diag, off))
+    spins = np.arange(n)[:, None]
+
+    def fill(r0, values):
+        rows = np.arange(r0, r0 + values.shape[1], dtype=np.int64)
+        sz = 1.0 - 2.0 * ((rows >> spins) & 1)
+        values[0] = 0.0
+        for j in range(n):
+            values[0] += -0.5 * sz[j] * sz[(j + 1) % n]
+        values[1:] = -((1.0 + u) - (1.0 - u) * np.roll(sz, 1, axis=0)
+                       * np.roll(sz, -1, axis=0)) / 4.0
+
+    return QuantumHamiltonian(n, flip_matrix(n, fill))
 
 
 def transverse_field_hamiltonian(h0, gamma):
@@ -174,7 +183,7 @@ def transverse_field_hamiltonian(h0, gamma):
         raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     energies = energy_table(h0)
     off = np.broadcast_to(-float(gamma), (h0.n, energies.size))
-    return QuantumHamiltonian(h0.n, flip_matrix(energies, off))
+    return QuantumHamiltonian(h0.n, flip_matrix(h0.n, array_fill(energies, off)))
 
 
 def ground_state(H):

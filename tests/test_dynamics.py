@@ -10,6 +10,7 @@ from cqmap.dynamics import (
     _DP_A,
     _DP_P,
     GeneratorProvider,
+    array_fill,
     flip_apply,
     flip_asymmetry,
     flip_matrix,
@@ -31,6 +32,10 @@ from cqmap.mapping import classical_to_quantum
 from cqmap.spectral import dense_spectrum
 
 from conftest import master_equation_oracle, random_model
+
+
+def array_matrix(diag, off):
+    return flip_matrix(off.shape[0], array_fill(diag, off))
 
 
 def two_state_field(h):
@@ -120,7 +125,7 @@ def test_flip_matrix_matches_coo_assembly(rng, n):
     cols = np.tile(idx, n + 1)
     vals = np.concatenate([diag, off.reshape(-1)])
     oracle = sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    M = flip_matrix(diag, off)
+    M = array_matrix(diag, off)
     assert M.has_canonical_format
     assert M.indptr.dtype == M.indices.dtype == np.int32
     for name in ("indptr", "indices", "data"):
@@ -159,7 +164,7 @@ def test_provider_apply_matches_csr_generator(rng, n, rule, beta):
     # generators: signed entries and columns that do not sum to zero.
     diag, off = rng.standard_normal(1 << n), rng.standard_normal((n, 1 << n))
     x = rng.standard_normal(1 << n)
-    assert np.abs(flip_apply(diag, off, x) - flip_matrix(diag, off) @ x).max() <= 1e-14
+    assert np.abs(flip_apply(diag, off, x) - array_matrix(diag, off) @ x).max() <= 1e-14
 
 
 # -------------------------------------------------------------- verify_dynamics
@@ -208,14 +213,14 @@ def test_flip_asymmetry_is_relative_asymmetry_of_the_flip_matrix(rng):
         near = (off + np.stack([flipped(row, j).ravel() for j, row in enumerate(off)])) / 2
         near[n - 1, 1] += 1e-9
         for d, o in [(diag, off), (diag, near), (np.zeros(1 << n), near)]:
-            assert flip_asymmetry(d, o) == relative_asymmetry(flip_matrix(d, o))
+            assert flip_asymmetry(d, o) == relative_asymmetry(array_matrix(d, o))
     zero = np.zeros((3, 8))
     assert flip_asymmetry(zero[0], zero) == 0.0
     for where in ("diag", "off"):
         d, o = rng.normal(size=8), rng.normal(size=(3, 8))
         (d if where == "diag" else o[1])[5] = np.nan
         assert np.isnan(flip_asymmetry(d, o))
-        assert np.isnan(relative_asymmetry(flip_matrix(d, o)))
+        assert np.isnan(relative_asymmetry(array_matrix(d, o)))
 
 
 def test_verify_allocates_little_beyond_its_generator():
@@ -234,7 +239,7 @@ def test_verify_allocates_little_beyond_its_generator():
 
 
 def test_verify_builds_no_csr(monkeypatch):
-    def refuse(diag, off):
+    def refuse(n, fill):
         raise AssertionError("verify_dynamics built a CSR matrix")
 
     monkeypatch.setattr(cq.dynamics, "flip_matrix", refuse)

@@ -11,7 +11,7 @@ from scipy.special import expit
 
 import cqmap as cq
 from cqmap import mapping
-from cqmap.dynamics import relative_asymmetry
+from cqmap.dynamics import array_fill, flip_delta, flip_matrix, flip_rates, relative_asymmetry
 from cqmap.errors import (
     DegenerateGroundStateError,
     MappingPreconditionError,
@@ -21,7 +21,7 @@ from cqmap.errors import (
     ValidationError,
 )
 from cqmap.mapping import read_hamiltonian, write_hamiltonian
-from cqmap.model import dense_coefficients
+from cqmap.model import dense_coefficients, grid
 from cqmap.spectral import gershgorin_bound
 
 from conftest import naive_energy_table, random_model
@@ -119,18 +119,53 @@ def test_c2q_of_a_flip_generator_needs_neither_csr_kernel(monkeypatch):
     assert H.matrix.nnz == 6 * 32
 
 
+def csr_bytes(H):
+    return sum(getattr(H.matrix, name).nbytes for name in ("data", "indices", "indptr"))
+
+
 def test_c2q_allocates_little_beyond_its_result():
-    # No generator: the map holds one n x 2^n flip array, H's CSR, and less
-    # than half a flip array of temporaries (flip_matrix's blocks and a few
-    # 2^n vectors).
+    # No generator and no n x 2^n flip array: each block of rows is computed
+    # from the energies, so beside H's CSR the map holds the energies,
+    # energy_table's temporaries and flip_matrix's block-sized arrays, a
+    # bound that does not grow with n.
     n, beta = 16, 0.44
     h0 = cq.chain(n)
     tracemalloc.start()
     H = cq.classical_to_quantum(h0, beta)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    csr = sum(getattr(H.matrix, name).nbytes for name in ("data", "indices", "indptr"))
-    assert peak <= csr + 1.5 * n * (1 << n) * 8
+    assert peak <= csr_bytes(H) + 6 * (1 << n) * 8
+
+
+def array_form_c2q(h0, beta, rule):
+    """The mapped H from (n, 2^n) flip arrays: flip_delta, the rule's
+    flip_rates summed in spin order on the diagonal, and -u / (1 + u^2) or
+    -u with u = exp(-beta |dE| / 2) at (s ^ (1 << j), s)."""
+    energies = cq.energy_table(h0)
+    diag = np.zeros_like(energies)
+    off = np.empty((h0.n, energies.size))
+    for j, x in enumerate(off):
+        flip_delta(energies, j, x)
+        diag += flip_rates(x, beta, rule)
+        u = np.exp(np.abs(x) * (-0.5 * beta))
+        x[...] = -u / (1.0 + u * u) if rule == "heat-bath" else -u
+    return flip_matrix(h0.n, array_fill(diag, off))
+
+
+@pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
+@pytest.mark.parametrize("beta", [0.44, 3.0])
+@pytest.mark.parametrize("h0", [
+    *(cq.chain(n) for n in (11, 12, 13, 14)),
+    *(random_model(np.random.default_rng(n), n) for n in (11, 13)),
+    grid(3, 4, field_h=0.1),
+], ids=["chain11", "chain12", "chain13", "chain14", "random11", "random13", "grid3x4"])
+def test_c2q_blocks_are_the_array_form_bit_for_bit(h0, beta, rule):
+    # Up to 12 spins H is one block of 4096 rows; from 13 on, the spins
+    # j >= 12 read their flipped energies from the partner block.
+    H = cq.classical_to_quantum(h0, beta, rule).matrix
+    oracle = array_form_c2q(h0, beta, rule)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(H, name), getattr(oracle, name))
 
 
 def dense_mapped_oracle(h0, beta, rule):
@@ -254,6 +289,17 @@ def test_closed_form_offdiagonal_matches_mapped_generator():
             diff = np.abs(mapped.matrix.toarray() - closed.matrix.toarray())
             np.fill_diagonal(diff, 0.0)
             assert diff.max() <= 1e-12
+
+
+def test_closed_form_allocates_little_beyond_its_result():
+    # Each block of rows is computed from its own spins: no n x 2^n sz,
+    # off or rolled copies, so beside H's CSR only block-sized arrays.
+    n = 17
+    tracemalloc.start()
+    H = cq.heat_bath_chain_closed_form(n, 0.44)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= csr_bytes(H) + 4 * (1 << n) * 8
 
 
 def test_mapped_diagonal_follows_derived_form_not_printed_form():
@@ -431,8 +477,7 @@ def test_transverse_field_hamiltonian_allocates_little_beyond_its_result():
     H = cq.transverse_field_hamiltonian(h0, 1.0)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    csr = sum(getattr(H.matrix, name).nbytes for name in ("data", "indices", "indptr"))
-    assert peak <= csr + 6 * (1 << n) * 8
+    assert peak <= csr_bytes(H) + 6 * (1 << n) * 8
 
 
 def test_q2c_generator_is_valid_dynamics(rng):

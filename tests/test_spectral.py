@@ -265,6 +265,19 @@ def test_chain_sweep_rows_and_beta_trend():
         assert cold.tau > warm.tau  # relaxation slows as beta grows
 
 
+@pytest.mark.parametrize("beta", [0.2, 0.44, 1.0])
+def test_heat_bath_chain_sweep_gaps_are_glauber_exact(beta):
+    # The periodic heat-bath chain at h=0 relaxes at exactly 1 - tanh 2 beta
+    # at every size (Glauber, J. Math. Phys. 4, 294 (1963)): the whole sweep
+    # row, c2q plus the deflated Lanczos solve, with no dense solve.
+    sizes = list(range(10, 17))
+    rows = cq.gap_scaling_sweep({"kind": "chain"}, sizes, beta)
+    assert [r.size for r in rows] == sizes
+    assert all(r.error is None for r in rows)
+    gaps = np.array([r.gap for r in rows])
+    assert np.abs(gaps - (1.0 - np.tanh(2.0 * beta))).max() <= 1e-13
+
+
 def test_sweep_single_row_is_too_short_to_fit():
     rows = cq.gap_scaling_sweep({"kind": "chain"}, [4], 0.5)
     assert len(rows) == 1
