@@ -16,6 +16,8 @@ atomically, so identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -48,167 +50,71 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(f"{self.prog}: {message}")
 
 
+# Flags shared by several commands, each a (flag, add_argument keywords) pair.
+_MODEL = ("--model", dict(required=True))
+_HAMILTONIAN = ("--hamiltonian", dict(required=True))
+_BETA = ("--beta", dict(type=float, required=True))
+_RULE = ("--rule", dict(default="heat-bath"))
+_TOL = ("--tol", dict(type=float, default=1e-12))
+_STEPS = ("--steps", dict(type=int, default=200))
+_OUT = ("--out", dict(required=True))
+_OPTIONAL_OUT = ("--out", {})
+_SCHEDULE = (
+    ("--schedule", dict(default="linear", choices=list(anneal.SCHEDULE_KINDS))),
+    ("--c0", dict(type=float, required=True)),
+    ("--c1", dict(type=float, help="linear target value")),
+    ("--p", dict(type=float, help="power exponent")),
+    ("--alpha", dict(type=float, help="logarithmic rate")),
+    ("--horizon", dict(type=float, required=True)),
+    _STEPS,
+)
+
+_GROUPS = {
+    "model": "model description tooling",
+    "dynamics": "Markov generators and master-equation runs",
+    "map": "classical<->quantum mapping",
+    "spectrum": "eigensolves and gap scaling",
+    "anneal": "simulated vs quantum annealing",
+}
+
+# (group, command) -> (help, arguments, handler), in declaration order.
+_COMMANDS = {}
+
+
+def _command(name, help, *arguments):
+    """Register the decorated handler as subcommand ``name`` ("group command")."""
+    def register(handler):
+        _COMMANDS[tuple(name.split())] = (help, arguments, handler)
+        return handler
+    return register
+
+
 def _build_parser():
     parser = _Parser(prog="cqmap", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    # model ---------------------------------------------------------------
-    model_p = sub.add_parser("model", help="model description tooling")
-    model_sub = model_p.add_subparsers(dest="command", required=True)
-
-    p = model_sub.add_parser("validate", help="parse a model file and summarize it")
-    p.add_argument("--model", required=True)
-
-    p = model_sub.add_parser("coeffs", help="dump the coefficient table as CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-
-    # dynamics --------------------------------------------------------------
-    dyn_p = sub.add_parser("dynamics", help="Markov generators and master-equation runs")
-    dyn_sub = dyn_p.add_subparsers(dest="command", required=True)
-
-    p = dyn_sub.add_parser("generator", help="write the flip generator as sparse coordinates")
-    p.add_argument("--model", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--rule", default="heat-bath")
-    p.add_argument("--out", required=True)
-
-    p = dyn_sub.add_parser("verify", help="check column sums, detailed balance, stationarity")
-    p.add_argument("--model", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--rule", default="heat-bath")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--out")
-
-    p = dyn_sub.add_parser("evolve", help="integrate dP/dt = W P at fixed beta")
-    p.add_argument("--model", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--rule", default="heat-bath")
-    p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--points", type=int, default=101)
-    p.add_argument("--p0", default="uniform",
-                   help="'uniform', 'gibbs', or a configuration index")
-    p.add_argument("--out", required=True)
-
-    # map --------------------------------------------------------------------
-    map_p = sub.add_parser("map", help="classical<->quantum mapping")
-    map_sub = map_p.add_subparsers(dest="command", required=True)
-
-    p = map_sub.add_parser("c2q", help="map a generator to the symmetric Hamiltonian")
-    p.add_argument("--model", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--rule", default="heat-bath")
-    p.add_argument("--out", required=True)
-
-    p = map_sub.add_parser("q2c", help="invert a stoquastic Hamiltonian to classical dynamics")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--out", required=True, help="JSON report path")
-    p.add_argument("--coeffs-out", help="recovered coefficient table CSV")
-    p.add_argument("--generator-out", help="recovered generator sparse coordinates")
-
-    p = map_sub.add_parser("roundtrip", help="c2q followed by q2c; report residuals")
-    p.add_argument("--model", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--rule", default="heat-bath")
-    p.add_argument("--out")
-
-    p = map_sub.add_parser("chain-oracle", help="closed-form heat-bath chain Hamiltonian")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--out", required=True)
-
-    # spectrum ----------------------------------------------------------------
-    spec_p = sub.add_parser("spectrum", help="eigensolves and gap scaling")
-    spec_sub = spec_p.add_subparsers(dest="command", required=True)
-
-    p = spec_sub.add_parser("dense", help="full symmetric eigendecomposition")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--out", required=True)
-
-    p = spec_sub.add_parser("iterative", help="lowest-k eigenpairs, Krylov scheme")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--tol", type=float, default=0.0)
-    p.add_argument("--out", required=True)
-
-    p = spec_sub.add_parser("sweep", help="gap and relaxation time across sizes")
-    p.add_argument("--family", choices=["chain", "grid"], required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated (grid: linear sides)")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--rule", default="heat-bath")
-    p.add_argument("--J", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=0.0)
-    p.add_argument("--open-boundary", action="store_true")
-    p.add_argument("--out", required=True)
-
-    p = spec_sub.add_parser("fit", help="polynomial vs exponential scaling fit")
-    p.add_argument("--table", required=True)
-    p.add_argument("--out")
-
-    # anneal --------------------------------------------------------------------
-    ann_p = sub.add_parser("anneal", help="simulated vs quantum annealing")
-    ann_sub = ann_p.add_subparsers(dest="command", required=True)
-
-    def schedule_args(p):
-        p.add_argument("--schedule", default="linear",
-                       choices=list(anneal.SCHEDULE_KINDS))
-        p.add_argument("--c0", type=float, required=True)
-        p.add_argument("--c1", type=float, default=None,
-                       help="linear target value")
-        p.add_argument("--p", type=float, default=None, help="power exponent")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="logarithmic rate")
-        p.add_argument("--horizon", type=float, required=True)
-        p.add_argument("--steps", type=int, default=200)
-
-    p = ann_sub.add_parser("sa", help="master-equation anneal over beta(t)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--rule", default="heat-bath")
-    schedule_args(p)
-    p.add_argument("--out", required=True)
-
-    p = ann_sub.add_parser("qa", help="Schroedinger anneal over Gamma(t)")
-    p.add_argument("--model", required=True)
-    schedule_args(p)
-    p.add_argument("--out", required=True)
-
-    p = ann_sub.add_parser("compare", help="run SA and QA on one model, report both")
-    p.add_argument("--model", required=True)
-    p.add_argument("--rule", default="heat-bath")
-    p.add_argument("--beta0", type=float, required=True)
-    p.add_argument("--beta1", type=float, required=True)
-    p.add_argument("--sa-horizon", type=float, required=True)
-    p.add_argument("--gamma0", type=float, required=True)
-    p.add_argument("--qa-horizon", type=float, required=True)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--out", required=True)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    commands = {group: groups.add_parser(group, help=help)
+                .add_subparsers(dest="command", required=True)
+                for group, help in _GROUPS.items()}
+    for (group, name), (help, arguments, _) in _COMMANDS.items():
+        p = commands[group].add_parser(name, help=help)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def _schedule_from_args(args):
-    kind = args.schedule
-    if kind == "linear":
-        if args.c1 is None:
-            raise ValidationError("linear schedule needs --c1")
-        params = (args.c0, args.c1)
-    elif kind == "power":
-        if args.p is None:
-            raise ValidationError("power schedule needs --p")
-        params = (args.c0, args.p)
-    else:
-        if args.alpha is None:
-            raise ValidationError("logarithmic schedule needs --alpha")
-        params = (args.c0, args.alpha)
-    return anneal.make_schedule(kind, params, args.horizon)
+    flag = {"linear": "c1", "power": "p", "logarithmic": "alpha"}[args.schedule]
+    second = getattr(args, flag)
+    if second is None:
+        raise ValidationError(f"{args.schedule} schedule needs --{flag}")
+    return anneal.make_schedule(args.schedule, (args.c0, second), args.horizon)
 
 
 # --------------------------------------------------------------------------
 # handlers: each returns (summary, report_path)
 
 
+@_command("model validate", "parse a model file and summarize it", _MODEL)
 def _cmd_model_validate(args):
     h0 = model.load_model(args.model)
     profile = model.interaction_profile(h0.coeffs)
@@ -219,12 +125,15 @@ def _cmd_model_validate(args):
     )
 
 
+@_command("model coeffs", "dump the coefficient table as CSV", _MODEL, _OUT)
 def _cmd_model_coeffs(args):
     h0 = model.load_model(args.model)
     cqio.atomic_write_text(args.out, model.coefficients_csv(h0))
     return f"wrote {len(h0.coeffs)} coefficients", args.out
 
 
+@_command("dynamics generator", "write the flip generator as sparse coordinates",
+          _MODEL, _BETA, _RULE, _OUT)
 def _cmd_dynamics_generator(args):
     h0 = model.load_model(args.model)
     W = dynamics.build_generator(h0, args.beta, args.rule)
@@ -232,6 +141,8 @@ def _cmd_dynamics_generator(args):
     return f"generator n={W.n} rule={W.rule} beta={cqio.format_float(W.beta)}", args.out
 
 
+@_command("dynamics verify", "check column sums, detailed balance, stationarity",
+          _MODEL, _BETA, _RULE, _TOL, _OPTIONAL_OUT)
 def _cmd_dynamics_verify(args):
     h0 = model.load_model(args.model)
     W = dynamics.build_generator(h0, args.beta, args.rule)
@@ -266,6 +177,11 @@ def _parse_p0(spec, h0, beta):
     return p
 
 
+@_command("dynamics evolve", "integrate dP/dt = W P at fixed beta", _MODEL, _BETA, _RULE,
+          ("--t-final", dict(type=float, required=True)),
+          ("--points", dict(type=int, default=101)),
+          ("--p0", dict(default="uniform", help="'uniform', 'gibbs', or a configuration index")),
+          _OUT)
 def _cmd_dynamics_evolve(args):
     h0 = model.load_model(args.model)
     if args.points < 2:
@@ -284,6 +200,8 @@ def _cmd_dynamics_evolve(args):
     )
 
 
+@_command("map c2q", "map a generator to the symmetric Hamiltonian",
+          _MODEL, _BETA, _RULE, _OUT)
 def _cmd_map_c2q(args):
     h0 = model.load_model(args.model)
     H = mapping.classical_to_quantum(h0, args.beta, args.rule)
@@ -291,6 +209,10 @@ def _cmd_map_c2q(args):
     return f"mapped n={H.n} hamiltonian, nnz={H.matrix.nnz}", args.out
 
 
+@_command("map q2c", "invert a stoquastic Hamiltonian to classical dynamics",
+          _HAMILTONIAN, _TOL, ("--out", dict(required=True, help="JSON report path")),
+          ("--coeffs-out", dict(help="recovered coefficient table CSV")),
+          ("--generator-out", dict(help="recovered generator sparse coordinates")))
 def _cmd_map_q2c(args):
     H = mapping.read_hamiltonian(args.hamiltonian)
     result = mapping.quantum_to_classical(H, tol=args.tol)
@@ -299,8 +221,7 @@ def _cmd_map_q2c(args):
     coo = W.tocoo()
     offmask = coo.row != coo.col
     offdiag_min = float(coo.data[offmask].min()) if offmask.any() else 0.0
-    profile = model.interaction_profile(result.model.coeffs,
-                                        tol=1e-10 * _coeff_scale(result.model))
+    profile = model.interaction_profile(result.model.coeffs)
     payload = {
         "shift": result.lambda0,
         "lambda0": result.lambda0,
@@ -313,11 +234,12 @@ def _cmd_map_q2c(args):
             "offdiagonal_min": offdiag_min,
         },
     }
-    cqio.write_json(payload, args.out)
+    outputs = [(args.out, cqio.json_text(payload) + "\n")]
     if args.coeffs_out:
-        cqio.atomic_write_text(args.coeffs_out, model.coefficients_csv(result.model))
+        outputs.append((args.coeffs_out, model.coefficients_csv(result.model)))
     if args.generator_out:
-        cqio.write_coordinate(W, args.generator_out)
+        outputs.append((args.generator_out, cqio.coordinate_text(W)))
+    _write_all(outputs)
     return (
         f"q2c ok: lambda0={cqio.format_float(result.lambda0)} "
         f"margin={cqio.format_float(result.positivity_margin)}",
@@ -325,10 +247,23 @@ def _cmd_map_q2c(args):
     )
 
 
-def _coeff_scale(h0):
-    return max((abs(c) for c in h0.coeffs.values()), default=0.0)
+def _write_all(outputs):
+    """Write each (path, text) pair; if one write fails, remove the files
+    already written, so a failed command leaves none of its outputs."""
+    written = []
+    try:
+        for path, text in outputs:
+            cqio.atomic_write_text(path, text)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
+@_command("map roundtrip", "c2q followed by q2c; report residuals",
+          _MODEL, _BETA, _RULE, _OPTIONAL_OUT)
 def _cmd_map_roundtrip(args):
     h0 = model.load_model(args.model)
     report = mapping.roundtrip_check(h0, args.beta, args.rule)
@@ -341,6 +276,8 @@ def _cmd_map_roundtrip(args):
     )
 
 
+@_command("map chain-oracle", "closed-form heat-bath chain Hamiltonian",
+          ("--n", dict(type=int, required=True)), _BETA, _OUT)
 def _cmd_map_chain_oracle(args):
     H = mapping.heat_bath_chain_closed_form(args.n, args.beta)
     mapping.write_hamiltonian(H, args.out)
@@ -357,6 +294,7 @@ def _spectrum_csv(result):
     return "\n".join(lines) + "\n"
 
 
+@_command("spectrum dense", "full symmetric eigendecomposition", _HAMILTONIAN, _OUT)
 def _cmd_spectrum_dense(args):
     H = mapping.read_hamiltonian(args.hamiltonian)
     result = spectral.dense_spectrum(H)
@@ -364,6 +302,9 @@ def _cmd_spectrum_dense(args):
     return f"dense spectrum: gap={cqio.format_float(result.gap)}", args.out
 
 
+@_command("spectrum iterative", "lowest-k eigenpairs, Krylov scheme", _HAMILTONIAN,
+          ("--k", dict(type=int, default=2)), ("--max-iter", dict(type=int)),
+          ("--tol", dict(type=float, default=0.0)), _OUT)
 def _cmd_spectrum_iterative(args):
     H = mapping.read_hamiltonian(args.hamiltonian)
     result = spectral.extreme_eigenpairs(H, k=args.k, max_iter=args.max_iter,
@@ -375,6 +316,12 @@ def _cmd_spectrum_iterative(args):
     )
 
 
+@_command("spectrum sweep", "gap and relaxation time across sizes",
+          ("--family", dict(choices=["chain", "grid"], required=True)),
+          ("--sizes", dict(required=True, help="comma-separated (grid: linear sides)")),
+          _BETA, _RULE,
+          ("--J", dict(type=float, default=1.0)), ("--h", dict(type=float, default=0.0)),
+          ("--open-boundary", dict(action="store_true")), _OUT)
 def _cmd_spectrum_sweep(args):
     try:
         sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
@@ -390,6 +337,8 @@ def _cmd_spectrum_sweep(args):
     return f"sweep: {len(rows)} rows, {failures} failures", args.out
 
 
+@_command("spectrum fit", "polynomial vs exponential scaling fit",
+          ("--table", dict(required=True)), _OPTIONAL_OUT)
 def _cmd_spectrum_fit(args):
     pairs = spectral.read_size_tau_csv(args.table)
     fit = spectral.fit_scaling(pairs)
@@ -403,6 +352,8 @@ def _cmd_spectrum_fit(args):
     )
 
 
+@_command("anneal sa", "master-equation anneal over beta(t)",
+          _MODEL, _RULE, *_SCHEDULE, _OUT)
 def _cmd_anneal_sa(args):
     h0 = model.load_model(args.model)
     sched = _schedule_from_args(args)
@@ -411,6 +362,7 @@ def _cmd_anneal_sa(args):
     return f"SA final success {cqio.format_float(result.final_success)}", args.out
 
 
+@_command("anneal qa", "Schroedinger anneal over Gamma(t)", _MODEL, *_SCHEDULE, _OUT)
 def _cmd_anneal_qa(args):
     h0 = model.load_model(args.model)
     sched = _schedule_from_args(args)
@@ -419,6 +371,13 @@ def _cmd_anneal_qa(args):
     return f"QA final success {cqio.format_float(result.final_success)}", args.out
 
 
+@_command("anneal compare", "run SA and QA on one model, report both", _MODEL, _RULE,
+          ("--beta0", dict(type=float, required=True)),
+          ("--beta1", dict(type=float, required=True)),
+          ("--sa-horizon", dict(type=float, required=True)),
+          ("--gamma0", dict(type=float, required=True)),
+          ("--qa-horizon", dict(type=float, required=True)),
+          _STEPS, _OUT)
 def _cmd_anneal_compare(args):
     h0 = model.load_model(args.model)
     sa_sched = anneal.make_schedule("linear", (args.beta0, args.beta1), args.sa_horizon)
@@ -434,33 +393,13 @@ def _cmd_anneal_compare(args):
     )
 
 
-_HANDLERS = {
-    ("model", "validate"): _cmd_model_validate,
-    ("model", "coeffs"): _cmd_model_coeffs,
-    ("dynamics", "generator"): _cmd_dynamics_generator,
-    ("dynamics", "verify"): _cmd_dynamics_verify,
-    ("dynamics", "evolve"): _cmd_dynamics_evolve,
-    ("map", "c2q"): _cmd_map_c2q,
-    ("map", "q2c"): _cmd_map_q2c,
-    ("map", "roundtrip"): _cmd_map_roundtrip,
-    ("map", "chain-oracle"): _cmd_map_chain_oracle,
-    ("spectrum", "dense"): _cmd_spectrum_dense,
-    ("spectrum", "iterative"): _cmd_spectrum_iterative,
-    ("spectrum", "sweep"): _cmd_spectrum_sweep,
-    ("spectrum", "fit"): _cmd_spectrum_fit,
-    ("anneal", "sa"): _cmd_anneal_sa,
-    ("anneal", "qa"): _cmd_anneal_qa,
-    ("anneal", "compare"): _cmd_anneal_compare,
-}
-
-
 def dispatch(argv):
     """Run one subcommand; map failures onto the exit-code taxonomy."""
     opname = "cqmap"
     try:
         args = _build_parser().parse_args(argv)
         opname = f"{args.group} {args.command}"
-        summary, report_path = _HANDLERS[(args.group, args.command)](args)
+        summary, report_path = _COMMANDS[(args.group, args.command)][2](args)
         return CommandOutcome(EXIT_OK, report_path, summary)
     except _ArgumentError as exc:
         return CommandOutcome(EXIT_VALIDATION, None, str(exc))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cqmap import cli
 from cqmap.cli import dispatch, main
 from cqmap.mapping import read_hamiltonian
 from cqmap.spectral import fit_json, fit_scaling, gap_scaling_sweep
@@ -554,6 +555,49 @@ def test_no_partial_output_on_failure(tmp_path, chain4):
     outcome = run(["map", "q2c", "--hamiltonian", str(ham), "--out", str(report)])
     assert outcome.exit_code == 1
     assert not report.exists()
+
+
+def test_map_q2c_leaves_no_output_when_a_later_write_fails(chain4, tmp_path):
+    # The report and the coefficient CSV used to stay behind when the
+    # generator path could not be written.
+    ham = tmp_path / "H.txt"
+    assert run(["map", "c2q", "--model", chain4, "--beta", "1.0",
+                "--out", str(ham)]).exit_code == 0
+    report, coeffs = tmp_path / "r.json", tmp_path / "c.csv"
+    outcome = run(["map", "q2c", "--hamiltonian", str(ham), "--out", str(report),
+                   "--coeffs-out", str(coeffs),
+                   "--generator-out", str(tmp_path / "absent" / "w.txt")])
+    assert outcome.exit_code == 1, outcome.diagnostics
+    assert "map q2c" in outcome.diagnostics
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["H.txt", "chain4.json"]
+
+
+# The (group, command) pairs of cli.py's module docstring.
+COMMANDS = [
+    ("model", "validate"), ("model", "coeffs"),
+    ("dynamics", "generator"), ("dynamics", "evolve"), ("dynamics", "verify"),
+    ("map", "c2q"), ("map", "q2c"), ("map", "roundtrip"), ("map", "chain-oracle"),
+    ("spectrum", "dense"), ("spectrum", "iterative"), ("spectrum", "sweep"),
+    ("spectrum", "fit"),
+    ("anneal", "sa"), ("anneal", "qa"), ("anneal", "compare"),
+]
+
+
+def test_command_list_matches_the_module_docstring():
+    lines = [line.split() for line in cli.__doc__.splitlines()
+             if line.strip().startswith("cqmap ")]
+    documented = [(group, command) for _, group, commands in lines
+                  for command in commands.split("|")]
+    assert sorted(documented) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("group, command", COMMANDS, ids=" ".join)
+def test_every_command_is_registered_with_a_required_flag(group, command):
+    outcome = run([group, command])
+    assert outcome.exit_code == 1
+    assert outcome.diagnostics.startswith(
+        f"cqmap {group} {command}: the following arguments are required: --"
+    ), outcome.diagnostics
 
 
 # ----------------------------------------------------------------- README
