@@ -291,14 +291,8 @@ def _schedule_label(sched):
 
 def run_csv(result):
     """CSV columns: time, control_value, p_ground, residual_energy."""
-    lines = ["time,control_value,p_ground,residual_energy"]
-    f = cqio.format_float
-    for k in range(result.times.size):
-        lines.append(
-            f"{f(result.times[k])},{f(result.control[k])},"
-            f"{f(result.p_ground[k])},{f(result.residual_energy[k])}"
-        )
-    return "\n".join(lines) + "\n"
+    return cqio.csv_text("time,control_value,p_ground,residual_energy", zip(
+        result.times, result.control, result.p_ground, result.residual_energy))
 
 
 def comparison_json(report):

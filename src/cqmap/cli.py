@@ -43,11 +43,18 @@ class _ArgumentError(ValidationError):
     pass
 
 
+class _HelpRequested(Exception):
+    """A --help flag: carries the help text, with no trailing newline."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of calling sys.exit."""
+    """argparse that raises instead of printing help or calling sys.exit."""
 
     def error(self, message):
         raise _ArgumentError(f"{self.prog}: {message}")
+
+    def print_help(self, *_):
+        raise _HelpRequested(self.format_help().removesuffix("\n"))
 
 
 # Flags shared by several commands, each a (flag, add_argument keywords) pair.
@@ -160,8 +167,8 @@ def _cmd_dynamics_verify(args):
 
 
 def _parse_p0(spec, h0, beta):
+    dim = 1 << h0.n
     if spec == "uniform":
-        dim = 1 << h0.n
         return np.full(dim, 1.0 / dim)
     if spec == "gibbs":
         return model.gibbs_distribution(h0, beta).p
@@ -169,7 +176,6 @@ def _parse_p0(spec, h0, beta):
         index = int(spec)
     except ValueError:
         raise ValidationError(f"--p0 must be 'uniform', 'gibbs' or an index, got {spec!r}")
-    dim = 1 << h0.n
     if not 0 <= index < dim:
         raise ValidationError(f"--p0 index {index} outside [0, {dim})")
     p = np.zeros(dim)
@@ -285,13 +291,9 @@ def _cmd_map_chain_oracle(args):
 
 
 def _spectrum_csv(result):
-    lines = ["index,eigenvalue,residual"]
-    f = cqio.format_float
-    res = result.residual_norms
-    for i, lam in enumerate(result.eigenvalues):
-        r = f(res[i]) if res is not None else "nan"
-        lines.append(f"{i},{f(lam)},{r}")
-    return "\n".join(lines) + "\n"
+    vals, res = result.eigenvalues, result.residual_norms
+    rows = zip(range(vals.size), vals, [np.nan] * vals.size if res is None else res)
+    return cqio.csv_text("index,eigenvalue,residual", rows)
 
 
 @_command("spectrum dense", "full symmetric eigendecomposition", _HAMILTONIAN, _OUT)
@@ -394,13 +396,15 @@ def _cmd_anneal_compare(args):
 
 
 def dispatch(argv):
-    """Run one subcommand; map failures onto the exit-code taxonomy."""
+    """Run one subcommand; map failures onto the exit-code taxonomy, --help to 0."""
     opname = "cqmap"
     try:
         args = _build_parser().parse_args(argv)
         opname = f"{args.group} {args.command}"
         summary, report_path = _COMMANDS[(args.group, args.command)][2](args)
         return CommandOutcome(EXIT_OK, report_path, summary)
+    except _HelpRequested as exc:
+        return CommandOutcome(EXIT_OK, None, str(exc))
     except _ArgumentError as exc:
         return CommandOutcome(EXIT_VALIDATION, None, str(exc))
     except ValidationError as exc:

@@ -29,8 +29,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .model import MAX_OPERATOR_SPINS, MAX_STEPS, check_beta, energy_table
-from .model import gibbs_from_energies, ground_space
+from .model import MAX_STEPS, check_beta, energy_table, gibbs_from_energies, ground_space
 
 _RULE_ALIASES = {"heat-bath": "heat-bath", "glauber": "heat-bath",
                  "heat_bath": "heat-bath", "metropolis": "metropolis"}
@@ -127,10 +126,6 @@ def flip_delta(energies, j, out):
 
 
 def flip_table(h0):
-    if h0.n > MAX_OPERATOR_SPINS:
-        raise ResourceLimitError(
-            f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap for generators"
-        )
     energies = energy_table(h0)
     delta_e = np.empty((h0.n, energies.size))
     for j, row in enumerate(delta_e):
@@ -528,14 +523,8 @@ def relaxation_time(spectrum):
 
 def trajectory_csv(traj):
     """CSV columns: time, mean_energy, p_ground, l1_distance_to_gibbs."""
-    lines = ["time,mean_energy,p_ground,l1_distance_to_gibbs"]
-    f = cqio.format_float
-    for k in range(traj.times.size):
-        lines.append(
-            f"{f(traj.times[k])},{f(traj.mean_energy[k])},"
-            f"{f(traj.p_ground[k])},{f(traj.l1_to_equilibrium[k])}"
-        )
-    return "\n".join(lines) + "\n"
+    return cqio.csv_text("time,mean_energy,p_ground,l1_distance_to_gibbs", zip(
+        traj.times, traj.mean_energy, traj.p_ground, traj.l1_to_equilibrium))
 
 
 def write_generator(W, path):

@@ -22,7 +22,7 @@ class NumericalError(CqmapError):
 
 
 class MappingPreconditionError(NumericalError):
-    """Generator violates detailed balance; the mapped matrix would not be symmetric."""
+    """q2c's H is not symmetric: max|H - H^T| / max|H| exceeds SYMMETRY_RTOL."""
 
 
 class NonStoquasticError(NumericalError):

@@ -1,5 +1,5 @@
-"""File formats shared across modules: sparse coordinate text, atomic writes,
-and deterministic JSON with round-trippable floats."""
+"""File formats shared across modules: sparse coordinate text, CSV tables,
+atomic writes, and deterministic JSON with round-trippable floats."""
 
 from __future__ import annotations
 
@@ -32,6 +32,13 @@ def atomic_write_text(path, text):
 def format_float(x):
     """17 significant digits: round-trippable and byte-stable."""
     return f"{float(x):.17g}"
+
+
+def csv_text(header, rows):
+    """The header line, then one line per row: floats by format_float, other cells by str."""
+    def cell(x):
+        return format_float(x) if isinstance(x, (float, np.floating)) else str(x)
+    return "\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n"
 
 
 def coordinate_text(matrix):

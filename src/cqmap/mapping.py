@@ -118,8 +118,6 @@ def classical_to_quantum(h0, beta, rule="heat-bath"):
     """
     check_beta(beta)
     rule = canonical_rule(rule)
-    if h0.n > MAX_OPERATOR_SPINS:
-        raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     energies = energy_table(h0)
 
     def fill(r0, values):
@@ -179,8 +177,6 @@ def heat_bath_chain_closed_form(n, beta):
 def transverse_field_hamiltonian(h0, gamma):
     """H = diag(E) - gamma * sum_j sx_j in the sigma^z basis (stoquastic for
     gamma >= 0)."""
-    if h0.n > MAX_OPERATOR_SPINS:
-        raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     energies = energy_table(h0)
     off = np.broadcast_to(-float(gamma), (h0.n, energies.size))
     return QuantumHamiltonian(h0.n, flip_matrix(h0.n, array_fill(energies, off)))
@@ -197,8 +193,6 @@ def ground_state(H):
     below DEGENERACY_RTOL * width, where the width is the Gershgorin bound
     minus lambda_0.
     """
-    if H.n > MAX_OPERATOR_SPINS:
-        raise ResourceLimitError(f"n={H.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     from .spectral import _lowest_pairs, gershgorin_bound
 
     pairs = _lowest_pairs(H.matrix, 2)

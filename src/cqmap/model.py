@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 
-MAX_TABLE_SPINS = 30  # 2^N address-space guard for full tables
-MAX_OPERATOR_SPINS = 24  # sparse flip-structured operators and Krylov solves
+MAX_TABLE_SPINS = 30  # spin count of a model description
+MAX_OPERATOR_SPINS = 24  # every 2^N table, operator, solve and coordinate file
 MAX_DENSE_SPINS = 13  # full dense 2^N x 2^N spectra (dense_spectrum)
 # Integrator runs whose span exceeds this many natural step units are refused
 # before any work: 1/spectral_bound for the master equation, the QA substep.
@@ -188,28 +188,20 @@ def _lattice_coefficients(n, lattice):
 
 
 def chain(n, *, periodic=True, coupling=1.0, field_h=0.0):
-    """Ferromagnetic 1D chain: -J sum s_j s_{j+1} - h sum s_j.
+    """Ferromagnetic 1D chain: -J sum s_j s_{j+1} - h sum s_j, the 1 x n grid.
 
     A periodic two-site chain carries both wrap-around bonds, which merge
     into a single coefficient of -2J.
     """
-    _check_spin_count(n)
-    coeffs = {}
-    bonds = range(n) if (periodic and n > 1) else range(n - 1)
-    for j in bonds:
-        mask = (1 << j) | (1 << ((j + 1) % n))
-        coeffs[mask] = coeffs.get(mask, 0.0) - coupling
-    if field_h != 0.0:
-        for j in range(n):
-            mask = 1 << j
-            coeffs[mask] = coeffs.get(mask, 0.0) - field_h
-    return ClassicalHamiltonian(n, coeffs)
+    return grid(1, n, periodic=periodic, coupling=coupling, field_h=field_h)
 
 
 def grid(rows, cols=None, *, periodic=True, coupling=1.0, field_h=0.0):
     """Ferromagnetic 2D square lattice, row-major site order."""
     if cols is None:
         cols = rows
+    _check_spin_count(rows)
+    _check_spin_count(cols)
     n = rows * cols
     _check_spin_count(n)
     coeffs = {}
@@ -221,12 +213,10 @@ def grid(rows, cols=None, *, periodic=True, coupling=1.0, field_h=0.0):
     for r in range(rows):
         for c in range(cols):
             site = r * cols + c
-            if periodic or c + 1 < cols:
-                if cols > 1:
-                    bond(site, r * cols + (c + 1) % cols)
-            if periodic or r + 1 < rows:
-                if rows > 1:
-                    bond(site, ((r + 1) % rows) * cols + c)
+            if cols > 1 and (periodic or c + 1 < cols):
+                bond(site, r * cols + (c + 1) % cols)
+            if rows > 1 and (periodic or r + 1 < rows):
+                bond(site, ((r + 1) % rows) * cols + c)
     if field_h != 0.0:
         for j in range(n):
             mask = 1 << j
@@ -238,9 +228,11 @@ def energy_table(h0):
     """Evaluate the Hamiltonian on every configuration: a length-2^N array.
 
     values[i] = sum_S c_S chi_S(i), accumulated over masks in ascending
-    order so the result is bit-for-bit reproducible.
+    order so the result is bit-for-bit reproducible. Every 2^N array of a
+    model starts here, so the MAX_OPERATOR_SPINS cap is checked here.
     """
-    _check_spin_count(h0.n)
+    if h0.n > MAX_OPERATOR_SPINS:
+        raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     values = np.zeros(1 << h0.n)
     for mask in sorted(h0.coeffs):
         c = h0.coeffs[mask]
@@ -309,35 +301,22 @@ class InteractionProfile:
     """Per-order census of the coefficients above a noise floor."""
 
     orders: dict  # order k -> {"count": int, "max_abs": float}
-    tol: float
 
     def max_order(self):
         return max(self.orders) if self.orders else 0
 
 
-def interaction_profile(coeffs, tol=None):
-    """Count couplings per interaction order k = popcount(S).
-
-    tol defaults to 1e-10 * max|c_S| (scale-free noise floor).
-    """
-    if tol is not None and tol < 0:
-        raise ValidationError("tol must be >= 0")
-    if coeffs:
-        scale = max(abs(c) for c in coeffs.values())
-    else:
-        scale = 0.0
-    if tol is None:
-        tol = 1e-10 * scale
-
+def interaction_profile(coeffs):
+    """Count couplings per interaction order k = popcount(S), skipping those
+    at or below the scale-free noise floor 1e-10 * max|c_S|."""
+    tol = 1e-10 * max((abs(c) for c in coeffs.values()), default=0.0)
     orders = {}
     for mask, c in coeffs.items():
-        if abs(c) <= tol:
-            continue
-        k = int(mask).bit_count()
-        entry = orders.setdefault(k, {"count": 0, "max_abs": 0.0})
-        entry["count"] += 1
-        entry["max_abs"] = max(entry["max_abs"], abs(c))
-    return InteractionProfile(orders=dict(sorted(orders.items())), tol=tol)
+        if abs(c) > tol:
+            entry = orders.setdefault(int(mask).bit_count(), {"count": 0, "max_abs": 0.0})
+            entry["count"] += 1
+            entry["max_abs"] = max(entry["max_abs"], abs(c))
+    return InteractionProfile(orders=dict(sorted(orders.items())))
 
 
 def load_model(path):

@@ -69,13 +69,11 @@ def dense_spectrum(H):
             f"n={H.n} exceeds the {MAX_DENSE_SPINS}-spin dense cap"
         )
     _check_finite(H.matrix)
-    vals = np.linalg.eigvalsh(H.dense())
-    gap = float(vals[1] - vals[0]) if vals.size >= 2 else float("nan")
-    return SpectrumResult(np.asarray(vals, dtype=float), None, gap, "dense", None)
+    return _as_result(np.linalg.eigvalsh(H.dense()), None, H.matrix, "dense")
 
 
 def _known_ground_state(matrix, known):
-    """known normalized, after checking that it is a zero mode of matrix."""
+    """(phi_0, lambda_0, residual) of known normalized, checked to be a zero mode of H."""
     phi0 = np.asarray(known, dtype=float)
     if phi0.shape != (matrix.shape[0],):
         raise ValidationError(f"known vector has shape {phi0.shape}, "
@@ -84,11 +82,13 @@ def _known_ground_state(matrix, known):
     if not np.isfinite(norm) or norm == 0:
         raise ValidationError("known vector must be finite and nonzero")
     phi0 = phi0 / norm
-    residual = np.abs(matrix @ phi0).max()
+    h_phi0 = matrix @ phi0
+    residual = np.abs(h_phi0).max()
     if not residual <= 1e-10:
         raise NumericalError(f"known vector is not a stationary mode: "
                              f"|H phi_0|_inf = {residual:.3e} > 1e-10")
-    return phi0
+    lam0 = phi0 @ h_phi0
+    return phi0, lam0, np.linalg.norm(h_phi0 - lam0 * phi0)
 
 
 def _lowest_pairs(matrix, k, max_iter=None, tol=0.0, known=None):
@@ -97,7 +97,8 @@ def _lowest_pairs(matrix, k, max_iter=None, tol=0.0, known=None):
     The only place that picks a solver: up to _DENSE_FALLBACK_DIM states
     LAPACK computes just those k pairs (k may equal the dimension), above it
     ARPACK does, from the fixed start vector 1 + 0.5 sin(s) with a basis of
-    max(20, 4k + 1) vectors.
+    max(20, 4k + 1) vectors. Above 2^MAX_OPERATOR_SPINS rows it raises
+    ResourceLimitError first.
 
     known, if given, is a vector phi_0 with H phi_0 = 0 (NumericalError if
     |H phi_0|_inf > 1e-10), and k must be 2. Above the dense size, lambda_0 is
@@ -107,21 +108,23 @@ def _lowest_pairs(matrix, k, max_iter=None, tol=0.0, known=None):
     carrying the best eigenvalues and residual norms found on
     non-convergence.
     """
-    _check_finite(matrix)
     dim = matrix.shape[0]
-    phi0 = None
+    if dim > 1 << MAX_OPERATOR_SPINS:
+        raise ResourceLimitError(f"dimension {dim} exceeds the 2^{MAX_OPERATOR_SPINS} cap")
+    _check_finite(matrix)
+    ground = None
     if known is not None:
         if k != 2:
             raise ValidationError(f"a known ground state needs k == 2, got k={k}")
-        phi0 = _known_ground_state(matrix, known)
+        ground = _known_ground_state(matrix, known)
     if dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2):
         vals, vecs = scipy.linalg.eigh(matrix.toarray(), subset_by_index=[0, k - 1],
                                        overwrite_a=True)
         return _as_result(vals, vecs, matrix, "dense")
 
     v0 = 1.0 + 0.5 * np.sin(np.arange(dim))
-    if phi0 is not None:
-        return _deflated_pair(matrix, phi0, v0, max_iter, tol)
+    if ground is not None:
+        return _deflated_pair(matrix, ground, v0, max_iter, tol)
     v0 /= np.linalg.norm(v0)
     ncv = min(dim, max(20, 4 * k + 1))
     try:
@@ -159,8 +162,8 @@ def _lanczos(apply, v0, steps):
         q_prev, q = q, w
 
 
-def _deflated_pair(matrix, phi0, v0, max_iter, tol):
-    """lambda_0 and lambda_1 of H with the zero mode phi0 known, as a result.
+def _deflated_pair(matrix, ground, v0, max_iter, tol):
+    """lambda_0 and lambda_1 of H, given its zero mode as _known_ground_state's triple.
 
     lambda_1 is the lowest eigenvalue of H + sigma phi0 phi0^T, sigma twice
     the largest absolute row sum so that phi0 moves above the spectrum. Two
@@ -177,6 +180,7 @@ def _deflated_pair(matrix, phi0, v0, max_iter, tol):
     dimension; at the cap ConvergenceError carries [lambda_0, theta] of the
     last step and their residuals on H.
     """
+    phi0, lam0, res0 = ground
     sigma = 2.0 * float(_abs_row_sums(matrix).max())
     v0 -= (phi0 @ v0) * phi0
     v0 /= np.linalg.norm(v0)
@@ -206,8 +210,8 @@ def _deflated_pair(matrix, phi0, v0, max_iter, tol):
         y += coef * q
     y /= np.linalg.norm(y)
 
-    vals = np.array([phi0 @ (matrix @ phi0), theta[0]])
-    res = np.array([np.linalg.norm(matrix @ v - lam * v) for lam, v in zip(vals, (phi0, y))])
+    vals = np.array([lam0, theta[0]])
+    res = np.array([res0, np.linalg.norm(matrix @ y - vals[1] * y)])
     if not converged:
         raise ConvergenceError(f"Lanczos did not converge in {len(alphas)} steps",
                                eigenvalues=vals, residual_norms=res)
@@ -234,10 +238,6 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
         raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
     if not math.isfinite(tol):
         raise ValidationError(f"tol must be finite, got {tol!r}")
-    if H.n > MAX_OPERATOR_SPINS:
-        raise ResourceLimitError(
-            f"n={H.n} exceeds the {MAX_OPERATOR_SPINS}-spin iterative cap"
-        )
     dim = H.matrix.shape[0]
     if k >= dim:
         raise ValidationError(f"k={k} must be smaller than the dimension {dim}")
@@ -376,11 +376,8 @@ def fit_scaling(table):
 
 def sweep_csv(rows):
     """CSV columns: size,gap,tau,method,residual (failed rows carry nan)."""
-    lines = ["size,gap,tau,method,residual"]
-    f = cqio.format_float
-    for row in rows:
-        lines.append(f"{row.size},{f(row.gap)},{f(row.tau)},{row.method},{f(row.residual)}")
-    return "\n".join(lines) + "\n"
+    return cqio.csv_text("size,gap,tau,method,residual",
+                         ((r.size, r.gap, r.tau, r.method, r.residual) for r in rows))
 
 
 def read_size_tau_csv(path):

@@ -251,6 +251,7 @@ def test_spectrum_dense_and_iterative(chain4, tmp_path):
     rows = dense_out.read_text().strip().splitlines()
     assert rows[0] == "index,eigenvalue,residual"
     assert len(rows) == 17
+    assert all(row.endswith(",nan") for row in rows[1:])  # LAPACK spectra have no residuals
 
     iter_out = tmp_path / "iter.csv"
     outcome = run(["spectrum", "iterative", "--hamiltonian", str(ham),
@@ -494,6 +495,19 @@ def test_model_coeffs_refuses_bad_lattice(tmp_path, lattice, message):
     assert outcome.exit_code == 1, outcome.diagnostics
     assert message in outcome.diagnostics
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["map", "--help"], ["map", "c2q", "--help"]],
+                         ids=["top", "group", "command"])
+def test_help_at_every_level_is_an_outcome_with_exit_zero(argv, capsys):
+    outcome = dispatch(argv)  # raises nothing
+    assert outcome.exit_code == 0 and outcome.report_path is None
+    assert outcome.diagnostics.startswith(" ".join(["usage: cqmap", *argv[:-1], "[-h]"]))
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == outcome.diagnostics + "\n" and err == ""
+    if argv == ["--help"]:
+        assert out == cli._build_parser().format_help()
 
 
 def test_unknown_subcommand_is_validation_error():

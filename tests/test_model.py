@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cqmap as cq
 from cqmap.errors import ResourceLimitError, ValidationError
+from cqmap.io import csv_text
 from cqmap.model import coefficients_csv, dense_coefficients
 
 from conftest import naive_energy_table, naive_walsh_forward, random_model
@@ -70,6 +72,39 @@ def test_grid_2x2_periodic_doubles_bonds():
     assert len(h0.coeffs) == 4
 
 
+def chain_by_bonds(n, periodic, coupling, field_h):
+    """Chain coefficients from a direct loop over the bonds (j, j + 1 mod n),
+    then the fields."""
+    coeffs = {}
+    for j in range(n) if periodic and n > 1 else range(n - 1):
+        mask = (1 << j) | (1 << ((j + 1) % n))
+        coeffs[mask] = coeffs.get(mask, 0.0) - coupling
+    if field_h != 0.0:
+        for j in range(n):
+            coeffs[1 << j] = coeffs.get(1 << j, 0.0) - field_h
+    return coeffs
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+@pytest.mark.parametrize("coupling", [1.0, -0.7])
+@pytest.mark.parametrize("field_h", [0.0, 0.3])
+def test_chain_is_the_one_row_grid(periodic, coupling, field_h):
+    for n in range(1, 12):
+        h0 = cq.chain(n, periodic=periodic, coupling=coupling, field_h=field_h)
+        # Equal dicts in the same insertion order.
+        assert h0.n == n
+        assert list(h0.coeffs.items()) == list(
+            chain_by_bonds(n, periodic, coupling, field_h).items())
+
+
+@pytest.mark.parametrize("build", [lambda: cq.chain(True), lambda: cq.chain(0),
+                                   lambda: cq.grid(-1, -1), lambda: cq.grid(True, 3),
+                                   lambda: cq.grid(2, 1.5)])
+def test_lattice_sides_must_be_positive_integers(build):
+    with pytest.raises(ValidationError, match="positive integer"):
+        build()
+
+
 def test_spin_count_guards():
     with pytest.raises(ValidationError, match="positive integer"):
         cq.ClassicalHamiltonian(0, {})
@@ -78,6 +113,25 @@ def test_spin_count_guards():
 
 
 # --------------------------------------------------------------- energy_table
+
+@pytest.mark.parametrize("build", [
+    lambda h0: cq.gibbs_distribution(h0, 1.0),
+    lambda h0: cq.build_generator(h0, 1.0),
+    lambda h0: cq.classical_to_quantum(h0, 1.0),
+    lambda h0: cq.transverse_field_hamiltonian(h0, 1.0),
+], ids=["gibbs_distribution", "build_generator", "classical_to_quantum",
+        "transverse_field_hamiltonian"])
+def test_25_spins_are_refused_before_any_table_is_allocated(build):
+    h0 = cq.ClassicalHamiltonian(25, {1: 1.0, 3: -0.5})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="n=25 exceeds the 24-spin cap"):
+            build(h0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 2^25 table alone is 256 MiB
+
 
 def test_energy_table_single_bond_sign_enumeration():
     h0 = cq.build_model({"n": 2, "terms": [{"sites": [0, 1], "J": 1}]})
@@ -228,6 +282,13 @@ def test_load_model_bad_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ValidationError, match="invalid model JSON"):
         cq.load_model(path)
+
+
+def test_csv_text_cells():
+    text = csv_text("size,gap,tau,method", [(6, np.float64(0.1), float("nan"), "error"),
+                                            (np.int64(8), 2.5, np.float64(-1e-300), "dense")])
+    assert text == "size,gap,tau,method\n6,0.10000000000000001,nan,error\n8,2.5,-1e-300,dense\n"
+    assert csv_text("a,b", []) == "a,b\n"
 
 
 def test_coefficients_csv_layout():

@@ -58,6 +58,16 @@ def test_dense_size_guard():
         cq.dense_spectrum(H)
 
 
+@pytest.mark.parametrize("solve", [lambda H: cq.extreme_eigenpairs(H, k=2),
+                                   cq.ground_state], ids=["extreme_eigenpairs", "ground_state"])
+def test_solves_above_the_operator_cap_are_refused_before_the_matrix_is_read(solve):
+    # A stand-in with a shape and nothing else: any read of its entries fails.
+    class Shape:
+        shape = (1 << 25, 1 << 25)
+    with pytest.raises(ResourceLimitError, match="dimension 33554432 exceeds the 2\\^24 cap"):
+        solve(cq.QuantumHamiltonian(25, Shape()))
+
+
 # ---------------------------------------------------------- extreme_eigenpairs
 
 def test_extreme_matches_dense_on_mapped_chain():
@@ -204,7 +214,8 @@ def test_deflated_pair_ends_on_exact_breakdown():
     dim = 64
     matrix = sparse.diags_array(np.r_[0.0, np.ones(dim - 1)]).tocsr()
     phi0, v0 = np.eye(dim)[0], np.eye(dim)[1]
-    result = spectral._deflated_pair(matrix, phi0, v0, None, 0.0)
+    ground = spectral._known_ground_state(matrix, phi0)
+    result = spectral._deflated_pair(matrix, ground, v0, None, 0.0)
     assert result.eigenvalues.tolist() == [0.0, 1.0]
     assert result.residual_norms.tolist() == [0.0, 0.0]
     assert np.array_equal(result.eigenvectors, np.eye(dim)[:, :2])
