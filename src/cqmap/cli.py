@@ -211,8 +211,9 @@ def _cmd_dynamics_evolve(args):
 def _cmd_map_c2q(args):
     h0 = model.load_model(args.model)
     H = mapping.classical_to_quantum(h0, args.beta, args.rule)
-    mapping.write_hamiltonian(H, args.out)
-    return f"mapped n={H.n} hamiltonian, nnz={H.matrix.nnz}", args.out
+    matrix = H.matrix  # built from H's halves on each read
+    cqio.write_coordinate(matrix, args.out)
+    return f"mapped n={H.n} hamiltonian, nnz={matrix.nnz}", args.out
 
 
 @_command("map q2c", "invert a stoquastic Hamiltonian to classical dynamics",

@@ -72,7 +72,7 @@ _STEP_TOL = 1e-10
 def canonical_rule(rule):
     try:
         return _RULE_ALIASES[rule]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable rule
         raise ValidationError(
             f"unknown flip rule {rule!r} (expected heat-bath or metropolis)"
         ) from None
@@ -170,7 +170,26 @@ def array_fill(diag, off):
     return fill
 
 
-def flip_matrix(n, fill):
+def upper_fill(diag, upper):
+    """The block fill of flip_matrix for a symmetric operator held as
+    flip_matrix(n, fill, upper=True) returns it, ``(diag, upper)``.
+
+    Row r's entry for spin j is stored once, in row ``r & ~(1 << j)`` of
+    upper, after that row's unset bits below j, which are r's own: its place
+    is ``upper.indptr[r & ~(1 << j)] + j - popcount(r & ((1 << j) - 1))``.
+    """
+    indptr, data = upper.indptr, upper.data
+
+    def fill(r0, values):
+        rows = np.arange(r0, r0 + values.shape[1])
+        values[0] = diag[r0:r0 + values.shape[1]]
+        for j in range(values.shape[0] - 1):
+            below = np.bitwise_count(rows & ((1 << j) - 1))
+            values[j + 1] = data[indptr[rows & ~(1 << j)] + (j - below)]
+    return fill
+
+
+def flip_matrix(n, fill, upper=False):
     """CSR matrix of an n-spin single-spin-flip operator: a diagonal plus one
     entry per spin at ``(r, r ^ (1 << j))``, the shape of generators, mapped,
     transverse-field and closed-form chain Hamiltonians.
@@ -179,34 +198,56 @@ def flip_matrix(n, fill):
     ``fill(r0, values)`` writes the rows r0 <= r < r0 + block into the
     (n + 1, block) array ``values``, the diagonal in ``values[0]`` and the
     entry at column r ^ (1 << j) in ``values[j + 1]``. array_fill copies them
-    out of ``(diag, off)``; classical_to_quantum and the closed-form chain
-    compute them from the energies or the spins, so they hold no n x 2^n
-    array.
+    out of ``(diag, off)``, upper_fill out of ``(diag, upper)``;
+    classical_to_quantum and the closed-form chain compute them from the
+    energies or the spins, so they hold no n x 2^n array.
 
     Written sorted, with int32 indices and no COO or sort: row r holds its
     n + 1 entries at columns r ^ (1 << j) for the set bits j of r in
     descending j, then r itself at place popcount(r), then the unset bits in
     ascending j. Places add up across aligned blocks: for a block start r0
     and s < 4096, place(r0 + s) = place(s) + place(r0) - place(0).
+
+    A symmetric operator passes upper=True and gets ``(diag, upper)``: the
+    2^n diagonal and the strict upper triangle as an int32 CSR, whose row r
+    is the tail of the full row, the unset bits in ascending j. The blocks
+    are made by the same fill; only the diagonal and the unset-bit entries
+    are kept, so each off-diagonal value and index is stored once.
     """
     dim = 1 << n
     width = n + 1
     block = min(dim, 1 << 12)
     local = np.arange(block, dtype=np.int32)
     starts = np.arange(0, dim, block)
-    base = _entry_places(local, n) + local * width
-    shifts = _entry_places(starts, n) - np.arange(width)[:, None] + starts * width
-    masks = np.concatenate(([0], 1 << np.arange(n)))[:, None].astype(np.int32)
-    data = np.empty(width * dim)
-    indices = np.empty(width * dim, dtype=np.int32)
     values = np.empty((width, block))
-    for r0, shift in zip(starts, shifts.T):
+    if upper:
+        bits = (1 << np.arange(n, dtype=np.int32))[None, :]
+        diag = np.empty(dim)
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(n - np.bitwise_count(np.arange(dim, dtype=np.int32)), dtype=np.int32,
+                  out=indptr[1:])
+    else:
+        base = _entry_places(local, n) + local * width
+        shifts = (_entry_places(starts, n) - np.arange(width)[:, None] + starts * width).T
+        masks = np.concatenate(([0], 1 << np.arange(n)))[:, None].astype(np.int32)
+        indptr = np.arange(0, width * dim + 1, width, dtype=np.int32)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for i, r0 in enumerate(starts):
         fill(int(r0), values)
-        place = base + shift[:, None]
-        data[place] = values
-        indices[place] = (local + np.int32(r0)) ^ masks
-    indptr = np.arange(0, width * dim + 1, width, dtype=np.int32)
-    return sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+        rows = local + np.int32(r0)
+        if upper:
+            diag[r0:r0 + block] = values[0]
+            keep = (rows[:, None] & bits) == 0
+            seg = slice(indptr[r0], indptr[r0 + block])
+            data[seg] = values[1:].T[keep]
+            indices[seg] = (rows[:, None] | bits)[keep]
+        else:
+            place = base + shifts[i][:, None]
+            data[place] = values
+            indices[place] = rows ^ masks
+    matrix = sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+    return (diag, matrix) if upper else matrix
 
 
 def flip_apply(diag, off, x):

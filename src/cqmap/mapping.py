@@ -34,6 +34,7 @@ from .dynamics import (
     flip_rates,
     read_flipped,
     relative_asymmetry,
+    upper_fill,
 )
 from .errors import (
     DegenerateGroundStateError,
@@ -63,13 +64,40 @@ SYMMETRY_RTOL = 1e-10
 
 @dataclass
 class QuantumHamiltonian:
-    """Real symmetric matrix in the sigma^z product basis."""
+    """Real symmetric matrix in the sigma^z product basis, held as its CSR."""
 
     n: int
     matrix: sparse.csr_array
 
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
+
     def dense(self):
         return self.matrix.toarray()
+
+
+class FlipHamiltonian(QuantumHamiltonian):
+    """A symmetric single-spin-flip H held once per symmetric pair: ``diag``,
+    a 2^n vector, plus ``upper``, the strict upper triangle as an int32 CSR
+    whose row r holds the entries at r ^ (1 << j) for the unset bits j of r
+    in ascending j (flip_matrix(n, fill, upper=True)). That is 6n + 12 bytes
+    per state where the full CSR takes 12(n + 1) + 4.
+
+    ``matrix``, the full CSR diag + upper + upper^T, is built by flip_matrix
+    on every read and not kept, bit for bit the CSR flip_matrix writes.
+    """
+
+    def __init__(self, n, diag, upper):
+        self.n, self.diag, self.upper = n, diag, upper
+
+    @property
+    def matrix(self):
+        return flip_matrix(self.n, upper_fill(self.diag, self.upper))
+
+    @property
+    def dim(self):
+        return self.diag.size
 
 
 @dataclass
@@ -113,8 +141,9 @@ def classical_to_quantum(h0, beta, rule="heat-bath"):
     Metropolis, so no beta overflows. Both are even in x, so H is exactly
     symmetric and row r's entry for spin j is taken at x_j(r). The diagonal
     sums the rule's flip_rates in spin order, which is -W.diag bit for bit.
-    Each block of flip_matrix's rows is computed from the energies, so the
-    map holds H's CSR, the energies and block-sized temporaries.
+    Each block of flip_matrix's rows is computed from the energies, and only
+    the diagonal and the strict upper triangle are kept, so the map holds
+    those, the energies and block-sized temporaries.
     """
     check_beta(beta)
     rule = canonical_rule(rule)
@@ -131,7 +160,7 @@ def classical_to_quantum(h0, beta, rule="heat-bath"):
         np.exp(x, out=x)
         x /= -(1.0 + x * x) if rule == "heat-bath" else -1.0
 
-    return QuantumHamiltonian(h0.n, flip_matrix(h0.n, fill))
+    return FlipHamiltonian(h0.n, *flip_matrix(h0.n, fill, upper=True))
 
 
 def heat_bath_chain_closed_form(n, beta):
@@ -150,8 +179,8 @@ def heat_bath_chain_closed_form(n, beta):
     The sx coefficient is evaluated as -((1 + u) - (1 - u) sz_{j-1} sz_{j+1})/4
     with u = 1/cosh 2b = 2 e^{-2b} / (1 + e^{-4b}), which no beta overflows.
     Flipping spin j leaves sz_{j-1} and sz_{j+1} alone, so each block of
-    flip_matrix's rows is computed from its own spins, and no n x 2^n array
-    is held.
+    flip_matrix's rows is computed from its own spins, no n x 2^n array is
+    held, and H is kept as its diagonal and strict upper triangle.
     """
     if n < 3:
         raise ValidationError("closed-form chain needs n >= 3 (distinct j-1, j, j+1)")
@@ -171,15 +200,15 @@ def heat_bath_chain_closed_form(n, beta):
         values[1:] = -((1.0 + u) - (1.0 - u) * np.roll(sz, 1, axis=0)
                        * np.roll(sz, -1, axis=0)) / 4.0
 
-    return QuantumHamiltonian(n, flip_matrix(n, fill))
+    return FlipHamiltonian(n, *flip_matrix(n, fill, upper=True))
 
 
 def transverse_field_hamiltonian(h0, gamma):
     """H = diag(E) - gamma * sum_j sx_j in the sigma^z basis (stoquastic for
-    gamma >= 0)."""
+    gamma >= 0), held as its diagonal and strict upper triangle."""
     energies = energy_table(h0)
     off = np.broadcast_to(-float(gamma), (h0.n, energies.size))
-    return QuantumHamiltonian(h0.n, flip_matrix(h0.n, array_fill(energies, off)))
+    return FlipHamiltonian(h0.n, *flip_matrix(h0.n, array_fill(energies, off), upper=True))
 
 
 def ground_state(H):
@@ -195,7 +224,8 @@ def ground_state(H):
     """
     from .spectral import _lowest_pairs, gershgorin_bound
 
-    pairs = _lowest_pairs(H.matrix, 2)
+    H = QuantumHamiltonian(H.n, H.matrix)  # a FlipHamiltonian's CSR, built once
+    pairs = _lowest_pairs(H, 2)
     lam0, lam1 = pairs.eigenvalues
     width = gershgorin_bound(H) - lam0
     if lam1 - lam0 <= DEGENERACY_RTOL * max(width, 1.0):
@@ -231,6 +261,7 @@ def quantum_to_classical(H, tol=1e-12):
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+    H = QuantumHamiltonian(H.n, H.matrix)  # a FlipHamiltonian's CSR, built once
     asym = relative_asymmetry(H.matrix)
     if not asym <= SYMMETRY_RTOL:  # a NaN fails
         raise MappingPreconditionError(

@@ -39,7 +39,7 @@ def _check_spin_count(n):
         raise ValidationError(f"spin count must be a positive integer, got {n!r}")
     if n > MAX_TABLE_SPINS:
         raise ResourceLimitError(
-            f"n={n} exceeds the {MAX_TABLE_SPINS}-spin cap for 2^N tables"
+            f"n={n} exceeds the {MAX_TABLE_SPINS}-spin cap for model descriptions"
         )
 
 

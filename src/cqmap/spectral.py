@@ -12,22 +12,31 @@ by a Hotelling shift H + sigma phi_0 phi_0^T and finds lambda_1 alone by
 two-pass Lanczos, which keeps three vectors instead of ARPACK's basis and
 has none of its per-step overhead. ARPACK serves only requests without a
 known vector.
+
+The deflated solve reads a FlipHamiltonian (c2q's H, the transverse-field H
+and the closed-form chain) as held, its diagonal d and strict upper
+triangle U. H x = d x + U x + U^T x is formed by scipy's CSR and CSC kernels
+adding into one vector in the order of H's full CSR rows, so every product,
+and the solve, is bit for bit the one on the full CSR, which is never built.
+Any other H is solved through its CSR, as it stands: a file's H may be
+symmetric only to roundoff. The dense and ARPACK branches read the full CSR.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_array
+from scipy.sparse import _sparsetools, csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import io as cqio
 from .dynamics import relaxation_time
 from .errors import ConvergenceError, NumericalError, ResourceLimitError, ValidationError
-from .mapping import classical_to_quantum
+from .mapping import FlipHamiltonian, classical_to_quantum
 from .model import MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, build_model, gibbs_distribution
 
 _DENSE_FALLBACK_DIM = 32  # ARPACK is pointless below this
@@ -57,8 +66,8 @@ def _as_result(vals, vecs, matrix, method):
     return SpectrumResult(vals, vecs, gap, method, residuals)
 
 
-def _check_finite(matrix):
-    if not np.all(np.isfinite(matrix.data)):
+def _check_finite(*arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValidationError("H has a NaN or infinite entry")
 
 
@@ -68,21 +77,52 @@ def dense_spectrum(H):
         raise ResourceLimitError(
             f"n={H.n} exceeds the {MAX_DENSE_SPINS}-spin dense cap"
         )
-    _check_finite(H.matrix)
-    return _as_result(np.linalg.eigvalsh(H.dense()), None, H.matrix, "dense")
+    matrix = H.matrix
+    _check_finite(matrix.data)
+    return _as_result(np.linalg.eigvalsh(matrix.toarray()), None, matrix, "dense")
 
 
-def _known_ground_state(matrix, known):
-    """(phi_0, lambda_0, residual) of known normalized, checked to be a zero mode of H."""
+def _half_matvec(diag, upper, x):
+    """H @ x of H = diag(d) + U + U^T held as (diag, upper), bit for bit the
+    product of H's full CSR when U's rows are sorted.
+
+    scipy's kernels add into y in place: first each row's lower entries, a
+    CSC product on U's own arrays (U^T x), then d x, then the row's upper
+    entries (U x), the order in which H's full CSR row holds them. d x is
+    the only temporary.
+    """
+    dim = diag.size
+    y = np.zeros(dim)
+    _sparsetools.csc_matvec(dim, dim, upper.indptr, upper.indices, upper.data, x, y)
+    y += diag * x
+    _sparsetools.csr_matvec(dim, dim, upper.indptr, upper.indices, upper.data, x, y)
+    return y
+
+
+def _operator(H):
+    """What the known-vector solve reads of H: the arrays holding its entries,
+    x -> H x and abs(H) @ 1. A FlipHamiltonian is read as (diag, upper), so
+    its full CSR is never built; any other H through its CSR."""
+    if isinstance(H, FlipHamiltonian):
+        diag, upper = H.diag, H.upper
+        return ((diag, upper.data), partial(_half_matvec, diag, upper),
+                partial(_half_abs_row_sums, diag, upper))
+    matrix = H.matrix
+    return (matrix.data,), matrix.__matmul__, partial(_abs_row_sums, matrix)
+
+
+def _known_ground_state(matvec, dim, known):
+    """(phi_0, lambda_0, residual) of known normalized, checked to be a zero
+    mode of the dim x dim H whose product is matvec."""
     phi0 = np.asarray(known, dtype=float)
-    if phi0.shape != (matrix.shape[0],):
+    if phi0.shape != (dim,):
         raise ValidationError(f"known vector has shape {phi0.shape}, "
-                              f"expected ({matrix.shape[0]},)")
+                              f"expected ({dim},)")
     norm = np.linalg.norm(phi0)
     if not np.isfinite(norm) or norm == 0:
         raise ValidationError("known vector must be finite and nonzero")
     phi0 = phi0 / norm
-    h_phi0 = matrix @ phi0
+    h_phi0 = matvec(phi0)
     residual = np.abs(h_phi0).max()
     if not residual <= 1e-10:
         raise NumericalError(f"known vector is not a stationary mode: "
@@ -91,8 +131,8 @@ def _known_ground_state(matrix, known):
     return phi0, lam0, np.linalg.norm(h_phi0 - lam0 * phi0)
 
 
-def _lowest_pairs(matrix, k, max_iter=None, tol=0.0, known=None):
-    """k lowest eigenpairs of a symmetric sparse matrix.
+def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
+    """k lowest eigenpairs of a symmetric QuantumHamiltonian.
 
     The only place that picks a solver: up to _DENSE_FALLBACK_DIM states
     LAPACK computes just those k pairs (k may equal the dimension), above it
@@ -101,30 +141,35 @@ def _lowest_pairs(matrix, k, max_iter=None, tol=0.0, known=None):
     ResourceLimitError first.
 
     known, if given, is a vector phi_0 with H phi_0 = 0 (NumericalError if
-    |H phi_0|_inf > 1e-10), and k must be 2. Above the dense size, lambda_0 is
-    then phi_0's Rayleigh quotient and lambda_1 comes from _deflated_pair,
-    not ARPACK. All residuals are taken on H. Raises ValidationError on a NaN
-    or infinite entry or a malformed known vector, and ConvergenceError
-    carrying the best eigenvalues and residual norms found on
-    non-convergence.
+    |H phi_0|_inf > 1e-10), and k must be 2. Above the dense size, lambda_0
+    is then phi_0's Rayleigh quotient and lambda_1 comes from _deflated_pair,
+    not ARPACK; both read H through _operator, so a FlipHamiltonian's full
+    CSR is never built. All residuals are taken on H. Raises
+    ValidationError on a NaN or infinite entry or a malformed known vector,
+    and ConvergenceError carrying the best eigenvalues and residual norms
+    found on non-convergence.
     """
-    dim = matrix.shape[0]
+    dim = H.dim
     if dim > 1 << MAX_OPERATOR_SPINS:
         raise ResourceLimitError(f"dimension {dim} exceeds the 2^{MAX_OPERATOR_SPINS} cap")
-    _check_finite(matrix)
-    ground = None
+    dense = dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2)
+    v0 = None if dense else 1.0 + 0.5 * np.sin(np.arange(dim))
     if known is not None:
+        stored, matvec, abs_row_sums = _operator(H)
+        _check_finite(*stored)
         if k != 2:
             raise ValidationError(f"a known ground state needs k == 2, got k={k}")
-        ground = _known_ground_state(matrix, known)
-    if dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2):
+        ground = _known_ground_state(matvec, dim, known)
+        if not dense:
+            sigma = 2.0 * float(abs_row_sums().max())
+            return _deflated_pair(matvec, sigma, ground, v0, max_iter, tol)
+    matrix = H.matrix
+    _check_finite(matrix.data)
+    if dense:
         vals, vecs = scipy.linalg.eigh(matrix.toarray(), subset_by_index=[0, k - 1],
                                        overwrite_a=True)
         return _as_result(vals, vecs, matrix, "dense")
 
-    v0 = 1.0 + 0.5 * np.sin(np.arange(dim))
-    if ground is not None:
-        return _deflated_pair(matrix, ground, v0, max_iter, tol)
     v0 /= np.linalg.norm(v0)
     ncv = min(dim, max(20, 4 * k + 1))
     try:
@@ -162,9 +207,12 @@ def _lanczos(apply, v0, steps):
         q_prev, q = q, w
 
 
-def _deflated_pair(matrix, ground, v0, max_iter, tol):
-    """lambda_0 and lambda_1 of H, given its zero mode as _known_ground_state's triple.
+def _deflated_pair(matvec, sigma, ground, v0, max_iter, tol):
+    """lambda_0 and lambda_1 of H, given its product x -> H x, sigma and its
+    zero mode as _known_ground_state's triple.
 
+    H is read only through matvec, so the solve holds a few vectors beside
+    H as the caller holds it: for a FlipHamiltonian its (diag, upper).
     lambda_1 is the lowest eigenvalue of H + sigma phi0 phi0^T, sigma twice
     the largest absolute row sum so that phi0 moves above the spectrum. Two
     Lanczos passes run from the part of v0 orthogonal to phi0. The first
@@ -181,16 +229,15 @@ def _deflated_pair(matrix, ground, v0, max_iter, tol):
     last step and their residuals on H.
     """
     phi0, lam0, res0 = ground
-    sigma = 2.0 * float(_abs_row_sums(matrix).max())
     v0 -= (phi0 @ v0) * phi0
     v0 /= np.linalg.norm(v0)
 
     def apply(x):
-        y = matrix @ x
+        y = matvec(x)
         y += (sigma * (phi0 @ x)) * phi0
         return y
 
-    steps = 10 * matrix.shape[0] if max_iter is None else max_iter
+    steps = 10 * v0.size if max_iter is None else max_iter
     floor = np.finfo(float).eps * sigma
     alphas, betas = [], []
     check = 1  # the next step whose Ritz pair is tested
@@ -211,7 +258,7 @@ def _deflated_pair(matrix, ground, v0, max_iter, tol):
     y /= np.linalg.norm(y)
 
     vals = np.array([lam0, theta[0]])
-    res = np.array([res0, np.linalg.norm(matrix @ y - vals[1] * y)])
+    res = np.array([res0, np.linalg.norm(matvec(y) - vals[1] * y)])
     if not converged:
         raise ConvergenceError(f"Lanczos did not converge in {len(alphas)} steps",
                                eigenvalues=vals, residual_norms=res)
@@ -226,11 +273,14 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
     fixed start vector (see _lowest_pairs). known is an optional ground state
     phi_0 with H phi_0 = 0, such as sqrt(p_eq) of a mapped generator, and
     needs k == 2; the Krylov iteration then deflates it and computes only
-    lambda_1 (see _deflated_pair). Raises ValidationError on a NaN or infinite
-    entry or a malformed known vector, and NumericalError when known is not a
-    zero mode of H. max_iter, if given, must be at least 1 and tol finite; it
-    caps ARPACK's restarts, or the Lanczos steps when known is given. A
-    tol <= 0 asks for machine precision.
+    lambda_1 (see _deflated_pair). That solve reads a FlipHamiltonian's
+    diagonal and strict upper triangle as held, so its full CSR is never
+    built, and any other H through its CSR; without known, the full CSR is
+    read. Raises ValidationError on a NaN or infinite entry or a malformed
+    known vector, and NumericalError when known is not a zero mode of H.
+    max_iter, if given, must be at least 1 and tol finite; it caps ARPACK's
+    restarts, or the Lanczos steps when known is given. A tol <= 0 asks for
+    machine precision.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -238,10 +288,10 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
         raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
     if not math.isfinite(tol):
         raise ValidationError(f"tol must be finite, got {tol!r}")
-    dim = H.matrix.shape[0]
+    dim = H.dim
     if k >= dim:
         raise ValidationError(f"k={k} must be smaller than the dimension {dim}")
-    return _lowest_pairs(H.matrix, k, max_iter, tol, known)
+    return _lowest_pairs(H, k, max_iter, tol, known)
 
 
 def _abs_row_sums(matrix):
@@ -261,6 +311,31 @@ def _abs_row_sums(matrix):
         a, b = indptr[lo], indptr[hi]
         sums[lo:hi] = csr_array((np.abs(matrix.data[a:b]), matrix.indices[a:b],
                                  indptr[lo:hi + 1] - a), shape=(hi - lo, matrix.shape[1])) @ ones
+    return sums
+
+
+def _half_abs_row_sums(diag, upper):
+    """abs(H) @ 1 of H = diag(d) + U + U^T held as (diag, upper), bit for bit
+    the full CSR's when U's rows are sorted, without a copy of U.
+
+    Each block of U's rows holding about dim entries is taken once, in row
+    order: its absolute values are added as columns (U^T) into the rows they
+    lie below, then the block's own rows add |d| and those values, the order
+    of H's full CSR rows. At most one vector's worth of absolute values
+    exists at a time.
+    """
+    dim = diag.size
+    ones = np.ones(dim)
+    sums = np.zeros(dim)
+    indptr = upper.indptr
+    step = max(1, dim * dim // max(upper.nnz, 1))
+    for lo in range(0, dim, step):
+        hi = min(lo + step, dim)
+        a, b = indptr[lo], indptr[hi]
+        ptr, cols, values = indptr[lo:hi + 1] - a, upper.indices[a:b], np.abs(upper.data[a:b])
+        _sparsetools.csc_matvec(dim, hi - lo, ptr, cols, values, ones, sums)
+        sums[lo:hi] += np.abs(diag[lo:hi])
+        _sparsetools.csr_matvec(hi - lo, dim, ptr, cols, values, ones, sums[lo:hi])
     return sums
 
 

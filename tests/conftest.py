@@ -22,6 +22,12 @@ def random_model(rng, n, pair_density=0.8, field_density=0.5, field_scale=0.5):
     return ClassicalHamiltonian(n, coeffs)
 
 
+def held_bytes(H):
+    """Bytes of a flip-built H as held: its diagonal and strict upper CSR."""
+    return H.diag.nbytes + sum(getattr(H.upper, name).nbytes
+                               for name in ("data", "indices", "indptr"))
+
+
 def naive_energy(h0, index):
     """Per-configuration energy by direct term summation (pure python)."""
     total = 0.0

@@ -42,6 +42,15 @@ def test_model_validate_rejects_bad_json(tmp_path):
     assert "model validate" in outcome.diagnostics
 
 
+def test_model_validate_names_the_description_cap(tmp_path):
+    # 2^N tables are capped at 24 spins elsewhere; 30 bounds a description.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 31}))
+    outcome = run(["model", "validate", "--model", str(path)])
+    assert outcome.exit_code == 3
+    assert "n=31 exceeds the 30-spin cap for model descriptions" in outcome.diagnostics
+
+
 def test_model_coeffs_writes_csv(chain4, tmp_path):
     out = tmp_path / "coeffs.csv"
     outcome = run(["model", "coeffs", "--model", chain4, "--out", str(out)])

@@ -11,6 +11,7 @@ from cqmap.dynamics import (
     _DP_P,
     GeneratorProvider,
     array_fill,
+    canonical_rule,
     flip_apply,
     flip_asymmetry,
     flip_matrix,
@@ -18,6 +19,7 @@ from cqmap.dynamics import (
     flipped,
     relative_asymmetry,
     trajectory_csv,
+    upper_fill,
     write_generator,
 )
 from cqmap.errors import (
@@ -93,6 +95,15 @@ def test_glauber_is_heat_bath_alias():
         cq.build_generator(h0, 0.7, "kawasaki")
 
 
+@pytest.mark.parametrize("rule", [["heat-bath"], {"rule": "metropolis"}, None, 1.5])
+def test_a_rule_of_the_wrong_type_is_a_validation_error(rule):
+    # An unhashable rule used to escape the alias lookup as a raw TypeError.
+    with pytest.raises(ValidationError, match="unknown flip rule"):
+        canonical_rule(rule)
+    with pytest.raises(ValidationError, match="unknown flip rule"):
+        classical_to_quantum(cq.chain(3), 0.44, rule)
+
+
 def test_generator_structure_hamming_distance_one(rng):
     h0 = random_model(rng, 4)
     W = cq.build_generator(h0, 0.8)
@@ -130,6 +141,37 @@ def test_flip_matrix_matches_coo_assembly(rng, n):
     assert M.indptr.dtype == M.indices.dtype == np.int32
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(M, name), getattr(oracle, name))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 13, 14])
+def test_flip_matrix_upper_keeps_the_diagonal_and_strict_upper_triangle(rng, n):
+    # The same placement loop on any fill, symmetric or not: upper=True keeps
+    # what the full CSR holds on and above its diagonal, bit for bit.
+    dim = 1 << n
+    diag, off = rng.standard_normal(dim), rng.standard_normal((n, dim))
+    full = array_matrix(diag, off)
+    held, upper = flip_matrix(n, array_fill(diag, off), upper=True)
+    triu = sparse.triu(full, 1, format="csr")
+    assert np.array_equal(held, diag)
+    assert upper.has_canonical_format
+    assert upper.indptr.dtype == upper.indices.dtype == np.int32
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(upper, name), getattr(triu, name))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 13, 14])
+def test_upper_fill_rebuilds_a_symmetric_flip_matrix_bit_for_bit(rng, n):
+    # off[j] even under the flip of spin j makes the operator symmetric.
+    dim = 1 << n
+    diag, off = rng.standard_normal(dim), rng.standard_normal((n, dim))
+    for j, row in enumerate(off):
+        row.reshape(-1, 2, 1 << j)[:, 1] = row.reshape(-1, 2, 1 << j)[:, 0]
+    full = array_matrix(diag, off)
+    assert (full - full.T).count_nonzero() == 0
+    rebuilt = flip_matrix(n, upper_fill(*flip_matrix(n, array_fill(diag, off), upper=True)))
+    for name in ("indptr", "indices", "data"):
+        assert getattr(rebuilt, name).dtype == getattr(full, name).dtype
+        assert np.array_equal(getattr(rebuilt, name), getattr(full, name))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])

@@ -24,7 +24,7 @@ from cqmap.mapping import read_hamiltonian, write_hamiltonian
 from cqmap.model import dense_coefficients, grid
 from cqmap.spectral import gershgorin_bound
 
-from conftest import naive_energy_table, random_model
+from conftest import held_bytes, naive_energy_table, random_model
 
 
 def half_i_minus_sx():
@@ -119,22 +119,35 @@ def test_c2q_of_a_flip_generator_needs_neither_csr_kernel(monkeypatch):
     assert H.matrix.nnz == 6 * 32
 
 
-def csr_bytes(H):
-    return sum(getattr(H.matrix, name).nbytes for name in ("data", "indices", "indptr"))
+@pytest.mark.parametrize("build", [
+    lambda n: cq.classical_to_quantum(cq.chain(n, field_h=0.2), 0.44),
+    lambda n: cq.transverse_field_hamiltonian(cq.chain(n), 0.7),
+    lambda n: cq.heat_bath_chain_closed_form(n, 0.44),
+], ids=["c2q", "transverse_field", "closed_form"])
+def test_flip_built_hamiltonians_hold_each_symmetric_pair_once(build):
+    # 6n + 12 bytes per state: an 8-byte diagonal, n/2 stored flips of 8 + 4
+    # bytes and a 4-byte row pointer, where the full CSR takes 12(n + 1) + 4.
+    n = 13
+    H = build(n)
+    assert H.dim == 1 << n and H.diag.shape == (1 << n,)
+    assert H.upper.nnz == n << (n - 1)
+    assert held_bytes(H) == (6 * n + 12) * (1 << n) + 4
+    assert sparse.triu(H.upper, 1).nnz == H.upper.nnz  # strictly upper
 
 
 def test_c2q_allocates_little_beyond_its_result():
     # No generator and no n x 2^n flip array: each block of rows is computed
-    # from the energies, so beside H's CSR the map holds the energies,
-    # energy_table's temporaries and flip_matrix's block-sized arrays, a
-    # bound that does not grow with n.
+    # from the energies, and only the diagonal and strict upper triangle are
+    # kept, so beside those the map holds the energies, energy_table's
+    # temporaries and flip_matrix's block-sized arrays, a bound that does not
+    # grow with n.
     n, beta = 16, 0.44
     h0 = cq.chain(n)
     tracemalloc.start()
     H = cq.classical_to_quantum(h0, beta)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= csr_bytes(H) + 6 * (1 << n) * 8
+    assert peak <= held_bytes(H) + 6 * (1 << n) * 8
 
 
 def array_form_c2q(h0, beta, rule):
@@ -161,11 +174,19 @@ def array_form_c2q(h0, beta, rule):
 ], ids=["chain11", "chain12", "chain13", "chain14", "random11", "random13", "grid3x4"])
 def test_c2q_blocks_are_the_array_form_bit_for_bit(h0, beta, rule):
     # Up to 12 spins H is one block of 4096 rows; from 13 on, the spins
-    # j >= 12 read their flipped energies from the partner block.
-    H = cq.classical_to_quantum(h0, beta, rule).matrix
+    # j >= 12 read their flipped energies from the partner block. H holds
+    # the oracle's diagonal and strict upper triangle, and its full CSR,
+    # built on read, is the oracle's.
+    H = cq.classical_to_quantum(h0, beta, rule)
     oracle = array_form_c2q(h0, beta, rule)
+    triu = sparse.triu(oracle, 1, format="csr")
+    assert np.array_equal(H.diag, oracle.diagonal())
+    matrix = H.matrix
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(H, name), getattr(oracle, name))
+        assert getattr(H.upper, name).dtype == getattr(triu, name).dtype
+        assert np.array_equal(getattr(H.upper, name), getattr(triu, name))
+        assert getattr(matrix, name).dtype == getattr(oracle, name).dtype
+        assert np.array_equal(getattr(matrix, name), getattr(oracle, name))
 
 
 def dense_mapped_oracle(h0, beta, rule):
@@ -293,13 +314,13 @@ def test_closed_form_offdiagonal_matches_mapped_generator():
 
 def test_closed_form_allocates_little_beyond_its_result():
     # Each block of rows is computed from its own spins: no n x 2^n sz,
-    # off or rolled copies, so beside H's CSR only block-sized arrays.
+    # off or rolled copies, so beside H's halves only block-sized arrays.
     n = 17
     tracemalloc.start()
     H = cq.heat_bath_chain_closed_form(n, 0.44)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= csr_bytes(H) + 4 * (1 << n) * 8
+    assert peak <= held_bytes(H) + 4 * (1 << n) * 8
 
 
 def test_mapped_diagonal_follows_derived_form_not_printed_form():
@@ -409,10 +430,24 @@ def test_ground_state_degeneracy_width_is_gershgorin_bound():
 @pytest.mark.parametrize("branch", ["dense", "krylov"])
 def test_ground_state_rejects_non_finite_entry(branch, bad):
     # chain(4) has 16 states (dense solve), chain(6) has 64 (ARPACK).
+    # H.matrix is built from H's held (diag, upper) on every read.
     H = cq.transverse_field_hamiltonian(cq.chain(4 if branch == "dense" else 6), 1.0)
-    H.matrix.data[3] = bad
+    H.upper.data[3] = bad
     with pytest.raises(ValidationError, match="NaN or infinite"):
         cq.ground_state(H)
+
+
+@pytest.mark.parametrize("inverse", [cq.ground_state, cq.quantum_to_classical])
+def test_ground_state_builds_a_flip_hamiltonians_csr_once(monkeypatch, inverse):
+    # The solver and the Gershgorin width both read the full CSR, which a
+    # FlipHamiltonian builds on each read of .matrix.
+    calls = []
+    build = mapping.flip_matrix
+    monkeypatch.setattr(mapping, "flip_matrix",
+                        lambda *args, **kwargs: calls.append(1) or build(*args, **kwargs))
+    H = cq.transverse_field_hamiltonian(cq.chain(7, field_h=0.1), 0.8)
+    inverse(H)
+    assert len(calls) == 2  # the halves, then one full CSR
 
 
 # ---------------------------------------------------------- quantum_to_classical
@@ -469,15 +504,15 @@ def test_transverse_field_hamiltonian_matches_kronecker_oracle(n, periodic):
 
 
 def test_transverse_field_hamiltonian_allocates_little_beyond_its_result():
-    # The field is one broadcast value, not an n x 2^n array: beside H's CSR
-    # the build holds the energies and flip_matrix's blocks.
+    # The field is one broadcast value, not an n x 2^n array: beside H's
+    # halves the build holds the energies and flip_matrix's blocks.
     n = 16
     h0 = cq.chain(n)
     tracemalloc.start()
     H = cq.transverse_field_hamiltonian(h0, 1.0)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= csr_bytes(H) + 6 * (1 << n) * 8
+    assert peak <= held_bytes(H) + 6 * (1 << n) * 8
 
 
 def test_q2c_generator_is_valid_dynamics(rng):

@@ -15,7 +15,7 @@ from cqmap.spectral import (
     sweep_csv,
 )
 
-from conftest import random_model
+from conftest import held_bytes, random_model
 
 
 def mapped(h0, beta, rule="heat-bath"):
@@ -119,8 +119,9 @@ def test_extreme_degenerate_lowest_pair_two_sectors():
 @pytest.mark.parametrize("n", [4, 6])
 def test_non_finite_entry_is_validation_error(n, bad):
     # chain(4) has 16 states (dense fallback), chain(6) has 64 (ARPACK).
+    # H.matrix is built from H's held (diag, upper) on every read.
     H = cq.transverse_field_hamiltonian(cq.chain(n), 1.0)
-    H.matrix.data[3] = bad
+    H.upper.data[3] = bad
     with pytest.raises(ValidationError, match="NaN or infinite"):
         cq.extreme_eigenpairs(H, k=2)
     with pytest.raises(ValidationError, match="NaN or infinite"):
@@ -214,8 +215,8 @@ def test_deflated_pair_ends_on_exact_breakdown():
     dim = 64
     matrix = sparse.diags_array(np.r_[0.0, np.ones(dim - 1)]).tocsr()
     phi0, v0 = np.eye(dim)[0], np.eye(dim)[1]
-    ground = spectral._known_ground_state(matrix, phi0)
-    result = spectral._deflated_pair(matrix, ground, v0, None, 0.0)
+    ground = spectral._known_ground_state(matrix.__matmul__, dim, phi0)
+    result = spectral._deflated_pair(matrix.__matmul__, 2.0, ground, v0, None, 0.0)
     assert result.eigenvalues.tolist() == [0.0, 1.0]
     assert result.residual_norms.tolist() == [0.0, 0.0]
     assert np.array_equal(result.eigenvectors, np.eye(dim)[:, :2])
@@ -232,6 +233,67 @@ def test_deflated_solve_keeps_no_krylov_basis():
     tracemalloc.stop()
     assert result.method == "iterative"
     assert peak <= 8 * (1 << 14) * 8
+
+
+@pytest.mark.parametrize("h0, beta", [
+    (cq.chain(10, field_h=0.3), 0.7),
+    (cq.grid(3, 3, field_h=0.1), 0.44),
+], ids=["chain10", "grid3x3"])
+def test_deflated_solve_on_a_general_csr_matches_dense(h0, beta):
+    # A QuantumHamiltonian(n, csr), as read from a file, is solved through
+    # its own CSR.
+    H = cq.QuantumHamiltonian(h0.n, mapped(h0, beta).matrix)
+    lam = scipy.linalg.eigvalsh(H.dense())
+    result = cq.extreme_eigenpairs(H, k=2, known=sqrt_peq(h0, beta))
+    assert result.method == "iterative"
+    assert np.abs(result.eigenvalues - lam[:2]).max() <= 1e-12 * lam[-1]
+    assert result.residual_norms.max() <= 1e-12
+
+
+def test_deflated_solve_on_held_halves_is_the_full_csr_solve_bit_for_bit(monkeypatch):
+    # H x is summed in the full CSR row's order, so the solve on (diag, upper)
+    # repeats the one on the full CSR exactly, and never builds that CSR.
+    h0, beta = cq.grid(3, 4, field_h=0.1), 0.44
+    H, known = mapped(h0, beta), sqrt_peq(h0, beta)
+    general = cq.extreme_eigenpairs(cq.QuantumHamiltonian(h0.n, H.matrix), k=2, known=known)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full CSR built")
+
+    monkeypatch.setattr(mapping, "flip_matrix", refuse)
+    held = cq.extreme_eigenpairs(H, k=2, known=known)
+    assert np.array_equal(held.eigenvalues, general.eigenvalues)
+    assert np.array_equal(held.eigenvectors, general.eigenvectors)
+    assert np.array_equal(held.residual_norms, general.residual_norms)
+
+
+@pytest.mark.parametrize("where", ["diag", "upper"])
+def test_non_finite_held_entry_is_refused_by_the_deflated_solve(where):
+    h0 = cq.chain(8)
+    H = mapped(h0, 0.44)
+    (H.diag if where == "diag" else H.upper.data)[5] = np.nan
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        cq.extreme_eigenpairs(H, k=2, known=sqrt_peq(h0, 0.44))
+
+
+def test_half_abs_row_sums_are_the_full_csr_sums_bit_for_bit(rng):
+    for H in (mapped_chain(13, 0.7), mapped(random_model(rng, 9), 1.3, "metropolis"),
+              cq.transverse_field_hamiltonian(cq.chain(12, field_h=0.4), 0.8)):
+        assert np.array_equal(spectral._half_abs_row_sums(H.diag, H.upper),
+                              spectral._abs_row_sums(H.matrix))
+
+
+def test_sweep_row_holds_h_once_per_symmetric_pair():
+    # A chain(16) row's peak: H's diagonal and strict upper CSR, held
+    # through the solve, plus at most 10 vectors (the Gibbs amplitude, the
+    # Lanczos vectors and their temporaries). H's full CSR is never built.
+    n = 16
+    tracemalloc.start()
+    row, = cq.gap_scaling_sweep({"kind": "chain"}, [n], 0.44)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert row.error is None
+    assert peak <= held_bytes(mapped_chain(n, 0.44)) + 10 * (1 << n) * 8
 
 
 def test_known_vector_is_checked():
