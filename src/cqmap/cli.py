@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -96,7 +97,10 @@ def _command(name, help, *arguments):
     return register
 
 
+@functools.cache
 def _build_parser():
+    """The parser of every registered command, built once per process:
+    parsing leaves no state on it, and building costs far more than a parse."""
     parser = _Parser(prog="cqmap", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
     commands = {group: groups.add_parser(group, help=help)
@@ -419,6 +423,8 @@ def dispatch(argv):
         return CommandOutcome(EXIT_NUMERICAL, None, f"{opname}: {exc}")
     except OSError as exc:
         return CommandOutcome(EXIT_VALIDATION, None, f"{opname}: {exc}")
+    except UnicodeDecodeError as exc:
+        return CommandOutcome(EXIT_VALIDATION, None, f"{opname}: input is not UTF-8 ({exc})")
 
 
 def main(argv=None):

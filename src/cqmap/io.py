@@ -3,8 +3,10 @@ atomic writes, and deterministic JSON with round-trippable floats."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from scipy import sparse
@@ -13,6 +15,11 @@ from .errors import ResourceLimitError, ValidationError
 from .model import MAX_OPERATOR_SPINS
 
 COORDINATE_HEADER = "%%sparse-coordinate real"
+# Entries formatted or parsed per call, so no per-entry Python code runs and
+# the temporaries beside the text and the arrays do not grow with nnz.
+COORDINATE_BLOCK = 1 << 12
+_ENTRY_FORMAT = "%d %d %.17g\n"  # the bytes of f"{r} {c} {format_float(v)}"
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def atomic_write_text(path, text):
@@ -45,20 +52,80 @@ def coordinate_text(matrix):
     """Serialize a square sparse matrix as 1-based 'row col value' lines.
 
     The header line is followed by a size line 'rows cols nnz'; entries are
-    sorted by (row, col) so output is deterministic.
+    sorted by (row, col) so output is deterministic. Entries are formatted
+    COORDINATE_BLOCK at a time, one %-format per block, so the temporaries
+    beside the text are bounded by the block size.
     """
     coo = sparse.coo_array(matrix)
-    rows, cols = coo.row, coo.col
-    order = np.lexsort((cols, rows))
-    lines = [COORDINATE_HEADER, f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    data = coo.data
-    for k in order:
-        lines.append(f"{rows[k] + 1} {cols[k] + 1} {format_float(data[k])}")
-    return "\n".join(lines) + "\n"
+    order = np.lexsort((coo.col, coo.row))
+    parts = [f"{COORDINATE_HEADER}\n{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"]
+    for start in range(0, coo.nnz, COORDINATE_BLOCK):
+        block = order[start:start + COORDINATE_BLOCK]
+        cells = [None] * (3 * block.size)
+        cells[0::3] = (coo.row[block] + 1).tolist()
+        cells[1::3] = (coo.col[block] + 1).tolist()
+        cells[2::3] = coo.data[block].tolist()
+        parts.append(_ENTRY_FORMAT * block.size % tuple(cells))
+    return "".join(parts)
 
 
 def write_coordinate(matrix, path):
     atomic_write_text(path, coordinate_text(matrix))
+
+
+def _parse_entries(lines):
+    """The lines as an _ENTRY array, or None if any line is blank or is not
+    exactly an int, an int and a float (numpy's text parser, which skips
+    blank lines; a short result shows them)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            entries = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+        except ValueError:
+            return None
+    return entries if entries.size == len(lines) else None
+
+
+def _first_refused(lines):
+    """Index of the first line that _parse_entries refuses, by bisection;
+    one of the lines must be refused."""
+    lo, hi = 0, len(lines)  # lines[:lo] parse; the first refused one is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse_entries(lines[lo:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _read_entries(fh, nnz, path):
+    """The next nnz lines of fh as 0-based int64 rows and cols and float64
+    values, parsed COORDINATE_BLOCK lines at a time. A blank, short or
+    malformed line, or a missing one, raises ValidationError naming the
+    first such entry; lines after the nnz-th are not read."""
+    rows = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz)
+    for start in range(0, nnz, COORDINATE_BLOCK):
+        want = min(COORDINATE_BLOCK, nnz - start)
+        lines = list(itertools.islice(fh, want))
+        entries = _parse_entries(lines)
+        if entries is None or len(lines) < want:
+            bad = len(lines) if entries is not None else _first_refused(lines)
+            raise ValidationError(f"{path}: truncated or malformed entry {start + bad}")
+        rows[start:start + want] = entries["row"]
+        cols[start:start + want] = entries["col"]
+        vals[start:start + want] = entries["value"]
+    rows -= 1
+    cols -= 1
+    return rows, cols, vals
+
+
+def _repeats(keys):
+    """Whether some value of keys occurs twice; sorts keys in place."""
+    keys.sort()
+    return bool(np.any(keys[1:] == keys[:-1]))
 
 
 def read_coordinate(path):
@@ -88,20 +155,12 @@ def read_coordinate(path):
         if nrows > 1 << MAX_OPERATOR_SPINS:
             raise ResourceLimitError(f"{path}: dimension {nrows} exceeds the "
                                      f"2^{MAX_OPERATOR_SPINS} cap")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        for k in range(nnz):
-            try:
-                row, col, val = fh.readline().split()
-                rows[k], cols[k], vals[k] = int(row) - 1, int(col) - 1, float(val)
-            except (ValueError, OverflowError):
-                raise ValidationError(f"{path}: truncated or malformed entry {k}") from None
+        rows, cols, vals = _read_entries(fh, nnz, path)
     if nnz and (rows.min() < 0 or cols.min() < 0 or rows.max() >= nrows or cols.max() >= ncols):
         raise ValidationError(f"{path}: coordinate outside matrix bounds")
     if not np.all(np.isfinite(vals)):
         raise ValidationError(f"{path}: non-finite entry")
-    if np.unique(rows * ncols + cols).size != nnz:
+    if _repeats(rows * ncols + cols):
         raise ValidationError(f"{path}: duplicate (row, col) entry")
     n = nrows.bit_length() - 1
     if n < 1 or nrows != (1 << n):

@@ -130,7 +130,7 @@ def _conjugate(matrix, energies, scale):
     return matrix
 
 
-def classical_to_quantum(h0, beta, rule="heat-bath"):
+def classical_to_quantum(h0, beta, rule="heat-bath", energies=None):
     """The mapped Hamiltonian H = -diag(a) W diag(a)^-1, a = exp(beta E / 2),
     of W = build_generator(h0, beta, rule), written from the energies alone.
 
@@ -143,11 +143,13 @@ def classical_to_quantum(h0, beta, rule="heat-bath"):
     sums the rule's flip_rates in spin order, which is -W.diag bit for bit.
     Each block of flip_matrix's rows is computed from the energies, and only
     the diagonal and the strict upper triangle are kept, so the map holds
-    those, the energies and block-sized temporaries.
+    those, the energies and block-sized temporaries. A caller that holds
+    energy_table(h0) already passes it as ``energies``.
     """
     check_beta(beta)
     rule = canonical_rule(rule)
-    energies = energy_table(h0)
+    if energies is None:
+        energies = energy_table(h0)
 
     def fill(r0, values):
         x = values[1:]

@@ -37,7 +37,8 @@ from . import io as cqio
 from .dynamics import relaxation_time
 from .errors import ConvergenceError, NumericalError, ResourceLimitError, ValidationError
 from .mapping import FlipHamiltonian, classical_to_quantum
-from .model import MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, build_model, gibbs_distribution
+from .model import (MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, build_model, energy_table,
+                    gibbs_from_energies)
 
 _DENSE_FALLBACK_DIM = 32  # ARPACK is pointless below this
 # _deflated_pair tests convergence at every Lanczos step up to this one.
@@ -371,7 +372,8 @@ def gap_scaling_sweep(family, sizes, beta, rule="heat-bath"):
     """Gap and relaxation time of the mapped Hamiltonian across system sizes.
 
     Each row's size is its spin count. The mapped ground state sqrt(p_eq) is
-    handed to the eigensolver, which then solves for lambda_1 alone. Per-size
+    handed to the eigensolver, which then solves for lambda_1 alone; the map
+    and p_eq share the row's one energy table. Per-size
     failures are recorded in the row and the sweep continues; a malformed
     family is refused before any row runs.
     """
@@ -382,8 +384,11 @@ def gap_scaling_sweep(family, sizes, beta, rule="heat-bath"):
         n = description["n"]
         try:
             h0 = build_model(description)
-            H = classical_to_quantum(h0, beta, rule)
-            spec = extreme_eigenpairs(H, k=2, known=np.sqrt(gibbs_distribution(h0, beta).p))
+            energies = energy_table(h0)
+            known = np.sqrt(gibbs_from_energies(h0.n, energies, beta).p)
+            H = classical_to_quantum(h0, beta, rule, energies=energies)
+            del energies  # not held through the eigensolve
+            spec = extreme_eigenpairs(H, k=2, known=known)
             tau = relaxation_time(spec)
             rows.append(SweepRow(n, spec.gap, tau, spec.method,
                                  float(spec.residual_norms.max())))

@@ -519,6 +519,14 @@ def test_help_at_every_level_is_an_outcome_with_exit_zero(argv, capsys):
         assert out == cli._build_parser().format_help()
 
 
+def test_parser_is_built_once_per_process(chain4):
+    parser = cli._build_parser()
+    assert dispatch(["map", "--help"]).exit_code == 0
+    assert dispatch(["transmogrify"]).exit_code == 1
+    assert dispatch(["model", "validate", "--model", chain4]).exit_code == 0
+    assert cli._build_parser() is parser
+
+
 def test_unknown_subcommand_is_validation_error():
     outcome = run(["transmogrify"])
     assert outcome.exit_code == 1

@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy import sparse
 
 import cqmap as cq
-from cqmap import mapping, spectral
+from cqmap import mapping, model, spectral
 from cqmap.errors import NumericalError, ResourceLimitError, ValidationError
 from cqmap.spectral import (
     fit_json,
@@ -389,9 +389,24 @@ def test_sweep_records_per_row_failures_and_continues():
     assert [r.size for r in rows] == [4, 25, 36]  # spin counts, failed rows too
 
 
+def test_sweep_builds_one_energy_table_per_row(monkeypatch):
+    # The map and the Gibbs amplitude of a row share one table.
+    sizes, energy_table = [], model.energy_table
+
+    def counting(h0):
+        sizes.append(h0.n)
+        return energy_table(h0)
+
+    for module in (model, mapping, spectral):
+        monkeypatch.setattr(module, "energy_table", counting)
+    rows = cq.gap_scaling_sweep({"kind": "chain", "h": 0.1}, [4, 6, 8], 0.44)
+    assert all(row.error is None for row in rows)
+    assert sizes == [4, 6, 8]
+
+
 def test_sweep_row_with_wrong_known_vector_is_an_error(monkeypatch):
-    monkeypatch.setattr(spectral, "gibbs_distribution",
-                        lambda h0, beta: cq.gibbs_distribution(h0, 2 * beta))
+    monkeypatch.setattr(spectral, "gibbs_from_energies",
+                        lambda n, energies, beta: model.gibbs_from_energies(n, energies, 2 * beta))
     row = cq.gap_scaling_sweep({"kind": "chain", "h": 0.3}, [8], 1.0)[0]
     assert row.method == "error"
     assert "not a stationary mode" in row.error
