@@ -229,9 +229,8 @@ def _cmd_map_q2c(args):
     result = mapping.quantum_to_classical(H, tol=args.tol)
     W = result.generator
     col_resid = float(np.abs(np.asarray(W.sum(axis=0))).max())
-    coo = W.tocoo()
-    offmask = coo.row != coo.col
-    offdiag_min = float(coo.data[offmask].min()) if offmask.any() else 0.0
+    # q2c refuses a reducible H, so W' has an off-diagonal entry.
+    offdiag_min = float(W.data[W.indices != cqio.entry_rows(W)].min())
     profile = model.interaction_profile(result.model.coeffs)
     payload = {
         "shift": result.lambda0,

@@ -315,8 +315,8 @@ class DynamicsReport:
 
 
 def relative_asymmetry(matrix):
-    """max|M - M^T| / max|M| of a sparse M: 0 if M = 0, NaN if M holds a NaN."""
-    scale = abs(matrix).max()
+    """max|M - M^T| / max|M| of a canonical sparse M: 0 if M = 0, NaN if M has a NaN."""
+    scale = np.abs(matrix.data).max(initial=0.0)
     asym = np.abs((matrix - matrix.T).data).max(initial=0.0)  # copies only the data
     return float(asym / scale) if scale != 0 else 0.0
 

@@ -23,12 +23,14 @@ _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def atomic_write_text(path, text):
-    """Write text to path atomically (temp file in the same directory + rename)."""
+    """Write text to path atomically (temp file in the same directory + rename),
+    1 MiB of text at a time, so no encoded copy of the whole text is made."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cqmap-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for start in range(0, len(text), 1 << 20):
+                fh.write(text[start:start + (1 << 20)])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,24 +50,42 @@ def csv_text(header, rows):
     return "\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n"
 
 
+def row_blocks(matrix):
+    """(lo, hi, a, b) of a CSR's rows lo:hi and their stored entries a:b, in
+    blocks of about dim entries, so a walk keeps a few vectors' temporaries."""
+    dim, indptr = matrix.shape[0], matrix.indptr
+    step = max(1, dim * dim // max(matrix.nnz, 1))
+    for lo in range(0, dim, step):
+        hi = min(lo + step, dim)
+        yield lo, hi, indptr[lo], indptr[hi]
+
+
+def entry_rows(matrix):
+    """The int32 row of every stored entry of a CSR."""
+    return np.repeat(np.arange(matrix.shape[0], dtype=np.int32), np.diff(matrix.indptr))
+
+
 def coordinate_text(matrix):
     """Serialize a square sparse matrix as 1-based 'row col value' lines.
 
-    The header line is followed by a size line 'rows cols nnz'; entries are
-    sorted by (row, col) so output is deterministic. Entries are formatted
+    The header line is followed by a size line 'rows cols nnz'; entries
+    follow the canonical CSR, sorted by (row, col). Entries are formatted
     COORDINATE_BLOCK at a time, one %-format per block, so the temporaries
     beside the text are bounded by the block size.
     """
-    coo = sparse.coo_array(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    parts = [f"{COORDINATE_HEADER}\n{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"]
-    for start in range(0, coo.nnz, COORDINATE_BLOCK):
-        block = order[start:start + COORDINATE_BLOCK]
-        cells = [None] * (3 * block.size)
-        cells[0::3] = (coo.row[block] + 1).tolist()
-        cells[1::3] = (coo.col[block] + 1).tolist()
-        cells[2::3] = coo.data[block].tolist()
-        parts.append(_ENTRY_FORMAT * block.size % tuple(cells))
+    csr = sparse.csr_array(matrix)
+    if not csr.has_canonical_format:
+        csr = csr.copy()  # sum_duplicates rewrites the arrays it shares with matrix
+        csr.sum_duplicates()
+    parts = [f"{COORDINATE_HEADER}\n{csr.shape[0]} {csr.shape[1]} {csr.nnz}\n"]
+    for start in range(0, csr.nnz, COORDINATE_BLOCK):
+        stop = min(start + COORDINATE_BLOCK, csr.nnz)
+        rows = np.searchsorted(csr.indptr, np.arange(start, stop), side="right")
+        cells = [None] * (3 * (stop - start))
+        cells[0::3] = rows.tolist()
+        cells[1::3] = (csr.indices[start:stop] + 1).tolist()
+        cells[2::3] = csr.data[start:stop].tolist()
+        parts.append(_ENTRY_FORMAT * (stop - start) % tuple(cells))
     return "".join(parts)
 
 
@@ -122,12 +142,6 @@ def _read_entries(fh, nnz, path):
     return rows, cols, vals
 
 
-def _repeats(keys):
-    """Whether some value of keys occurs twice; sorts keys in place."""
-    keys.sort()
-    return bool(np.any(keys[1:] == keys[:-1]))
-
-
 def read_coordinate(path):
     """Read a sparse-coordinate text file of a 2^n x 2^n matrix, n >= 1, back
     into ``(n, CSR array)``.
@@ -160,12 +174,13 @@ def read_coordinate(path):
         raise ValidationError(f"{path}: coordinate outside matrix bounds")
     if not np.all(np.isfinite(vals)):
         raise ValidationError(f"{path}: non-finite entry")
-    if _repeats(rows * ncols + cols):
+    matrix = sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    if matrix.nnz < nnz:  # tocsr merged a repeated place
         raise ValidationError(f"{path}: duplicate (row, col) entry")
     n = nrows.bit_length() - 1
     if n < 1 or nrows != (1 << n):
         raise ValidationError(f"{path}: dimension {nrows} is not a power of two >= 2")
-    return n, sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    return n, matrix
 
 
 def json_text(obj, indent=0):

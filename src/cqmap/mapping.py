@@ -111,16 +111,11 @@ def _conjugate(matrix, energies, scale):
     """M -> -diag(a) M diag(a)^-1 with a = exp(scale * energies), in place on
     the stored entries of a CSR M, which is returned.
 
-    Each entry is multiplied by -exp(scale (E[row] - E[col])). Rows are
-    taken in blocks holding about dim stored entries, so the temporaries
-    stay a few vectors long.
+    Each entry is multiplied by -exp(scale (E[row] - E[col])), one block of
+    io.row_blocks at a time, so the temporaries stay a few vectors long.
     """
-    dim = matrix.shape[0]
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    step = max(1, dim * dim // max(matrix.nnz, 1))
-    for lo in range(0, dim, step):
-        hi = min(lo + step, dim)
-        a, b = indptr[lo], indptr[hi]
+    for lo, hi, a, b in cqio.row_blocks(matrix):
         x = np.repeat(energies[lo:hi], np.diff(indptr[lo:hi + 1]))
         x -= energies[indices[a:b]]
         x *= scale
@@ -226,7 +221,6 @@ def ground_state(H):
     """
     from .spectral import _lowest_pairs, gershgorin_bound
 
-    H = QuantumHamiltonian(H.n, H.matrix)  # a FlipHamiltonian's CSR, built once
     pairs = _lowest_pairs(H, 2)
     lam0, lam1 = pairs.eigenvalues
     width = gershgorin_bound(H) - lam0
@@ -263,35 +257,29 @@ def quantum_to_classical(H, tol=1e-12):
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
-    H = QuantumHamiltonian(H.n, H.matrix)  # a FlipHamiltonian's CSR, built once
-    asym = relative_asymmetry(H.matrix)
+    matrix = H.matrix  # a FlipHamiltonian's CSR, built once
+    asym = relative_asymmetry(matrix)
     if not asym <= SYMMETRY_RTOL:  # a NaN fails
         raise MappingPreconditionError(
             f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds {SYMMETRY_RTOL:.1e}"
         )
-    coo = sparse.coo_array(H.matrix)
-    off = coo.row != coo.col
-    if np.any(coo.data[off] > tol):
-        worst = float(coo.data[off].max())
+    worst = float(matrix.data[matrix.indices != cqio.entry_rows(matrix)].max(initial=-np.inf))
+    if worst > tol:
         raise NonStoquasticError(
             f"non-stoquastic: positive off-diagonal {worst:.3e} exceeds tol {tol:.1e}"
         )
     # Imported here: csgraph adds about 40 ms and 1 MiB to every cqmap import.
     from scipy.sparse.csgraph import connected_components
 
-    dim = H.matrix.shape[0]
-    edges = off & (np.abs(coo.data) > tol)
-    adjacency = sparse.coo_array(
-        (np.ones(edges.sum()), (coo.row[edges], coo.col[edges])), shape=(dim, dim)
-    )
-    n_components, _ = connected_components(adjacency, directed=False)
+    # A diagonal entry is a self-loop, which joins no components.
+    n_components, _ = connected_components(abs(matrix) > tol, directed=False)
     if n_components != 1:
         raise ReducibleOperatorError(
             f"off-diagonal adjacency graph has {n_components} components; "
             "Perron-Frobenius reasoning needs an irreducible matrix"
         )
 
-    gs = ground_state(H)
+    gs = ground_state(QuantumHamiltonian(H.n, matrix))
     lam0 = gs.value
     phi = gs.vector
     if gs.positivity_margin < 1e-12 or phi.min() <= 1e-300:
@@ -305,14 +293,9 @@ def quantum_to_classical(H, tol=1e-12):
     coeffs = {int(mask): float(c) for mask, c in enumerate(coeff_vec)}
     model = ClassicalHamiltonian(H.n, coeffs)
 
-    # H - lambda0 I on H's stored entries plus a full diagonal. Sparse addition
-    # would drop entries that come out exactly 0; summing duplicates keeps them.
-    idx = np.arange(dim)
-    shifted = sparse.csr_array(
-        (np.append(coo.data, np.full(dim, -lam0)),
-         (np.append(coo.row, idx), np.append(coo.col, idx))),
-        shape=(dim, dim),
-    )
+    # H - lambda0 I storing every diagonal entry, also one missing or exactly 0.
+    shifted = matrix.copy()
+    shifted.setdiag(matrix.diagonal() - lam0)
     generator = _conjugate(shifted, recovered_energy, -0.5)
     return QtoCResult(model, generator, lambda0=float(lam0),
                       positivity_margin=gs.positivity_margin)

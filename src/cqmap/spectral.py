@@ -13,13 +13,13 @@ two-pass Lanczos, which keeps three vectors instead of ARPACK's basis and
 has none of its per-step overhead. ARPACK serves only requests without a
 known vector.
 
-The deflated solve reads a FlipHamiltonian (c2q's H, the transverse-field H
+Both Krylov solves read a FlipHamiltonian (c2q's H, the transverse-field H
 and the closed-form chain) as held, its diagonal d and strict upper
 triangle U. H x = d x + U x + U^T x is formed by scipy's CSR and CSC kernels
 adding into one vector in the order of H's full CSR rows, so every product,
 and the solve, is bit for bit the one on the full CSR, which is never built.
 Any other H is solved through its CSR, as it stands: a file's H may be
-symmetric only to roundoff. The dense and ARPACK branches read the full CSR.
+symmetric only to roundoff. Only the dense branch reads the full CSR.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 from scipy.sparse import _sparsetools, csr_array
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import io as cqio
-from .dynamics import relaxation_time
+from .dynamics import canonical_rule, relaxation_time
 from .errors import ConvergenceError, NumericalError, ResourceLimitError, ValidationError
 from .mapping import FlipHamiltonian, classical_to_quantum
-from .model import (MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, build_model, energy_table,
-                    gibbs_from_energies)
+from .model import (MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, build_model, check_beta,
+                    energy_table, gibbs_from_energies)
 
 _DENSE_FALLBACK_DIM = 32  # ARPACK is pointless below this
 # _deflated_pair tests convergence at every Lanczos step up to this one.
@@ -56,13 +56,18 @@ class SpectrumResult:
     residual_norms: np.ndarray | None
 
 
-def _as_result(vals, vecs, matrix, method):
+def _as_result(vals, vecs, matvec, method):
+    """The pairs in ascending order, with |H v - lambda v| of each vector v
+    taken through matvec, H's product."""
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=float)[order]
     residuals = None
     if vecs is not None:
         vecs = np.asarray(vecs, dtype=float)[:, order]
-        residuals = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
+        product = np.empty(vecs.shape)
+        for i, v in enumerate(vecs.T):
+            product[:, i] = matvec(v)
+        residuals = np.linalg.norm(product - vecs * vals[None, :], axis=0)
     gap = float(vals[1] - vals[0]) if vals.size >= 2 else float("nan")
     return SpectrumResult(vals, vecs, gap, method, residuals)
 
@@ -80,7 +85,7 @@ def dense_spectrum(H):
         )
     matrix = H.matrix
     _check_finite(matrix.data)
-    return _as_result(np.linalg.eigvalsh(matrix.toarray()), None, matrix, "dense")
+    return _as_result(np.linalg.eigvalsh(matrix.toarray()), None, None, "dense")
 
 
 def _half_matvec(diag, upper, x):
@@ -101,7 +106,7 @@ def _half_matvec(diag, upper, x):
 
 
 def _operator(H):
-    """What the known-vector solve reads of H: the arrays holding its entries,
+    """What the Krylov solves read of H: the arrays holding its entries,
     x -> H x and abs(H) @ 1. A FlipHamiltonian is read as (diag, upper), so
     its full CSR is never built; any other H through its CSR."""
     if isinstance(H, FlipHamiltonian):
@@ -144,8 +149,8 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
     known, if given, is a vector phi_0 with H phi_0 = 0 (NumericalError if
     |H phi_0|_inf > 1e-10), and k must be 2. Above the dense size, lambda_0
     is then phi_0's Rayleigh quotient and lambda_1 comes from _deflated_pair,
-    not ARPACK; both read H through _operator, so a FlipHamiltonian's full
-    CSR is never built. All residuals are taken on H. Raises
+    not ARPACK. Both, and all residuals, read H through _operator, so a
+    FlipHamiltonian's full CSR is built only for the dense branch. Raises
     ValidationError on a NaN or infinite entry or a malformed known vector,
     and ConvergenceError carrying the best eigenvalues and residual norms
     found on non-convergence.
@@ -155,36 +160,33 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
         raise ResourceLimitError(f"dimension {dim} exceeds the 2^{MAX_OPERATOR_SPINS} cap")
     dense = dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2)
     v0 = None if dense else 1.0 + 0.5 * np.sin(np.arange(dim))
+    stored, matvec, abs_row_sums = _operator(H)
+    _check_finite(*stored)
     if known is not None:
-        stored, matvec, abs_row_sums = _operator(H)
-        _check_finite(*stored)
         if k != 2:
             raise ValidationError(f"a known ground state needs k == 2, got k={k}")
         ground = _known_ground_state(matvec, dim, known)
         if not dense:
             sigma = 2.0 * float(abs_row_sums().max())
             return _deflated_pair(matvec, sigma, ground, v0, max_iter, tol)
-    matrix = H.matrix
-    _check_finite(matrix.data)
     if dense:
-        vals, vecs = scipy.linalg.eigh(matrix.toarray(), subset_by_index=[0, k - 1],
+        vals, vecs = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=[0, k - 1],
                                        overwrite_a=True)
-        return _as_result(vals, vecs, matrix, "dense")
+        return _as_result(vals, vecs, matvec, "dense")
 
     v0 /= np.linalg.norm(v0)
     ncv = min(dim, max(20, 4 * k + 1))
     try:
-        vals, vecs = eigsh(matrix, k=k, which="SA", v0=v0, ncv=ncv,
-                           maxiter=max_iter, tol=tol)
+        vals, vecs = eigsh(LinearOperator((dim, dim), matvec=matvec, dtype=float), k=k,
+                           which="SA", v0=v0, ncv=ncv, maxiter=max_iter, tol=tol)
     except ArpackNoConvergence as exc:
         # scipy hands back the converged pairs, possibly none, as arrays
-        got, vecs = np.asarray(exc.eigenvalues, dtype=float), np.asarray(exc.eigenvectors)
-        res = np.linalg.norm(matrix @ vecs - vecs * got[None, :], axis=0)
+        got = _as_result(exc.eigenvalues, exc.eigenvectors, matvec, "iterative")
         raise ConvergenceError(
-            f"Krylov iteration converged only {got.size}/{k} pairs",
-            eigenvalues=got, residual_norms=res,
+            f"Krylov iteration converged only {got.eigenvalues.size}/{k} pairs",
+            eigenvalues=got.eigenvalues, residual_norms=got.residual_norms,
         ) from exc
-    return _as_result(vals, vecs, matrix, "iterative")
+    return _as_result(vals, vecs, matvec, "iterative")
 
 
 def _lanczos(apply, v0, steps):
@@ -274,11 +276,11 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
     fixed start vector (see _lowest_pairs). known is an optional ground state
     phi_0 with H phi_0 = 0, such as sqrt(p_eq) of a mapped generator, and
     needs k == 2; the Krylov iteration then deflates it and computes only
-    lambda_1 (see _deflated_pair). That solve reads a FlipHamiltonian's
-    diagonal and strict upper triangle as held, so its full CSR is never
-    built, and any other H through its CSR; without known, the full CSR is
-    read. Raises ValidationError on a NaN or infinite entry or a malformed
-    known vector, and NumericalError when known is not a zero mode of H.
+    lambda_1 (see _deflated_pair). Both Krylov solves read a FlipHamiltonian's
+    diagonal and strict upper triangle as held, and any other H through its
+    CSR; only the dense branch builds a full CSR. Raises ValidationError on
+    a NaN or infinite entry or a malformed known vector, and NumericalError
+    when known is not a zero mode of H.
     max_iter, if given, must be at least 1 and tol finite; it caps ARPACK's
     restarts, or the Lanczos steps when known is given. A tol <= 0 asks for
     machine precision.
@@ -298,18 +300,14 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
 def _abs_row_sums(matrix):
     """abs(H) @ 1 of a CSR matrix, bit for bit, without a copy of H.
 
-    Each block of rows holding about dim stored entries is summed as a CSR
-    of their absolute values on views of H's indices, so at most one
-    vector's worth of absolute values exists at a time.
+    Each block of io.row_blocks is summed as a CSR of its absolute values on
+    views of H's indices, so at most one vector's worth of absolute values
+    exists at a time.
     """
-    dim = matrix.shape[0]
     ones = np.ones(matrix.shape[1])
-    sums = np.empty(dim)
-    step = max(1, dim * dim // max(matrix.nnz, 1))
+    sums = np.empty(matrix.shape[0])
     indptr = matrix.indptr
-    for lo in range(0, dim, step):
-        hi = min(lo + step, dim)
-        a, b = indptr[lo], indptr[hi]
+    for lo, hi, a, b in cqio.row_blocks(matrix):
         sums[lo:hi] = csr_array((np.abs(matrix.data[a:b]), matrix.indices[a:b],
                                  indptr[lo:hi + 1] - a), shape=(hi - lo, matrix.shape[1])) @ ones
     return sums
@@ -319,20 +317,17 @@ def _half_abs_row_sums(diag, upper):
     """abs(H) @ 1 of H = diag(d) + U + U^T held as (diag, upper), bit for bit
     the full CSR's when U's rows are sorted, without a copy of U.
 
-    Each block of U's rows holding about dim entries is taken once, in row
-    order: its absolute values are added as columns (U^T) into the rows they
-    lie below, then the block's own rows add |d| and those values, the order
-    of H's full CSR rows. At most one vector's worth of absolute values
-    exists at a time.
+    Each block of io.row_blocks over U is taken once, in row order: its
+    absolute values are added as columns (U^T) into the rows they lie below,
+    then the block's own rows add |d| and those values, the order of H's
+    full CSR rows. At most one vector's worth of absolute values exists at a
+    time.
     """
     dim = diag.size
     ones = np.ones(dim)
     sums = np.zeros(dim)
     indptr = upper.indptr
-    step = max(1, dim * dim // max(upper.nnz, 1))
-    for lo in range(0, dim, step):
-        hi = min(lo + step, dim)
-        a, b = indptr[lo], indptr[hi]
+    for lo, hi, a, b in cqio.row_blocks(upper):
         ptr, cols, values = indptr[lo:hi + 1] - a, upper.indices[a:b], np.abs(upper.data[a:b])
         _sparsetools.csc_matvec(dim, hi - lo, ptr, cols, values, ones, sums)
         sums[lo:hi] += np.abs(diag[lo:hi])
@@ -373,14 +368,19 @@ def gap_scaling_sweep(family, sizes, beta, rule="heat-bath"):
 
     Each row's size is its spin count. The mapped ground state sqrt(p_eq) is
     handed to the eigensolver, which then solves for lambda_1 alone; the map
-    and p_eq share the row's one energy table. Per-size
-    failures are recorded in the row and the sweep continues; a malformed
-    family is refused before any row runs.
+    and p_eq share the row's one energy table. Per-size failures are
+    recorded in the row and the sweep continues; a malformed family, beta,
+    rule or size below 1 is refused before any row runs.
     """
     build_model(_family_description(family, 1))  # refuses a bad kind, J or h up front
+    check_beta(beta)
+    canonical_rule(rule)
+    sizes = [int(size) for size in sizes]
+    if min(sizes, default=1) < 1:
+        raise ValidationError(f"sweep sizes must be >= 1, got {sizes}")
     rows = []
     for size in sizes:
-        description = _family_description(family, int(size))
+        description = _family_description(family, size)
         n = description["n"]
         try:
             h0 = build_model(description)

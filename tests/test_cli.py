@@ -196,6 +196,7 @@ def _entries(*lines, size="2 2"):
 
 @pytest.mark.parametrize("text", [
     _entries("1 1 1.0", "1 1 2.0", "2 2 1.0"),
+    _entries("1 1 1.0", "1 1 -1.0", "2 2 1.0"),
     _entries("1 1 nan", "2 2 1.0"),
     _entries("1 1 1.0", "2 2 inf"),
     _entries("1 1 1.0", "2 2 1.0", size="2 4"),
@@ -204,8 +205,8 @@ def _entries(*lines, size="2 2"):
     _entries(size="0 0"),
     _entries("1 1 0.5", size="1 1"),
     "%%sparse-coordinate real\n2 2 -1\n",
-], ids=["duplicate", "nan", "inf", "non-square", "size-token", "entry-token",
-        "empty", "no-spins", "negative-nnz"])
+], ids=["duplicate", "cancelling-duplicate", "nan", "inf", "non-square", "size-token",
+        "entry-token", "empty", "no-spins", "negative-nnz"])
 def test_malformed_coordinate_file_is_validation_error(tmp_path, text):
     ham = tmp_path / "bad.txt"
     ham.write_text(text)

@@ -38,12 +38,27 @@ def random_coo(rng, dim, nnz):
     return sparse.coo_array((values, (places // dim, places % dim)), shape=(dim, dim))
 
 
+def shuffled_within_rows(rng, csr):
+    """A new CSR with csr's entries, each row's columns in random order."""
+    indices, data = csr.indices.copy(), csr.data.copy()
+    for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:]):
+        order = lo + rng.permutation(hi - lo)
+        indices[lo:hi], data[lo:hi] = csr.indices[order], csr.data[order]
+    return sparse.csr_array((data, indices, csr.indptr.copy()), shape=csr.shape)
+
+
 @pytest.mark.parametrize("nnz", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
 def test_block_writer_matches_per_line_format(rng, tmp_path, nnz):
     M = random_coo(rng, 256, nnz)
     text = cqio.coordinate_text(M)
     assert text == per_line_text(M)
     assert cqio.coordinate_text(M.tocsr()) == text  # CSR input: same bytes
+    shuffled = shuffled_within_rows(rng, M.tocsr())
+    assert shuffled.has_sorted_indices == (nnz <= 1)
+    kept = shuffled.indices.copy(), shuffled.data.copy()
+    assert cqio.coordinate_text(shuffled) == text  # unsorted CSR: same bytes
+    # The writer sorts a copy, not the caller's arrays.
+    assert np.array_equal(shuffled.indices, kept[0]) and np.array_equal(shuffled.data, kept[1])
 
     path = tmp_path / "M.txt"
     cqio.write_coordinate(M, path)
@@ -173,15 +188,28 @@ def chain14():
 
 
 def test_write_holds_the_text_and_one_block(chain14):
-    # The block strings and their join are two copies of the text; the sort
-    # order and the COO copy are 24 bytes an entry; one block's cells take
-    # well under 2 MiB. A list of every line takes about 100 bytes an entry
-    # beyond the two copies, and fails.
+    # The block strings and their join are two copies of the text; the
+    # canonical CSR is walked where it lies, so beside them only one block's
+    # cells, well under 2 MiB. A list of every line takes about 100 bytes an
+    # entry beyond the two copies, and fails.
     tracemalloc.start()
     text = cqio.coordinate_text(chain14)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= 2 * len(text) + 24 * chain14.nnz + (2 << 20)
+    assert peak <= 2 * len(text) + (2 << 20)
+
+
+def test_atomic_write_makes_no_encoded_copy_of_the_text(tmp_path):
+    # The text goes to the file 1 MiB at a time; encoding it whole would add
+    # a copy of its 8 MiB to the peak.
+    text = "0123456789abcde\n" * (1 << 19)
+    path = tmp_path / "t.txt"
+    tracemalloc.start()
+    cqio.atomic_write_text(path, text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 3 << 20
+    assert path.read_bytes() == text.encode()
 
 
 def test_read_holds_the_columns_and_the_csr(tmp_path, chain14):

@@ -515,6 +515,20 @@ def test_transverse_field_hamiltonian_allocates_little_beyond_its_result():
     assert peak <= held_bytes(H) + 6 * (1 << n) * 8
 
 
+def test_q2c_holds_about_three_copies_of_h():
+    # Beside H's CSR, q2c's peak is the symmetry gate's transposed copy and
+    # difference (2.98x H traced); the checks and H - lambda0 I work on the
+    # CSR's own arrays. COO copies of H for each of them made it 5.9x.
+    n = 14
+    H = cq.QuantumHamiltonian(n, cq.classical_to_quantum(cq.chain(n, field_h=0.1), 0.44).matrix)
+    m = H.matrix
+    tracemalloc.start()
+    cq.quantum_to_classical(H)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 3.5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
 def test_q2c_generator_is_valid_dynamics(rng):
     h0 = random_model(rng, 3)
     H = cq.transverse_field_hamiltonian(h0, 0.8)

@@ -267,6 +267,43 @@ def test_deflated_solve_on_held_halves_is_the_full_csr_solve_bit_for_bit(monkeyp
     assert np.array_equal(held.residual_norms, general.residual_norms)
 
 
+ARPACK_CASES = {
+    "transverse-chain12": lambda: cq.transverse_field_hamiltonian(cq.chain(12, field_h=0.1), 0.8),
+    "mapped-grid3x4": lambda: mapped(cq.grid(3, 4, field_h=0.1), 0.44),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARPACK_CASES))
+def test_arpack_on_held_halves_is_the_full_csr_solve_bit_for_bit(monkeypatch, case):
+    # Without a known vector ARPACK reads H through the same product as the
+    # deflated solve, so on (diag, upper) it repeats the full CSR's solve.
+    H = ARPACK_CASES[case]()
+    general = cq.extreme_eigenpairs(cq.QuantumHamiltonian(H.n, H.matrix), k=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full CSR built")
+
+    monkeypatch.setattr(mapping, "flip_matrix", refuse)
+    held = cq.extreme_eigenpairs(H, k=3)
+    assert held.method == general.method == "iterative"
+    assert np.array_equal(held.eigenvalues, general.eigenvalues)
+    assert np.array_equal(held.eigenvectors, general.eigenvectors)
+    assert np.array_equal(held.residual_norms, general.residual_norms)
+
+
+def test_arpack_solve_holds_no_full_csr():
+    # Beyond H's halves: ARPACK's basis of 20 vectors, its work arrays and
+    # the residual products, 5.88 MiB traced at 2^14 states. A full CSR
+    # built beside the halves for ARPACK made it 8.8 MiB.
+    H = cq.transverse_field_hamiltonian(cq.chain(14, field_h=0.1), 0.8)
+    tracemalloc.start()
+    result = cq.extreme_eigenpairs(H, k=2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert result.method == "iterative"
+    assert peak <= 5.9 * (1 << 20)
+
+
 @pytest.mark.parametrize("where", ["diag", "upper"])
 def test_non_finite_held_entry_is_refused_by_the_deflated_solve(where):
     h0 = cq.chain(8)
@@ -358,17 +395,23 @@ def test_sweep_single_row_is_too_short_to_fit():
         cq.fit_scaling(rows)
 
 
-@pytest.mark.parametrize("family, match", [
-    ({"kind": "chain", "J": "x"}, "lattice J must be a number"),
-    ({"kind": "grid", "h": None}, "lattice h must be a number"),
-    ({"kind": "ladder"}, "unknown lattice kind"),
-    ({}, "unknown lattice kind"),
-    ("chain", "family must be"),
-], ids=["J-str", "h-null", "kind-unknown", "kind-missing", "not-a-dict"])
-def test_sweep_refuses_malformed_family_before_any_row(family, match):
+@pytest.mark.parametrize("family, sizes, beta, rule, match", [
+    ({"kind": "chain", "J": "x"}, [4], 0.5, "heat-bath", "lattice J must be a number"),
+    ({"kind": "grid", "h": None}, [4], 0.5, "heat-bath", "lattice h must be a number"),
+    ({"kind": "ladder"}, [4], 0.5, "heat-bath", "unknown lattice kind"),
+    ({}, [4], 0.5, "heat-bath", "unknown lattice kind"),
+    ("chain", [4], 0.5, "heat-bath", "family must be"),
+    ({"kind": "chain"}, [4], float("nan"), "heat-bath", "beta must be finite"),
+    ({"kind": "chain"}, [4], -1.0, "heat-bath", "beta must be finite"),
+    ({"kind": "chain"}, [4], 0.5, "bogus", "unknown flip rule"),
+    ({"kind": "grid"}, [-2, 2], 0.5, "heat-bath", r"sweep sizes must be >= 1, got \[-2, 2\]"),
+    ({"kind": "chain"}, [4, 0], 0.5, "heat-bath", r"sweep sizes must be >= 1, got \[4, 0\]"),
+], ids=["J-str", "h-null", "kind-unknown", "kind-missing", "not-a-dict", "beta-nan",
+        "beta-negative", "rule-unknown", "grid-side-negative", "chain-size-zero"])
+def test_sweep_refuses_malformed_family_before_any_row(family, sizes, beta, rule, match):
     # Inside a row the same refusal would become an error row, not a raise.
     with pytest.raises(ValidationError, match=match):
-        cq.gap_scaling_sweep(family, [4], 0.5)
+        cq.gap_scaling_sweep(family, sizes, beta, rule)
 
 
 def test_sweep_family_keys_reach_the_model():
