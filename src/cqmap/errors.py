@@ -22,7 +22,7 @@ class NumericalError(CqmapError):
 
 
 class MappingPreconditionError(NumericalError):
-    """q2c's H is not symmetric: max|H - H^T| / max|H| exceeds SYMMETRY_RTOL."""
+    """An H made from a CSR is not symmetric: max|H - H^T| / max|H| exceeds SYMMETRY_RTOL."""
 
 
 class NonStoquasticError(NumericalError):

@@ -13,8 +13,8 @@ and an irreducible coupling graph, the (elementwise positive) ground state
 phi defines an energy E'(s) = -2 log phi_s and a generator
 W'[s, s'] = -phi_s (H - lambda_0)[s, s'] / phi_s', whose stationary
 distribution is phi^2. Applying it to the mapped H recovers beta E up to a
-constant, so the round trip is an identity. H may come from a file, so this
-direction first checks that it is symmetric to SYMMETRY_RTOL.
+constant, so the round trip is an identity. Its symmetry, like H's shape
+and size cap, is checked when a QuantumHamiltonian is made from a CSR.
 """
 
 from __future__ import annotations
@@ -58,20 +58,33 @@ MAX_ROUNDTRIP_SPINS = 10
 
 # Relative ground-state degeneracy tolerance (fraction of spectral width).
 DEGENERACY_RTOL = 1e-10
-# Tolerance on relative_asymmetry(H), the symmetry precondition of q2c.
+# Tolerance on relative_asymmetry(H) of every H made from a CSR.
 SYMMETRY_RTOL = 1e-10
 
 
 @dataclass
 class QuantumHamiltonian:
-    """Real symmetric matrix in the sigma^z product basis, held as its CSR."""
+    """Real symmetric matrix in the sigma^z product basis, held as its CSR, checked when made."""
 
     n: int
     matrix: sparse.csr_array
 
+    def __post_init__(self):
+        rows, cols = self.matrix.shape
+        if rows > 1 << MAX_OPERATOR_SPINS:  # from the shape, before any entry is read
+            raise ResourceLimitError(f"dimension {rows} exceeds the 2^{MAX_OPERATOR_SPINS} cap")
+        if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n <= MAX_OPERATOR_SPINS
+                and rows == cols == self.dim):
+            raise ValidationError(f"H must be 2^n x 2^n, n >= 1: n={self.n!r}, {rows} x {cols}")
+        asym = relative_asymmetry(self.matrix)
+        if not asym <= SYMMETRY_RTOL:  # a NaN fails
+            raise MappingPreconditionError(
+                f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds {SYMMETRY_RTOL:.1e}"
+            )
+
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return 1 << self.n
 
     def dense(self):
         return self.matrix.toarray()
@@ -84,8 +97,8 @@ class FlipHamiltonian(QuantumHamiltonian):
     in ascending j (flip_matrix(n, fill, upper=True)). That is 6n + 12 bytes
     per state where the full CSR takes 12(n + 1) + 4.
 
-    ``matrix``, the full CSR diag + upper + upper^T, is built by flip_matrix
-    on every read and not kept, bit for bit the CSR flip_matrix writes.
+    ``matrix``, the full CSR flip_matrix writes, is built on every read and
+    not kept. Symmetric by construction, it skips QuantumHamiltonian's checks.
     """
 
     def __init__(self, n, diag, upper):
@@ -94,10 +107,6 @@ class FlipHamiltonian(QuantumHamiltonian):
     @property
     def matrix(self):
         return flip_matrix(self.n, upper_fill(self.diag, self.upper))
-
-    @property
-    def dim(self):
-        return self.diag.size
 
 
 @dataclass
@@ -249,22 +258,17 @@ class QtoCResult:
 def quantum_to_classical(H, tol=1e-12):
     """Invert the mapping: stoquastic symmetric H -> (classical model, generator).
 
-    The matrix is shifted internally by -lambda_0 I so the ground state has
-    eigenvalue zero; the recovered energy is E'(s) = -2 log phi_s (returned
-    as a full Walsh coefficient table) and
-    W' = -diag(phi) (H - lambda_0) diag(phi)^-1, the classical_to_quantum
-    similarity run backwards with a = exp(-E'/2) = phi.
+    H's symmetry was checked when it was made. The matrix is shifted
+    internally by -lambda_0 I so the ground state has eigenvalue zero; the
+    recovered energy is E'(s) = -2 log phi_s (returned as a full Walsh
+    coefficient table) and W' = -diag(phi) (H - lambda_0) diag(phi)^-1, the
+    classical_to_quantum similarity run backwards with a = exp(-E'/2) = phi.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     matrix = H.matrix  # a FlipHamiltonian's CSR, built once
-    asym = relative_asymmetry(matrix)
-    if not asym <= SYMMETRY_RTOL:  # a NaN fails
-        raise MappingPreconditionError(
-            f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds {SYMMETRY_RTOL:.1e}"
-        )
     worst = float(matrix.data[matrix.indices != cqio.entry_rows(matrix)].max(initial=-np.inf))
-    if worst > tol:
+    if not worst <= tol:  # a NaN fails, before the solve
         raise NonStoquasticError(
             f"non-stoquastic: positive off-diagonal {worst:.3e} exceeds tol {tol:.1e}"
         )
@@ -279,7 +283,7 @@ def quantum_to_classical(H, tol=1e-12):
             "Perron-Frobenius reasoning needs an irreducible matrix"
         )
 
-    gs = ground_state(QuantumHamiltonian(H.n, matrix))
+    gs = ground_state(H)
     lam0 = gs.value
     phi = gs.vector
     if gs.positivity_margin < 1e-12 or phi.min() <= 1e-300:

@@ -37,8 +37,8 @@ from . import io as cqio
 from .dynamics import canonical_rule, relaxation_time
 from .errors import ConvergenceError, NumericalError, ResourceLimitError, ValidationError
 from .mapping import FlipHamiltonian, classical_to_quantum
-from .model import (MAX_DENSE_SPINS, MAX_OPERATOR_SPINS, build_model, check_beta,
-                    energy_table, gibbs_from_energies)
+from .model import (MAX_DENSE_SPINS, build_model, check_beta, energy_table,
+                    gibbs_from_energies)
 
 _DENSE_FALLBACK_DIM = 32  # ARPACK is pointless below this
 # _deflated_pair tests convergence at every Lanczos step up to this one.
@@ -106,15 +106,15 @@ def _half_matvec(diag, upper, x):
 
 
 def _operator(H):
-    """What the Krylov solves read of H: the arrays holding its entries,
-    x -> H x and abs(H) @ 1. A FlipHamiltonian is read as (diag, upper), so
-    its full CSR is never built; any other H through its CSR."""
+    """What the solves and Gershgorin read of H: the arrays holding its
+    entries, x -> H x, abs(H) @ 1 and its diagonal, taken from a
+    FlipHamiltonian's (diag, upper) without its full CSR, or from H's CSR."""
     if isinstance(H, FlipHamiltonian):
         diag, upper = H.diag, H.upper
         return ((diag, upper.data), partial(_half_matvec, diag, upper),
-                partial(_half_abs_row_sums, diag, upper))
+                partial(_half_abs_row_sums, diag, upper), lambda: diag)
     matrix = H.matrix
-    return (matrix.data,), matrix.__matmul__, partial(_abs_row_sums, matrix)
+    return (matrix.data,), matrix.__matmul__, partial(_abs_row_sums, matrix), matrix.diagonal
 
 
 def _known_ground_state(matvec, dim, known):
@@ -143,8 +143,7 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
     The only place that picks a solver: up to _DENSE_FALLBACK_DIM states
     LAPACK computes just those k pairs (k may equal the dimension), above it
     ARPACK does, from the fixed start vector 1 + 0.5 sin(s) with a basis of
-    max(20, 4k + 1) vectors. Above 2^MAX_OPERATOR_SPINS rows it raises
-    ResourceLimitError first.
+    max(20, 4k + 1) vectors. H's size was capped when it was made.
 
     known, if given, is a vector phi_0 with H phi_0 = 0 (NumericalError if
     |H phi_0|_inf > 1e-10), and k must be 2. Above the dense size, lambda_0
@@ -156,11 +155,9 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
     found on non-convergence.
     """
     dim = H.dim
-    if dim > 1 << MAX_OPERATOR_SPINS:
-        raise ResourceLimitError(f"dimension {dim} exceeds the 2^{MAX_OPERATOR_SPINS} cap")
     dense = dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2)
     v0 = None if dense else 1.0 + 0.5 * np.sin(np.arange(dim))
-    stored, matvec, abs_row_sums = _operator(H)
+    stored, matvec, abs_row_sums, _ = _operator(H)
     _check_finite(*stored)
     if known is not None:
         if k != 2:
@@ -336,11 +333,10 @@ def _half_abs_row_sums(diag, upper):
 
 
 def gershgorin_bound(H):
-    """Upper bound on the largest eigenvalue from Gershgorin discs."""
-    matrix = H.matrix
-    diag = matrix.diagonal()
-    absrow = _abs_row_sums(matrix)
-    return float((diag + (absrow - np.abs(diag))).max())
+    """Upper bound on the largest eigenvalue from Gershgorin discs, read through _operator."""
+    _, _, abs_row_sums, diagonal = _operator(H)
+    diag = diagonal()
+    return float((diag + (abs_row_sums() - np.abs(diag))).max())
 
 
 @dataclass

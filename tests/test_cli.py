@@ -238,6 +238,21 @@ def test_coordinate_size_line_is_checked_before_allocation(tmp_path, command, si
     assert peak < 1 << 20  # nothing of the promised size was allocated
 
 
+@pytest.mark.parametrize("command", [["map", "q2c"], ["spectrum", "dense"],
+                                     ["spectrum", "iterative", "--k", "3"]],
+                         ids=["q2c", "dense", "iterative"])
+def test_nonsymmetric_coordinate_file_is_refused(tmp_path, command):
+    # Triangular with eigenvalues 1, 2, 3 and 4; the symmetric solvers read
+    # one triangle and would report -3.518, 1, 2 and 10.518.
+    ham = tmp_path / "asym.txt"
+    ham.write_text(_entries("1 1 1.0", "2 2 2.0", "3 3 3.0", "4 3 7.0", "4 4 4.0", size="4 4"))
+    out = tmp_path / "out"
+    outcome = run([*command, "--hamiltonian", str(ham), "--out", str(out)])
+    assert outcome.exit_code == 2, outcome.diagnostics
+    assert "nonsymmetric: max|H - H^T| / max|H| = 1.000e+00" in outcome.diagnostics
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- spectrum group
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

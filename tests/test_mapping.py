@@ -437,17 +437,19 @@ def test_ground_state_rejects_non_finite_entry(branch, bad):
         cq.ground_state(H)
 
 
-@pytest.mark.parametrize("inverse", [cq.ground_state, cq.quantum_to_classical])
-def test_ground_state_builds_a_flip_hamiltonians_csr_once(monkeypatch, inverse):
-    # The solver and the Gershgorin width both read the full CSR, which a
-    # FlipHamiltonian builds on each read of .matrix.
+@pytest.mark.parametrize("inverse, builds", [(cq.ground_state, 1), (cq.quantum_to_classical, 2)],
+                         ids=["ground_state", "quantum_to_classical"])
+def test_ground_state_builds_a_flip_hamiltonians_csr_once(monkeypatch, inverse, builds):
+    # A FlipHamiltonian builds its full CSR on each read of .matrix. The
+    # solver and the Gershgorin width read its halves, so ground_state builds
+    # none; q2c builds one for its checks and for H - lambda0 I.
     calls = []
     build = mapping.flip_matrix
     monkeypatch.setattr(mapping, "flip_matrix",
                         lambda *args, **kwargs: calls.append(1) or build(*args, **kwargs))
     H = cq.transverse_field_hamiltonian(cq.chain(7, field_h=0.1), 0.8)
     inverse(H)
-    assert len(calls) == 2  # the halves, then one full CSR
+    assert len(calls) == builds  # the halves, then q2c's one full CSR
 
 
 # ---------------------------------------------------------- quantum_to_classical
@@ -516,9 +518,10 @@ def test_transverse_field_hamiltonian_allocates_little_beyond_its_result():
 
 
 def test_q2c_holds_about_three_copies_of_h():
-    # Beside H's CSR, q2c's peak is the symmetry gate's transposed copy and
-    # difference (2.98x H traced); the checks and H - lambda0 I work on the
-    # CSR's own arrays. COO copies of H for each of them made it 5.9x.
+    # H's symmetry is checked when it is made, so q2c makes no transposed
+    # copy or difference of H (those would take it to 2.98x). Beside H's CSR
+    # its peak is H - lambda0 I and the checks on the CSR's own arrays,
+    # 2.54x H traced.
     n = 14
     H = cq.QuantumHamiltonian(n, cq.classical_to_quantum(cq.chain(n, field_h=0.1), 0.44).matrix)
     m = H.matrix
@@ -526,7 +529,7 @@ def test_q2c_holds_about_three_copies_of_h():
     cq.quantum_to_classical(H)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= 3.5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    assert peak <= 2.7 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 def test_q2c_generator_is_valid_dynamics(rng):
@@ -593,6 +596,30 @@ def test_q2c_rejects_nonsymmetric_matrix():
     nan = np.array([[np.nan, -1.0], [-1.0, 0.0]])
     with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
         cq.quantum_to_classical(cq.QuantumHamiltonian(1, sparse.csr_array(nan)))
+
+
+@pytest.mark.parametrize("n, shape", [(3, (2, 2)), (1, (2, 4)), (0, (1, 1)), (2.0, (4, 4))],
+                         ids=["too-few-rows", "non-square", "no-spins", "float-spins"])
+def test_hamiltonian_of_the_wrong_shape_is_refused(n, shape):
+    # Unchecked, a 2x2 matrix passed as 3 spins would come back from q2c as
+    # a 3-spin model.
+    matrix = sparse.csr_array(np.eye(*shape))
+    with pytest.raises(ValidationError, match="H must be 2\\^n x 2\\^n, n >= 1"):
+        cq.QuantumHamiltonian(n, matrix)
+
+
+@pytest.mark.parametrize("inverse", [
+    lambda: cq.quantum_to_classical(cq.transverse_field_hamiltonian(cq.chain(7), 0.8)),
+    lambda: cq.roundtrip_check(cq.chain(6, field_h=0.1), 0.44),
+], ids=["q2c", "roundtrip"])
+def test_inverse_of_a_flip_hamiltonian_checks_no_symmetry(monkeypatch, inverse):
+    # A flip-built H is symmetric by construction; only an H made from a
+    # CSR is checked.
+    def refuse(*args):
+        raise AssertionError("symmetry checked")
+
+    monkeypatch.setattr(mapping, "relative_asymmetry", refuse)
+    inverse()
 
 
 def test_q2c_shift_applied_internally():
