@@ -404,10 +404,9 @@ def constant_provider(h0, beta, rule="heat-bath"):
 
 @dataclass
 class Trajectory:
-    """Probability-vector history plus standard observables at grid times."""
+    """Standard observables of a master-equation run at its grid times."""
 
     times: np.ndarray
-    states: np.ndarray          # (len(times), 2^n)
     mean_energy: np.ndarray
     p_ground: np.ndarray
     l1_to_equilibrium: np.ndarray
@@ -431,64 +430,13 @@ def _dp5_step(provider, t, p, h, k1):
     return y, err, stages
 
 
-def integrate_master(w_of_t, p0, t_grid):
-    """Integrate dP/dt = W(t) P on a time grid with error-controlled steps.
-
-    ``w_of_t`` is a provider (GeneratorProvider; constant_provider for fixed
-    beta): ``apply(t, p)`` returns W(t) @ p, ``spectral_bound`` bounds the
-    magnitude of W's eigenvalues, ``energies`` holds the 2^n configuration
-    energies that p is indexed by, and ``equilibrium(t)`` returns the Gibbs
-    vector at time t. Steps are Dormand-Prince 5(4): a step is kept when the
-    L1 norm of its embedded error estimate is at most 1e-10, and the next
-    step is scaled by 0.9 (tol/err)^(1/5), clamped to [0.2, 5]. The first
-    step is 1/spectral_bound. Steps run across grid times, whose states are
-    read off each step's fourth-order continuous extension, so a fine grid
-    costs no extra steps; only the last step is clipped to land on the
-    final time. Column sums of W vanish, so steps and interpolants conserve
-    the total probability exactly; drift and positivity are still checked
-    and raise IntegrationError when violated, as do a non-finite error
-    estimate and a step that shrinks below 1e-14 of the span. Spans longer
-    than 1e8 units of 1/spectral_bound raise ResourceLimitError.
-    """
-    provider = w_of_t
-    if isinstance(provider, GeneratorMatrix):
-        raise ValidationError(
-            "integrate_master takes a provider, not a GeneratorMatrix "
-            "(use constant_provider(h0, beta, rule))"
-        )
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValidationError("t_grid must be a 1D vector of times")
-    if not np.all(np.isfinite(t_grid)):
-        raise ValidationError("t_grid has a non-finite time")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValidationError("t_grid must be strictly increasing")
-
-    p = np.array(p0.p if hasattr(p0, "p") else p0, dtype=float)
-    if p.shape != provider.energies.shape:
-        raise ValidationError(f"initial distribution has shape {p.shape}, "
-                              f"expected {provider.energies.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("initial distribution has a non-finite entry")
-    if np.any(p < 0.0):
-        raise ValidationError("initial distribution has a negative entry")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError("initial distribution is not normalized")
-
-    bound = provider.spectral_bound
-    t_end = t_grid[-1]
-    span = float(t_end - t_grid[0])
-    if span * bound > MAX_STEPS:
-        raise ResourceLimitError(
-            f"a span of {span:.6g} is {span * bound:.3g} units of "
-            f"1/spectral_bound (cap {MAX_STEPS:.0e})"
-        )
-
-    states = np.empty((t_grid.size, p.size))
-    states[0] = p
+def _grid_states(provider, p, t_grid):
+    """integrate_master's steps: yield (state, steps, rejected) per grid time, p first."""
+    t_end, span = t_grid[-1], float(t_grid[-1] - t_grid[0])
     steps = rejected = 0
-    h_prop = 1.0 / max(bound, 1e-30)
-    t, k = t_grid[0], 1  # k: next grid row to fill
+    yield p, steps, rejected
+    h_prop = 1.0 / max(provider.spectral_bound, 1e-30)
+    t, k = t_grid[0], 1  # k: next grid time to yield
     k1 = provider.apply(t, p) if t_grid.size > 1 else None
     while k < t_grid.size:
         # A step within a relative 1e-10 of the remaining time lands on t_end.
@@ -512,32 +460,88 @@ def integrate_master(w_of_t, p0, t_grid):
             raise IntegrationError(
                 f"negative probability {low:.3e} at t={t + h:.6g} (step too large)"
             )
+        steps += 1
         t_new = t_end if clipped else t + h
-        while k < t_grid.size and t_grid[k] < t_new:
+        while k < t_grid.size and t_grid[k] <= t_new:  # the step's own state on t_new
             theta = (t_grid[k] - t) / h
-            states[k] = p + h * ((_DP_P @ theta ** np.arange(1, 5)) @ stages)
-            k += 1
-        if k < t_grid.size and t_grid[k] == t_new:
-            states[k] = y
+            yield (y if t_grid[k] == t_new else
+                   p + h * ((_DP_P @ theta ** np.arange(1, 5)) @ stages)), steps, rejected
             k += 1
         t, p, k1 = t_new, y, stages[6]
-        steps += 1
 
-    low = states.min()
-    if low < -1e-8:
-        raise IntegrationError(f"negative probability {low:.3e} at an interpolated grid time")
-    sums = states.sum(axis=1)
-    drift = float(np.abs(sums - 1.0).max())
+
+def integrate_master(w_of_t, p0, t_grid):
+    """Integrate dP/dt = W(t) P on a time grid with error-controlled steps.
+
+    ``w_of_t`` is a provider (GeneratorProvider; constant_provider for fixed
+    beta): ``apply(t, p)`` returns W(t) @ p, ``spectral_bound`` bounds the
+    magnitude of W's eigenvalues, ``energies`` holds the 2^n configuration
+    energies that p is indexed by, and ``equilibrium(t)`` returns the Gibbs
+    vector at time t. Steps are Dormand-Prince 5(4): a step is kept when the
+    L1 norm of its embedded error estimate is at most 1e-10, and the next
+    step is scaled by 0.9 (tol/err)^(1/5), clamped to [0.2, 5]. The first
+    step is 1/spectral_bound. Steps run across grid times, whose states are
+    read off each step's fourth-order continuous extension, so a fine grid
+    costs no extra steps; only the last step is clipped to land on the final
+    time. Grid states are reduced to the observables as they are made, so a
+    run holds one state and a step's stages, however fine the grid. Column
+    sums of W vanish, so steps and interpolants conserve the total
+    probability exactly; drift and positivity are still checked and raise
+    IntegrationError, as do a non-finite error estimate and a step below
+    1e-14 of the span. A grid of more than 1e8 intervals, or a span longer
+    than 1e8 units of 1/spectral_bound, raises ResourceLimitError.
+    """
+    provider = w_of_t
+    if isinstance(provider, GeneratorMatrix):
+        raise ValidationError(
+            "integrate_master takes a provider, not a GeneratorMatrix "
+            "(use constant_provider(h0, beta, rule))"
+        )
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size < 1:
+        raise ValidationError("t_grid must be a 1D vector of times")
+    if t_grid.size - 1 > MAX_STEPS:
+        raise ResourceLimitError(
+            f"a grid of {t_grid.size} times is {t_grid.size - 1} intervals (cap {MAX_STEPS:.0e})"
+        )
+    if not np.all(np.isfinite(t_grid)):
+        raise ValidationError("t_grid has a non-finite time")
+    if np.any(np.diff(t_grid) <= 0):
+        raise ValidationError("t_grid must be strictly increasing")
+
+    p = np.array(p0.p if hasattr(p0, "p") else p0, dtype=float)
+    if p.shape != provider.energies.shape:
+        raise ValidationError(f"initial distribution has shape {p.shape}, "
+                              f"expected {provider.energies.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("initial distribution has a non-finite entry")
+    if np.any(p < 0.0):
+        raise ValidationError("initial distribution has a negative entry")
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise ValidationError("initial distribution is not normalized")
+
+    span = float(t_grid[-1] - t_grid[0])
+    if span * provider.spectral_bound > MAX_STEPS:
+        raise ResourceLimitError(
+            f"a span of {span:.6g} is {span * provider.spectral_bound:.3g} units of "
+            f"1/spectral_bound (cap {MAX_STEPS:.0e})"
+        )
+
+    gmask, _ = ground_space(provider.energies)
+    mean_e, p_ground, l1 = (np.empty(t_grid.size) for _ in range(3))
+    drift = 0.0
+    for k, (state, steps, rejected) in enumerate(_grid_states(provider, p, t_grid)):
+        low = state.min()
+        if low < -1e-8:
+            raise IntegrationError(f"negative probability {low:.3e} at grid time {t_grid[k]:.6g}")
+        drift = max(drift, abs(float(state.sum()) - 1.0))
+        mean_e[k] = state @ provider.energies
+        p_ground[k] = state[gmask].sum()
+        l1[k] = np.abs(state - provider.equilibrium(t_grid[k])).sum()
     if drift > 1e-9 * max(1.0, span):
         raise IntegrationError(f"probability normalization drifted by {drift:.3e}")
 
-    gmask, _ = ground_space(provider.energies)
-    mean_e = states @ provider.energies
-    p_ground = states[:, gmask].sum(axis=1)
-    l1 = np.array([np.abs(state - provider.equilibrium(t)).sum()
-                   for t, state in zip(t_grid, states)])
-
-    return Trajectory(t_grid, states, mean_e, p_ground, l1, drift, steps, rejected)
+    return Trajectory(t_grid, mean_e, p_ground, l1, drift, steps, rejected)
 
 
 def relaxation_time(spectrum):

@@ -62,6 +62,12 @@ DEGENERACY_RTOL = 1e-10
 SYMMETRY_RTOL = 1e-10
 
 
+def check_finite(*arrays):
+    """Refuse H when any of its stored arrays holds a NaN or infinite entry."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValidationError("H has a NaN or infinite entry")
+
+
 @dataclass
 class QuantumHamiltonian:
     """Real symmetric matrix in the sigma^z product basis, held as its CSR, checked when made."""
@@ -76,6 +82,7 @@ class QuantumHamiltonian:
         if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n <= MAX_OPERATOR_SPINS
                 and rows == cols == self.dim):
             raise ValidationError(f"H must be 2^n x 2^n, n >= 1: n={self.n!r}, {rows} x {cols}")
+        check_finite(self.matrix.data)  # the solvers' refusal of a flip-built H
         asym = relative_asymmetry(self.matrix)
         if not asym <= SYMMETRY_RTOL:  # a NaN fails
             raise MappingPreconditionError(

@@ -36,7 +36,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from . import io as cqio
 from .dynamics import canonical_rule, relaxation_time
 from .errors import ConvergenceError, NumericalError, ResourceLimitError, ValidationError
-from .mapping import FlipHamiltonian, classical_to_quantum
+from .mapping import FlipHamiltonian, check_finite, classical_to_quantum
 from .model import (MAX_DENSE_SPINS, build_model, check_beta, energy_table,
                     gibbs_from_energies)
 
@@ -72,11 +72,6 @@ def _as_result(vals, vecs, matvec, method):
     return SpectrumResult(vals, vecs, gap, method, residuals)
 
 
-def _check_finite(*arrays):
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ValidationError("H has a NaN or infinite entry")
-
-
 def dense_spectrum(H):
     """Full symmetric eigenvalue spectrum (LAPACK), ascending."""
     if H.n > MAX_DENSE_SPINS:
@@ -84,7 +79,7 @@ def dense_spectrum(H):
             f"n={H.n} exceeds the {MAX_DENSE_SPINS}-spin dense cap"
         )
     matrix = H.matrix
-    _check_finite(matrix.data)
+    check_finite(matrix.data)
     return _as_result(np.linalg.eigvalsh(matrix.toarray()), None, None, "dense")
 
 
@@ -158,7 +153,7 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
     dense = dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2)
     v0 = None if dense else 1.0 + 0.5 * np.sin(np.arange(dim))
     stored, matvec, abs_row_sums, _ = _operator(H)
-    _check_finite(*stored)
+    check_finite(*stored)
     if known is not None:
         if k != 2:
             raise ValidationError(f"a known ground state needs k == 2, got k={k}")

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import expit
 
 from cqmap import ClassicalHamiltonian, build_generator
+from cqmap.dynamics import _grid_states
 
 
 def random_model(rng, n, pair_density=0.8, field_density=0.5, field_scale=0.5):
@@ -54,6 +55,15 @@ def naive_walsh_forward(values):
             acc += values[i] * (-1.0) ** bin(i & mask).count("1")
         out[mask] = acc / m
     return out
+
+
+def grid_states(provider, p0, t_grid):
+    """integrate_master's Dormand-Prince stream, stacked: the states it
+    reduces, one row per grid time, and its accepted and rejected steps."""
+    stream = list(_grid_states(provider, np.asarray(p0, dtype=float),
+                               np.asarray(t_grid, dtype=float)))
+    _, steps, rejected = stream[-1]
+    return np.array([state for state, _, _ in stream]), steps, rejected
 
 
 def master_equation_oracle(h0, beta_of_t, p0, t_eval):

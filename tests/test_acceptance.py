@@ -11,7 +11,7 @@ import cqmap as cq
 from cqmap.model import dense_coefficients
 from cqmap.spectral import extreme_eigenpairs, fit_scaling, gap_scaling_sweep
 
-from conftest import random_model
+from conftest import grid_states, random_model
 
 
 def criterion(number, ok, detail):
@@ -239,9 +239,9 @@ def test_criterion_9_two_state_analytics():
     """Single-spin heat bath: exact unit rate sum and closed-form relaxation."""
     provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
     t_grid = np.array([0.0, 0.5, 1.0, 2.0])
-    traj = cq.integrate_master(provider, np.array([1.0, 0.0]), t_grid)
+    states, _, _ = grid_states(provider, np.array([1.0, 0.0]), t_grid)
     expected = 0.5 + 0.5 * np.exp(-t_grid)
-    relax_err = float(np.abs(traj.states[:, 0] - expected).max())
+    relax_err = float(np.abs(states[:, 0] - expected).max())
 
     worst_lam = 0.0
     for h in (0.0, 0.3, 1.0, 2.5):

@@ -33,7 +33,7 @@ from cqmap.io import read_coordinate
 from cqmap.mapping import classical_to_quantum
 from cqmap.spectral import dense_spectrum
 
-from conftest import master_equation_oracle, random_model
+from conftest import grid_states, master_equation_oracle, random_model
 
 
 def array_matrix(diag, off):
@@ -341,17 +341,17 @@ def test_verify_shape_mismatch():
 def test_two_state_relaxation_closed_form():
     provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
     t_grid = np.array([0.0, 0.5, 1.0, 2.0])
-    traj = cq.integrate_master(provider, np.array([1.0, 0.0]), t_grid)
+    states, _, _ = grid_states(provider, np.array([1.0, 0.0]), t_grid)
     expected = 0.5 + 0.5 * np.exp(-t_grid)
-    assert np.abs(traj.states[:, 0] - expected).max() < 1e-6
+    assert np.abs(states[:, 0] - expected).max() < 1e-6
 
 
 def test_gibbs_start_is_stationary():
     h0 = cq.chain(3)
     provider = cq.constant_provider(h0, 1.1)
     p0 = cq.gibbs_distribution(h0, 1.1)
-    traj = cq.integrate_master(provider, p0, np.linspace(0.0, 5.0, 11))
-    assert np.abs(traj.states - p0.p[None, :]).max() < 1e-9
+    states, _, _ = grid_states(provider, p0.p, np.linspace(0.0, 5.0, 11))
+    assert np.abs(states - p0.p[None, :]).max() < 1e-9
 
 
 def test_quench_final_energy_and_monotone_record():
@@ -362,7 +362,8 @@ def test_quench_final_energy_and_monotone_record():
     assert -4.0 <= traj.mean_energy[-1] <= 0.0
     assert np.all(np.diff(traj.mean_energy) <= 1e-8)
     ref = master_equation_oracle(h0, lambda t: 0.2 * t, p0, traj.times)
-    assert np.abs(traj.states - ref).max() < 1e-8
+    states, _, _ = grid_states(provider, p0, traj.times)
+    assert np.abs(states - ref).max() < 1e-8
 
 
 def test_normalization_preserved(rng):
@@ -371,9 +372,9 @@ def test_normalization_preserved(rng):
     dim = 16
     p0 = rng.random(dim)
     p0 /= p0.sum()
-    traj = cq.integrate_master(provider, p0, np.linspace(0.0, 8.0, 17))
-    assert traj.norm_drift < 1e-9
-    assert traj.states.min() > -1e-8
+    states, _, _ = grid_states(provider, p0, np.linspace(0.0, 8.0, 17))
+    assert np.abs(states.sum(axis=1) - 1.0).max() < 1e-9
+    assert states.min() > -1e-8
 
 
 class _DrainingProvider:
@@ -436,6 +437,30 @@ def test_integrator_refuses_span_beyond_step_cap():
         cq.integrate_master(provider, np.full(4, 0.25), np.array([0.0, 2.5e7 + 1.0]))
 
 
+def test_integrator_refuses_grid_beyond_step_cap(monkeypatch):
+    # Each grid interval costs a Python pass, so the grid is capped like the
+    # span; refused before any step, with MAX_STEPS lowered to 4 intervals.
+    monkeypatch.setattr(cq.dynamics, "MAX_STEPS", 4)
+    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
+    with pytest.raises(ResourceLimitError, match="6 times is 5 intervals \\(cap 4e\\+00\\)"):
+        cq.integrate_master(provider, np.array([1.0, 0.0]), np.linspace(0.0, 0.5, 6))
+    traj = cq.integrate_master(provider, np.array([1.0, 0.0]), np.linspace(0.0, 0.5, 5))
+    assert traj.times.size == 5
+
+
+def test_integrator_holds_one_state_not_its_grid_history():
+    # 1001 grid states of chain(12) would take 31.3 MiB; a run holds the
+    # current state, a step's seven stages and the provider's rate arrays.
+    provider = cq.constant_provider(cq.chain(12, field_h=0.1), 0.44)
+    p0 = np.full(1 << 12, 1.0 / (1 << 12))
+    tracemalloc.start()
+    traj = cq.integrate_master(provider, p0, np.linspace(0.0, 1.0, 1001))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert traj.mean_energy.size == 1001
+    assert peak < 4 * 2**20
+
+
 def test_non_finite_error_estimate_raises():
     # beta(t) turns NaN half-way: the rates, and so the error estimate, follow.
     provider = GeneratorProvider(cq.chain(2, periodic=False),
@@ -471,10 +496,10 @@ def test_two_state_closed_form_rejects_its_first_step():
     # The first step, 1/spectral_bound = 0.5, misses the 1e-10 tolerance.
     provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
     t_grid = np.array([0.0, 0.5, 1.0, 2.0])
-    traj = cq.integrate_master(provider, np.array([1.0, 0.0]), t_grid)
-    assert traj.rejected > 0
-    assert traj.steps > 0
-    assert np.abs(traj.states[:, 0] - (0.5 + 0.5 * np.exp(-t_grid))).max() < 1e-9
+    states, steps, rejected = grid_states(provider, np.array([1.0, 0.0]), t_grid)
+    assert rejected > 0
+    assert steps > 0
+    assert np.abs(states[:, 0] - (0.5 + 0.5 * np.exp(-t_grid))).max() < 1e-9
 
 
 def test_fine_grid_is_interpolated_not_stepped():
@@ -498,7 +523,8 @@ def test_fine_grid_is_interpolated_not_stepped():
                            master_equation_oracle(h0, ramp, p0, grid))):
         traj = cq.integrate_master(provider, p0, grid)
         assert traj.steps < grid.size - 1
-        assert np.abs(traj.states - ref).sum(axis=1).max() < 1e-9
+        states, _, _ = grid_states(provider, p0, grid)
+        assert np.abs(states - ref).sum(axis=1).max() < 1e-9
         assert np.abs(traj.mean_energy - ref @ provider.energies).max() < 1e-9
 
 

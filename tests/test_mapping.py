@@ -592,10 +592,16 @@ def test_q2c_rejects_nonsymmetric_matrix():
     bad = np.array([[0.0, -1.0], [-0.2, 1.0]])
     with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
         cq.quantum_to_classical(cq.QuantumHamiltonian(1, sparse.csr_array(bad)))
-    # A NaN entry makes the asymmetry NaN, which the gate must not pass.
-    nan = np.array([[np.nan, -1.0], [-1.0, 0.0]])
-    with pytest.raises(MappingPreconditionError, match="nonsymmetric"):
-        cq.quantum_to_classical(cq.QuantumHamiltonian(1, sparse.csr_array(nan)))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_hamiltonian_with_a_non_finite_entry_is_refused_as_the_solvers_do(entry):
+    # The refusal test_ground_state_rejects_non_finite_entry gets for a
+    # flip-built H, made before the symmetry check, whose max|H - H^T| / max|H|
+    # would be NaN (and warn about inf / inf).
+    dense = np.array([[entry, -1.0], [-1.0, 0.0]])
+    with pytest.raises(ValidationError, match="H has a NaN or infinite entry"):
+        cq.QuantumHamiltonian(1, sparse.csr_array(dense))
 
 
 @pytest.mark.parametrize("n, shape", [(3, (2, 2)), (1, (2, 4)), (0, (1, 1)), (2.0, (4, 4))],
