@@ -198,6 +198,7 @@ def _cmd_dynamics_evolve(args):
         raise ValidationError("--points must be >= 2")
     if not (np.isfinite(args.t_final) and args.t_final > 0):
         raise ValidationError(f"--t-final must be positive and finite, got {args.t_final!r}")
+    dynamics.check_grid(args.points)
     provider = dynamics.constant_provider(h0, args.beta, args.rule)
     p0 = _parse_p0(args.p0, h0, args.beta)
     t_grid = np.linspace(0.0, args.t_final, args.points)

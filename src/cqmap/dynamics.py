@@ -84,8 +84,8 @@ class GeneratorMatrix:
 
     Held as ``diag`` plus ``off[j, s]`` at ``(s ^ (1 << j), s)``, the flip rate
     of spin j out of configuration s. Its CSR ``matrix`` is built by
-    flip_matrix on every read and not kept; the library computes W @ x with
-    flip_apply instead.
+    flip_matrix on every read and not kept; the library computes W @ x on
+    the flip form instead (flip_apply, GeneratorProvider.apply).
     """
 
     rule: str
@@ -285,11 +285,6 @@ def flip_rates(delta_e, beta, rule, out=None):
     return np.exp(x, out=x)
 
 
-def _generator(delta_e, beta, rule, out=None):
-    rates = flip_rates(delta_e, beta, rule, out)
-    return GeneratorMatrix(rule, beta, -rates.sum(axis=0), rates)
-
-
 def build_generator(h0, beta, rule="heat-bath"):
     """Single-spin-flip generator at fixed inverse temperature, kept as
     ``(diag, off)``; its CSR ``matrix`` is built on each read.
@@ -300,7 +295,8 @@ def build_generator(h0, beta, rule="heat-bath"):
     check_beta(beta)
     rule = canonical_rule(rule)
     table = flip_table(h0)
-    return _generator(table.delta_e, beta, rule, out=table.delta_e)
+    rates = flip_rates(table.delta_e, beta, rule, out=table.delta_e)
+    return GeneratorMatrix(rule, beta, -rates.sum(axis=0), rates)
 
 
 @dataclass
@@ -368,9 +364,18 @@ def verify_dynamics(W, peq, tol=1e-12):
 class GeneratorProvider:
     """Time-dependent generator with a matrix-free W(t) @ p product.
 
-    Wraps a model plus beta(t); the generator is rebuilt from the cached
-    per-flip dE whenever the requested beta changes, into new rate arrays,
-    so the cached table keeps dE. ``apply`` is flip_apply on that generator.
+    Wraps a model plus beta(t) and holds, once per provider, the flip table,
+    the (n, 2^n) flip ``rates`` and ``diag`` at the last beta asked for, two
+    work arrays of the rates' shape and the partner index ``j 2^n + (s ^ (1
+    << j))``. ``apply`` writes ``rates * p`` into one work array, takes it at
+    the partners into the other, sums that over axis 0 and adds ``diag * p``
+    last: flip_apply's sum order, so the product is flip_apply's bit for bit,
+    in five numpy calls at any n.
+
+    The rates are rewritten in place whenever beta changes; the table keeps
+    dE. The first time beta changes, the distinct dE values are found; if at
+    most half as many as the entries, every later rebuild evaluates the rule
+    on them alone and gathers the rates. A constant beta never looks for them.
     """
 
     def __init__(self, h0, beta_of_t, rule="heat-bath"):
@@ -379,19 +384,45 @@ class GeneratorProvider:
         self.energies = self.table.energies
         self.n = h0.n
         self._beta_of_t = beta_of_t
-        self._last = None  # the generator at the last beta asked for
+        spins = np.arange(self.n)[:, None]
+        self._partner = (spins << self.n) + (np.arange(self.energies.size) ^ (1 << spins))
+        self.rates = np.empty_like(self.table.delta_e)
+        self.diag = np.empty_like(self.energies)
+        self._moved = np.empty_like(self.rates)     # rates * p
+        self._gathered = np.empty_like(self.rates)  # rates * p at the partners
+        self._beta = None      # beta of the held rates
+        self._distinct = None  # (values, inverse) of dE, or False when too many
         # Rates are <= 1 per spin, so |eigenvalues| <= 2n (Gershgorin).
         self.spectral_bound = 2.0 * max(self.n, 1)
 
     def beta(self, t):
         return float(self._beta_of_t(t))
 
+    def _rebuild(self, beta):
+        delta_e = self.table.delta_e
+        if self._distinct is None and self._beta is not None:
+            values, inverse = np.unique(delta_e, return_inverse=True)
+            repeats = 2 * values.size <= delta_e.size
+            self._distinct = (values, inverse.reshape(delta_e.shape)) if repeats else False
+        if self._distinct:
+            values, inverse = self._distinct
+            flip_rates(values, beta, self.rule).take(inverse, out=self.rates, mode="clip")
+        else:
+            flip_rates(delta_e, beta, self.rule, out=self.rates)
+        np.negative(self.rates.sum(axis=0), out=self.diag)
+        self._beta = beta
+
     def apply(self, t, p):
         beta = self.beta(t)
-        W = self._last
-        if W is None or W.beta != beta:  # a NaN beta rebuilds every time
-            W = self._last = _generator(self.table.delta_e, beta, self.rule)
-        return flip_apply(W.diag, W.off, p)
+        if beta != self._beta:  # a NaN beta rebuilds every time
+            self._rebuild(beta)
+        np.multiply(self.rates, p, out=self._moved)
+        # The partners are in range by construction; mode="raise" would copy
+        # through a buffer of the output's size.
+        self._moved.take(self._partner, out=self._gathered, mode="clip")
+        out = self._gathered.sum(axis=0)
+        out += self.diag * p
+        return out
 
     def equilibrium(self, t):
         return gibbs_from_energies(self.n, self.energies, self.beta(t)).p
@@ -413,6 +444,15 @@ class Trajectory:
     norm_drift: float
     steps: int                  # accepted integrator steps
     rejected: int               # steps refused by the error control
+
+
+def check_grid(times):
+    """Refuse an output grid of more than MAX_STEPS intervals; callers that
+    make the grid call it with its size before making it."""
+    if times - 1 > MAX_STEPS:
+        raise ResourceLimitError(
+            f"a grid of {times} times is {times - 1} intervals (cap {MAX_STEPS:.0e})"
+        )
 
 
 def _dp5_step(provider, t, p, h, k1):
@@ -500,10 +540,7 @@ def integrate_master(w_of_t, p0, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValidationError("t_grid must be a 1D vector of times")
-    if t_grid.size - 1 > MAX_STEPS:
-        raise ResourceLimitError(
-            f"a grid of {t_grid.size} times is {t_grid.size - 1} intervals (cap {MAX_STEPS:.0e})"
-        )
+    check_grid(t_grid.size)
     if not np.all(np.isfinite(t_grid)):
         raise ValidationError("t_grid has a non-finite time")
     if np.any(np.diff(t_grid) <= 0):

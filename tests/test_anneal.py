@@ -1,10 +1,11 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
 import cqmap as cq
-from cqmap.anneal import comparison_json, run_csv
+from cqmap.anneal import _driver_groups, _rotate_driver, comparison_json, run_csv
 from cqmap.errors import ResourceLimitError, ValidationError
 
 from conftest import master_equation_oracle, naive_energy_table
@@ -231,6 +232,26 @@ def test_qa_size_guard():
                   cq.make_schedule("linear", (5.0, 0.0), 1.0))
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_grouped_driver_rotation_matches_per_spin_reference(rng, n):
+    # Groups of at most 5 spins: one up to n = 5, two up to 10, then three.
+    driver = _driver_groups(n)
+    sizes = [size for _, size in driver[0]]
+    assert sum(sizes) == n and len(sizes) == -(-n // 5) and max(sizes) - min(sizes) <= 1
+    idx = np.arange(1 << n)
+    psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    psi /= np.linalg.norm(psi)
+    for angle in (0.37, -1.2, math.pi / 2):
+        c, s = math.cos(angle), 1j * math.sin(angle)
+        ref = psi
+        for j in range(n):
+            ref = c * ref + s * ref[idx ^ (1 << j)]
+        out = _rotate_driver(psi, driver, angle)
+        assert out.shape == psi.shape
+        assert np.abs(out - ref).max() <= 1e-14
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-14
+
+
 def test_qa_refuses_horizon_beyond_substep_cap():
     # chain(4): max|E| = 4, n max|Gamma| = 20, so 1e12 * 24 / 0.125 substeps.
     sched = cq.make_schedule("linear", (5.0, 0.0), 1e12)
@@ -245,6 +266,30 @@ def test_qa_refuses_horizon_beyond_substep_cap():
     # A field that is 0 throughout takes no substeps, so the long horizon runs.
     frozen = cq.run_qa(cq.chain(4), cq.make_schedule("linear", (0.0, 0.0), 1e12), steps=2)
     assert frozen.p_ground.max() - frozen.p_ground.min() <= 1e-10
+
+
+def test_qa_substep_cap_counts_one_substep_per_interval(monkeypatch):
+    # A horizon of 1e-6 needs a fraction of a substep, but each of the output
+    # intervals takes at least one: 20 intervals pass a cap of 10 no more.
+    monkeypatch.setattr(cq.anneal, "MAX_STEPS", 10)
+    sched = cq.make_schedule("linear", (1.0, 0.0), 1e-6)
+    with pytest.raises(ResourceLimitError, match="needs up to 20 QA substeps"):
+        cq.run_qa(cq.chain(4), sched, steps=20)
+    assert cq.run_qa(cq.chain(4), sched, steps=9).times.size == 10
+
+
+@pytest.mark.parametrize("method", ["sa", "qa"])
+def test_anneal_checks_its_grid_before_allocating(monkeypatch, method):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached past the grid check")
+
+    monkeypatch.setattr(cq.dynamics, "MAX_STEPS", 10)
+    monkeypatch.setattr(cq.anneal, "GeneratorProvider", unreachable)
+    monkeypatch.setattr(np, "linspace", unreachable)
+    run = cq.run_sa if method == "sa" else cq.run_qa
+    sched = cq.make_schedule("linear", (0.1, 2.0) if method == "sa" else (5.0, 0.0), 1.0)
+    with pytest.raises(ResourceLimitError, match="12 times is 11 intervals \\(cap 1e\\+01\\)"):
+        run(cq.chain(4), sched, steps=11)
 
 
 @pytest.mark.parametrize("refine", [0.5, np.nan])

@@ -447,16 +447,46 @@ def test_anneal_sa_refuses_logarithmic_rate_that_overflows(chain4, tmp_path):
      "--points", "1000000000000000"],
     ["anneal", "sa", "--c0", "0.1", "--c1", "2", "--horizon", "10",
      "--steps", "1000000000000000"],
+    ["anneal", "qa", "--c0", "5", "--c1", "0", "--horizon", "10",
+     "--steps", "1000000000000000"],
 ])
-def test_request_beyond_the_address_space_is_out_of_memory(tmp_path, argv):
-    # 10^15 doubles exceed the address space, so the allocation fails at
-    # once without touching memory.
+def test_grid_beyond_the_step_cap_is_refused_before_allocation(tmp_path, argv):
+    # 10^15 grid times would exceed the address space; the size is refused
+    # from the argument, before the grid or the provider is made.
     model = tmp_path / "chain2.json"
     model.write_text(json.dumps({"n": 2, "lattice": {"kind": "chain", "size": [2]}}))
     out = tmp_path / "x.csv"
     outcome = run(argv + ["--model", str(model), "--out", str(out)])
     assert outcome.exit_code == 3, outcome.diagnostics
-    assert "out of memory" in outcome.diagnostics
+    assert "intervals (cap 1e+08)" in outcome.diagnostics
+    assert not out.exists()
+
+
+def test_evolve_checks_its_grid_before_building_the_provider(chain4, tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached past the grid check")
+
+    monkeypatch.setattr(cli.dynamics, "MAX_STEPS", 10)
+    monkeypatch.setattr(cli.dynamics, "constant_provider", unreachable)
+    monkeypatch.setattr(np, "linspace", unreachable)
+    out = tmp_path / "x.csv"
+    outcome = run(["dynamics", "evolve", "--model", chain4, "--beta", "1",
+                   "--t-final", "1", "--points", "12", "--out", str(out)])
+    assert outcome.exit_code == 3, outcome.diagnostics
+    assert "a grid of 12 times is 11 intervals (cap 1e+01)" in outcome.diagnostics
+    assert not out.exists()
+
+
+def test_memory_error_exits_3_as_out_of_memory(chain4, tmp_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("stand-in")
+
+    monkeypatch.setattr(cli.dynamics, "constant_provider", exhausted)
+    out = tmp_path / "x.csv"
+    outcome = run(["dynamics", "evolve", "--model", chain4, "--beta", "1",
+                   "--t-final", "1", "--out", str(out)])
+    assert outcome.exit_code == 3, outcome.diagnostics
+    assert outcome.diagnostics == "dynamics evolve: out of memory (stand-in)"
     assert not out.exists()
 
 

@@ -202,8 +202,8 @@ def test_provider_apply_matches_csr_generator(rng, n, rule, beta):
     p /= p.sum()
     out = cq.constant_provider(h0, beta, rule).apply(0.0, p)
     assert np.abs(out - cq.build_generator(h0, beta, rule).matrix @ p).max() <= 1e-14
-    # The provider's product, flip_apply, on flip arrays that are not
-    # generators: signed entries and columns that do not sum to zero.
+    # flip_apply, the product verify_dynamics takes, on flip arrays that are
+    # not generators: signed entries and columns that do not sum to zero.
     diag, off = rng.standard_normal(1 << n), rng.standard_normal((n, 1 << n))
     x = rng.standard_normal(1 << n)
     assert np.abs(flip_apply(diag, off, x) - array_matrix(diag, off) @ x).max() <= 1e-14
@@ -315,9 +315,67 @@ def test_provider_keeps_its_flip_table(rng, rule):
     for t in (0.0, 1.5):
         provider.apply(t, p)
         assert np.array_equal(provider.table.delta_e, before)
-        assert np.array_equal(provider._last.off,
+        assert np.array_equal(provider.rates,
                               cq.build_generator(h0, provider.beta(t), rule).off)
     assert np.array_equal(before, flip_table(h0).delta_e)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
+def test_provider_product_is_flip_apply_bit_for_bit(rng, monkeypatch, n, rule):
+    # beta 0, 0.44, 0.44 again from the held rates, 3, then 0.44 rebuilt. The
+    # chain's dE repeat (a single spin's do not), so from the first change of
+    # beta on the rule is evaluated on its distinct dE alone; no dE of the
+    # all-pairs model with fields repeats, so its rates come from every dE.
+    betas = (0.0, 0.44, 0.44, 3.0, 0.44)
+    lattice = cq.chain(n, field_h=0.1) if n > 1 else cq.ClassicalHamiltonian(1, {1: 0.3})
+    pairs = random_model(rng, n, pair_density=1.0, field_density=1.0)
+    rates = cq.dynamics.flip_rates
+    evaluated = []
+
+    def counted(delta_e, *args, **kwargs):
+        evaluated.append(np.size(delta_e))
+        return rates(delta_e, *args, **kwargs)
+
+    for h0, repeats in ((lattice, n > 1), (pairs, False)):
+        generators = [cq.build_generator(h0, beta, rule) for beta in betas]
+        provider = GeneratorProvider(h0, lambda t: betas[int(t)], rule)
+        monkeypatch.setattr(cq.dynamics, "flip_rates", counted)
+        evaluated.clear()
+        for t, W in enumerate(generators):
+            p = rng.random(1 << n)
+            assert np.array_equal(provider.apply(float(t), p), flip_apply(W.diag, W.off, p))
+            assert np.array_equal(provider.rates, W.off)
+        monkeypatch.setattr(cq.dynamics, "flip_rates", rates)
+        size = n << n
+        assert len(evaluated) == 4 and evaluated[0] == size
+        assert all(2 * k <= size if repeats else k == size for k in evaluated[1:])
+
+
+def test_provider_product_allocates_no_flip_array():
+    # The partner index, the rates and both work arrays are held, so a
+    # product, at a new beta too, allocates its result and diag * p.
+    n = 12
+    provider = GeneratorProvider(cq.chain(n, field_h=0.1), lambda t: 0.1 + t)
+    p = np.full(1 << n, 1.0 / (1 << n))
+    provider.apply(0.0, p)
+    provider.apply(1.0, p)  # the first change of beta finds the distinct dE
+    for t in (1.0, 2.0):
+        tracemalloc.start()
+        out = provider.apply(t, p)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - out.nbytes < n * (1 << n) * 8
+
+
+def test_constant_beta_never_looks_for_distinct_dE(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("np.unique called at constant beta")
+
+    provider = cq.constant_provider(cq.chain(6, field_h=0.1), 0.8)
+    monkeypatch.setattr(np, "unique", unreachable)
+    traj = cq.integrate_master(provider, np.full(64, 1 / 64), np.linspace(0.0, 2.0, 5))
+    assert traj.steps > 1
 
 
 def test_verify_metropolis_brute_force_stationarity(rng):
