@@ -170,25 +170,6 @@ def array_fill(diag, off):
     return fill
 
 
-def upper_fill(diag, upper):
-    """The block fill of flip_matrix for a symmetric operator held as
-    flip_matrix(n, fill, upper=True) returns it, ``(diag, upper)``.
-
-    Row r's entry for spin j is stored once, in row ``r & ~(1 << j)`` of
-    upper, after that row's unset bits below j, which are r's own: its place
-    is ``upper.indptr[r & ~(1 << j)] + j - popcount(r & ((1 << j) - 1))``.
-    """
-    indptr, data = upper.indptr, upper.data
-
-    def fill(r0, values):
-        rows = np.arange(r0, r0 + values.shape[1])
-        values[0] = diag[r0:r0 + values.shape[1]]
-        for j in range(values.shape[0] - 1):
-            below = np.bitwise_count(rows & ((1 << j) - 1))
-            values[j + 1] = data[indptr[rows & ~(1 << j)] + (j - below)]
-    return fill
-
-
 def flip_matrix(n, fill, upper=False):
     """CSR matrix of an n-spin single-spin-flip operator: a diagonal plus one
     entry per spin at ``(r, r ^ (1 << j))``, the shape of generators, mapped,
@@ -198,9 +179,9 @@ def flip_matrix(n, fill, upper=False):
     ``fill(r0, values)`` writes the rows r0 <= r < r0 + block into the
     (n + 1, block) array ``values``, the diagonal in ``values[0]`` and the
     entry at column r ^ (1 << j) in ``values[j + 1]``. array_fill copies them
-    out of ``(diag, off)``, upper_fill out of ``(diag, upper)``;
-    classical_to_quantum and the closed-form chain compute them from the
-    energies or the spins, so they hold no n x 2^n array.
+    out of ``(diag, off)``; classical_to_quantum and the closed-form chain
+    compute them from the energies or the spins, so they hold no n x 2^n
+    array.
 
     Written sorted, with int32 indices and no COO or sort: row r holds its
     n + 1 entries at columns r ^ (1 << j) for the set bits j of r in

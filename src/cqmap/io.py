@@ -65,6 +65,16 @@ def entry_rows(matrix):
     return np.repeat(np.arange(matrix.shape[0], dtype=np.int32), np.diff(matrix.indptr))
 
 
+def canonical_csr(matrix):
+    """matrix as a CSR with sorted rows and no repeated entry: canonicalized
+    on a copy if it is not, so the caller's arrays are left as they are."""
+    csr = sparse.csr_array(matrix)
+    if not csr.has_canonical_format:
+        csr = csr.copy()  # sum_duplicates rewrites the arrays it shares with matrix
+        csr.sum_duplicates()
+    return csr
+
+
 def coordinate_text(matrix):
     """Serialize a square sparse matrix as 1-based 'row col value' lines.
 
@@ -73,10 +83,7 @@ def coordinate_text(matrix):
     COORDINATE_BLOCK at a time, one %-format per block, so the temporaries
     beside the text are bounded by the block size.
     """
-    csr = sparse.csr_array(matrix)
-    if not csr.has_canonical_format:
-        csr = csr.copy()  # sum_duplicates rewrites the arrays it shares with matrix
-        csr.sum_duplicates()
+    csr = canonical_csr(matrix)
     parts = [f"{COORDINATE_HEADER}\n{csr.shape[0]} {csr.shape[1]} {csr.nnz}\n"]
     for start in range(0, csr.nnz, COORDINATE_BLOCK):
         stop = min(start + COORDINATE_BLOCK, csr.nnz)

@@ -14,7 +14,8 @@ phi defines an energy E'(s) = -2 log phi_s and a generator
 W'[s, s'] = -phi_s (H - lambda_0)[s, s'] / phi_s', whose stationary
 distribution is phi^2. Applying it to the mapped H recovers beta E up to a
 constant, so the round trip is an identity. Its symmetry, like H's shape
-and size cap, is checked when a QuantumHamiltonian is made from a CSR.
+and size cap, is checked when a QuantumHamiltonian is made from a CSR;
+every H is then held as its diagonal and strict upper triangle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .dynamics import (
     flip_rates,
     read_flipped,
     relative_asymmetry,
-    upper_fill,
 )
 from .errors import (
     DegenerateGroundStateError,
@@ -68,52 +68,83 @@ def check_finite(*arrays):
         raise ValidationError("H has a NaN or infinite entry")
 
 
-@dataclass
 class QuantumHamiltonian:
-    """Real symmetric matrix in the sigma^z product basis, held as its CSR, checked when made."""
+    """Real symmetric matrix in the sigma^z product basis, held once per
+    symmetric pair: ``diag``, a 2^n vector, plus ``upper``, the strict upper
+    triangle as an int32 CSR with sorted rows. For a flip-built H, row r of
+    upper holds the entries at r ^ (1 << j) for the unset bits j of r in
+    ascending j (flip_matrix(n, fill, upper=True)): 6n + 12 bytes per state
+    where the full CSR takes 12(n + 1) + 4.
 
-    n: int
-    matrix: sparse.csr_array
+    QuantumHamiltonian(n, csr) checks a CSR's contract once: shape
+    (2^n, 2^n) with n >= 1, the 24-spin cap from the shape before any entry
+    is read, finite entries, then max|H - H^T| / max|H| <= SYMMETRY_RTOL.
+    The CSR, canonicalized on a copy if it is not, is then split by one mask
+    into its diagonal and strict upper triangle; its lower triangle is
+    dropped. The flip builders pass their halves to QuantumHamiltonian.held,
+    unchecked: they are symmetric by construction.
+    """
 
-    def __post_init__(self):
-        rows, cols = self.matrix.shape
+    def __init__(self, n, matrix):
+        rows, cols = matrix.shape
         if rows > 1 << MAX_OPERATOR_SPINS:  # from the shape, before any entry is read
             raise ResourceLimitError(f"dimension {rows} exceeds the 2^{MAX_OPERATOR_SPINS} cap")
-        if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n <= MAX_OPERATOR_SPINS
-                and rows == cols == self.dim):
-            raise ValidationError(f"H must be 2^n x 2^n, n >= 1: n={self.n!r}, {rows} x {cols}")
-        check_finite(self.matrix.data)  # the solvers' refusal of a flip-built H
-        asym = relative_asymmetry(self.matrix)
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_OPERATOR_SPINS
+                and rows == cols == 1 << n):
+            raise ValidationError(f"H must be 2^n x 2^n, n >= 1: n={n!r}, {rows} x {cols}")
+        matrix = cqio.canonical_csr(matrix)
+        check_finite(matrix.data)  # the solvers' refusal of a flip-built H
+        asym = relative_asymmetry(matrix)
         if not asym <= SYMMETRY_RTOL:  # a NaN fails
             raise MappingPreconditionError(
                 f"nonsymmetric: max|H - H^T| / max|H| = {asym:.3e} exceeds {SYMMETRY_RTOL:.1e}"
             )
+        entry_rows = cqio.entry_rows(matrix)
+        above = matrix.indices > entry_rows
+        indptr = np.zeros(rows + 1, dtype=np.int32)
+        np.cumsum(np.bincount(entry_rows[above], minlength=rows), out=indptr[1:])
+        upper = sparse.csr_array((matrix.data[above], matrix.indices[above].astype(np.int32),
+                                  indptr), shape=matrix.shape)
+        self.n, self.diag, self.upper = n, matrix.diagonal(), upper
+
+    @classmethod
+    def held(cls, n, diag, upper):
+        """The H held as ``(diag, upper)``, unchecked: for halves symmetric by
+        construction, as flip_matrix(n, fill, upper=True) returns them."""
+        H = cls.__new__(cls)
+        H.n, H.diag, H.upper = n, diag, upper
+        return H
 
     @property
     def dim(self):
         return 1 << self.n
 
-    def dense(self):
-        return self.matrix.toarray()
-
-
-class FlipHamiltonian(QuantumHamiltonian):
-    """A symmetric single-spin-flip H held once per symmetric pair: ``diag``,
-    a 2^n vector, plus ``upper``, the strict upper triangle as an int32 CSR
-    whose row r holds the entries at r ^ (1 << j) for the unset bits j of r
-    in ascending j (flip_matrix(n, fill, upper=True)). That is 6n + 12 bytes
-    per state where the full CSR takes 12(n + 1) + 4.
-
-    ``matrix``, the full CSR flip_matrix writes, is built on every read and
-    not kept. Symmetric by construction, it skips QuantumHamiltonian's checks.
-    """
-
-    def __init__(self, n, diag, upper):
-        self.n, self.diag, self.upper = n, diag, upper
-
     @property
     def matrix(self):
-        return flip_matrix(self.n, upper_fill(self.diag, self.upper))
+        """The full CSR diag + upper + upper^T, built on each read and not
+        kept. Row r holds upper^T's entries (upper's column r), then the
+        diagonal, stored also where it is 0, then upper's row r: sorted, with
+        int32 indices. Entries are placed at int32 positions one
+        io.row_blocks block at a time, so beside the result and a transposed
+        copy of upper the positions take a few vectors. For a flip-built H
+        this is bit for bit the CSR flip_matrix writes for the full operator.
+        """
+        diag, upper = self.diag, self.upper
+        lower = upper.tocsc()  # its arrays are upper^T's CSR
+        r = np.arange(diag.size + 1, dtype=np.int32)
+        indptr = lower.indptr + upper.indptr + r
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        place = indptr[:-1] + np.diff(lower.indptr)
+        data[place], indices[place] = diag, r[:-1]
+        # Entry k of part's row i goes to place k + start[i] of the full CSR.
+        halves = ((lower, upper.indptr[:-1] + r[:-1]), (upper, lower.indptr[1:] + r[1:]))
+        for part, start in halves:
+            for lo, hi, a, b in cqio.row_blocks(part):
+                place = np.repeat(start[lo:hi], np.diff(part.indptr[lo:hi + 1]))
+                place += np.arange(a, b, dtype=np.int32)
+                data[place], indices[place] = part.data[a:b], part.indices[a:b]
+        return sparse.csr_array((data, indices, indptr), shape=(diag.size, diag.size))
 
 
 @dataclass
@@ -173,7 +204,7 @@ def classical_to_quantum(h0, beta, rule="heat-bath", energies=None):
         np.exp(x, out=x)
         x /= -(1.0 + x * x) if rule == "heat-bath" else -1.0
 
-    return FlipHamiltonian(h0.n, *flip_matrix(h0.n, fill, upper=True))
+    return QuantumHamiltonian.held(h0.n, *flip_matrix(h0.n, fill, upper=True))
 
 
 def heat_bath_chain_closed_form(n, beta):
@@ -213,7 +244,7 @@ def heat_bath_chain_closed_form(n, beta):
         values[1:] = -((1.0 + u) - (1.0 - u) * np.roll(sz, 1, axis=0)
                        * np.roll(sz, -1, axis=0)) / 4.0
 
-    return FlipHamiltonian(n, *flip_matrix(n, fill, upper=True))
+    return QuantumHamiltonian.held(n, *flip_matrix(n, fill, upper=True))
 
 
 def transverse_field_hamiltonian(h0, gamma):
@@ -221,7 +252,8 @@ def transverse_field_hamiltonian(h0, gamma):
     gamma >= 0), held as its diagonal and strict upper triangle."""
     energies = energy_table(h0)
     off = np.broadcast_to(-float(gamma), (h0.n, energies.size))
-    return FlipHamiltonian(h0.n, *flip_matrix(h0.n, array_fill(energies, off), upper=True))
+    return QuantumHamiltonian.held(h0.n, *flip_matrix(h0.n, array_fill(energies, off),
+                                                   upper=True))
 
 
 def ground_state(H):
@@ -265,16 +297,18 @@ class QtoCResult:
 def quantum_to_classical(H, tol=1e-12):
     """Invert the mapping: stoquastic symmetric H -> (classical model, generator).
 
-    H's symmetry was checked when it was made. The matrix is shifted
-    internally by -lambda_0 I so the ground state has eigenvalue zero; the
-    recovered energy is E'(s) = -2 log phi_s (returned as a full Walsh
-    coefficient table) and W' = -diag(phi) (H - lambda_0) diag(phi)^-1, the
-    classical_to_quantum similarity run backwards with a = exp(-E'/2) = phi.
+    H's symmetry was checked when it was made. The stoquastic and
+    connectivity checks read its strict upper triangle, and the ground state
+    is solved on its halves. The matrix is shifted internally by -lambda_0 I
+    so the ground state has eigenvalue zero; the recovered energy is
+    E'(s) = -2 log phi_s (returned as a full Walsh coefficient table) and
+    W' = -diag(phi) (H - lambda_0) diag(phi)^-1, the classical_to_quantum
+    similarity run backwards with a = exp(-E'/2) = phi, on the one full CSR
+    built from the halves.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
-    matrix = H.matrix  # a FlipHamiltonian's CSR, built once
-    worst = float(matrix.data[matrix.indices != cqio.entry_rows(matrix)].max(initial=-np.inf))
+    worst = float(H.upper.data.max(initial=-np.inf))
     if not worst <= tol:  # a NaN fails, before the solve
         raise NonStoquasticError(
             f"non-stoquastic: positive off-diagonal {worst:.3e} exceeds tol {tol:.1e}"
@@ -282,8 +316,7 @@ def quantum_to_classical(H, tol=1e-12):
     # Imported here: csgraph adds about 40 ms and 1 MiB to every cqmap import.
     from scipy.sparse.csgraph import connected_components
 
-    # A diagonal entry is a self-loop, which joins no components.
-    n_components, _ = connected_components(abs(matrix) > tol, directed=False)
+    n_components, _ = connected_components(abs(H.upper) > tol, directed=False)
     if n_components != 1:
         raise ReducibleOperatorError(
             f"off-diagonal adjacency graph has {n_components} components; "
@@ -304,9 +337,8 @@ def quantum_to_classical(H, tol=1e-12):
     coeffs = {int(mask): float(c) for mask, c in enumerate(coeff_vec)}
     model = ClassicalHamiltonian(H.n, coeffs)
 
-    # H - lambda0 I storing every diagonal entry, also one missing or exactly 0.
-    shifted = matrix.copy()
-    shifted.setdiag(matrix.diagonal() - lam0)
+    # The one full CSR q2c builds: H - lambda0 I, every diagonal entry stored.
+    shifted = QuantumHamiltonian.held(H.n, H.diag - lam0, H.upper).matrix
     generator = _conjugate(shifted, recovered_energy, -0.5)
     return QtoCResult(model, generator, lambda0=float(lam0),
                       positivity_margin=gs.positivity_margin)

@@ -13,13 +13,12 @@ two-pass Lanczos, which keeps three vectors instead of ARPACK's basis and
 has none of its per-step overhead. ARPACK serves only requests without a
 known vector.
 
-Both Krylov solves read a FlipHamiltonian (c2q's H, the transverse-field H
-and the closed-form chain) as held, its diagonal d and strict upper
-triangle U. H x = d x + U x + U^T x is formed by scipy's CSR and CSC kernels
-adding into one vector in the order of H's full CSR rows, so every product,
-and the solve, is bit for bit the one on the full CSR, which is never built.
-Any other H is solved through its CSR, as it stands: a file's H may be
-symmetric only to roundoff. Only the dense branch reads the full CSR.
+Every solve, residual and Gershgorin bound reads H as it is held, its
+diagonal d and strict upper triangle U, whether it was built by a flip
+builder or split from a CSR. H x = d x + U x + U^T x is formed by scipy's
+CSR and CSC kernels adding into one vector in the order of H's full CSR
+rows, so every product, and the solve, is bit for bit the one on the full
+CSR, which is never built. Only the dense branch reads the full CSR.
 """
 
 from __future__ import annotations
@@ -30,13 +29,13 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import _sparsetools, csr_array
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import io as cqio
 from .dynamics import canonical_rule, relaxation_time
 from .errors import ConvergenceError, NumericalError, ResourceLimitError, ValidationError
-from .mapping import FlipHamiltonian, check_finite, classical_to_quantum
+from .mapping import check_finite, classical_to_quantum
 from .model import (MAX_DENSE_SPINS, build_model, check_beta, energy_table,
                     gibbs_from_energies)
 
@@ -78,9 +77,8 @@ def dense_spectrum(H):
         raise ResourceLimitError(
             f"n={H.n} exceeds the {MAX_DENSE_SPINS}-spin dense cap"
         )
-    matrix = H.matrix
-    check_finite(matrix.data)
-    return _as_result(np.linalg.eigvalsh(matrix.toarray()), None, None, "dense")
+    check_finite(H.diag, H.upper.data)
+    return _as_result(np.linalg.eigvalsh(H.matrix.toarray()), None, None, "dense")
 
 
 def _half_matvec(diag, upper, x):
@@ -98,18 +96,6 @@ def _half_matvec(diag, upper, x):
     y += diag * x
     _sparsetools.csr_matvec(dim, dim, upper.indptr, upper.indices, upper.data, x, y)
     return y
-
-
-def _operator(H):
-    """What the solves and Gershgorin read of H: the arrays holding its
-    entries, x -> H x, abs(H) @ 1 and its diagonal, taken from a
-    FlipHamiltonian's (diag, upper) without its full CSR, or from H's CSR."""
-    if isinstance(H, FlipHamiltonian):
-        diag, upper = H.diag, H.upper
-        return ((diag, upper.data), partial(_half_matvec, diag, upper),
-                partial(_half_abs_row_sums, diag, upper), lambda: diag)
-    matrix = H.matrix
-    return (matrix.data,), matrix.__matmul__, partial(_abs_row_sums, matrix), matrix.diagonal
 
 
 def _known_ground_state(matvec, dim, known):
@@ -143,8 +129,8 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
     known, if given, is a vector phi_0 with H phi_0 = 0 (NumericalError if
     |H phi_0|_inf > 1e-10), and k must be 2. Above the dense size, lambda_0
     is then phi_0's Rayleigh quotient and lambda_1 comes from _deflated_pair,
-    not ARPACK. Both, and all residuals, read H through _operator, so a
-    FlipHamiltonian's full CSR is built only for the dense branch. Raises
+    not ARPACK. Both, and all residuals, read H's (diag, upper) through
+    _half_matvec, so H's full CSR is built only for the dense branch. Raises
     ValidationError on a NaN or infinite entry or a malformed known vector,
     and ConvergenceError carrying the best eigenvalues and residual norms
     found on non-convergence.
@@ -152,14 +138,14 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
     dim = H.dim
     dense = dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2)
     v0 = None if dense else 1.0 + 0.5 * np.sin(np.arange(dim))
-    stored, matvec, abs_row_sums, _ = _operator(H)
-    check_finite(*stored)
+    matvec = partial(_half_matvec, H.diag, H.upper)
+    check_finite(H.diag, H.upper.data)
     if known is not None:
         if k != 2:
             raise ValidationError(f"a known ground state needs k == 2, got k={k}")
         ground = _known_ground_state(matvec, dim, known)
         if not dense:
-            sigma = 2.0 * float(abs_row_sums().max())
+            sigma = 2.0 * float(_half_abs_row_sums(H.diag, H.upper).max())
             return _deflated_pair(matvec, sigma, ground, v0, max_iter, tol)
     if dense:
         vals, vecs = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=[0, k - 1],
@@ -207,7 +193,7 @@ def _deflated_pair(matvec, sigma, ground, v0, max_iter, tol):
     zero mode as _known_ground_state's triple.
 
     H is read only through matvec, so the solve holds a few vectors beside
-    H as the caller holds it: for a FlipHamiltonian its (diag, upper).
+    H as it is held, its (diag, upper).
     lambda_1 is the lowest eigenvalue of H + sigma phi0 phi0^T, sigma twice
     the largest absolute row sum so that phi0 moves above the spectrum. Two
     Lanczos passes run from the part of v0 orthogonal to phi0. The first
@@ -268,9 +254,9 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
     fixed start vector (see _lowest_pairs). known is an optional ground state
     phi_0 with H phi_0 = 0, such as sqrt(p_eq) of a mapped generator, and
     needs k == 2; the Krylov iteration then deflates it and computes only
-    lambda_1 (see _deflated_pair). Both Krylov solves read a FlipHamiltonian's
-    diagonal and strict upper triangle as held, and any other H through its
-    CSR; only the dense branch builds a full CSR. Raises ValidationError on
+    lambda_1 (see _deflated_pair). Both Krylov solves read H's diagonal and
+    strict upper triangle as held; only the dense branch builds a full CSR,
+    so it and the Krylov solves read the same matrix. Raises ValidationError on
     a NaN or infinite entry or a malformed known vector, and NumericalError
     when known is not a zero mode of H.
     max_iter, if given, must be at least 1 and tol finite; it caps ARPACK's
@@ -287,22 +273,6 @@ def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):
     if k >= dim:
         raise ValidationError(f"k={k} must be smaller than the dimension {dim}")
     return _lowest_pairs(H, k, max_iter, tol, known)
-
-
-def _abs_row_sums(matrix):
-    """abs(H) @ 1 of a CSR matrix, bit for bit, without a copy of H.
-
-    Each block of io.row_blocks is summed as a CSR of its absolute values on
-    views of H's indices, so at most one vector's worth of absolute values
-    exists at a time.
-    """
-    ones = np.ones(matrix.shape[1])
-    sums = np.empty(matrix.shape[0])
-    indptr = matrix.indptr
-    for lo, hi, a, b in cqio.row_blocks(matrix):
-        sums[lo:hi] = csr_array((np.abs(matrix.data[a:b]), matrix.indices[a:b],
-                                 indptr[lo:hi + 1] - a), shape=(hi - lo, matrix.shape[1])) @ ones
-    return sums
 
 
 def _half_abs_row_sums(diag, upper):
@@ -328,10 +298,9 @@ def _half_abs_row_sums(diag, upper):
 
 
 def gershgorin_bound(H):
-    """Upper bound on the largest eigenvalue from Gershgorin discs, read through _operator."""
-    _, _, abs_row_sums, diagonal = _operator(H)
-    diag = diagonal()
-    return float((diag + (abs_row_sums() - np.abs(diag))).max())
+    """Upper bound on the largest eigenvalue from Gershgorin discs, read from H's halves."""
+    diag = H.diag
+    return float((diag + (_half_abs_row_sums(diag, H.upper) - np.abs(diag))).max())
 
 
 @dataclass

@@ -24,7 +24,7 @@ def random_model(rng, n, pair_density=0.8, field_density=0.5, field_scale=0.5):
 
 
 def held_bytes(H):
-    """Bytes of a flip-built H as held: its diagonal and strict upper CSR."""
+    """Bytes of an H as held: its diagonal and strict upper CSR."""
     return H.diag.nbytes + sum(getattr(H.upper, name).nbytes
                                for name in ("data", "indices", "indptr"))
 

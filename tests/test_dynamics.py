@@ -19,7 +19,6 @@ from cqmap.dynamics import (
     flipped,
     relative_asymmetry,
     trajectory_csv,
-    upper_fill,
     write_generator,
 )
 from cqmap.errors import (
@@ -161,14 +160,17 @@ def test_flip_matrix_upper_keeps_the_diagonal_and_strict_upper_triangle(rng, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 13, 14])
 def test_upper_fill_rebuilds_a_symmetric_flip_matrix_bit_for_bit(rng, n):
-    # off[j] even under the flip of spin j makes the operator symmetric.
+    # off[j] even under the flip of spin j makes the operator symmetric. The
+    # full CSR that QuantumHamiltonian assembles from the halves is the one
+    # flip_matrix writes for the full operator.
     dim = 1 << n
     diag, off = rng.standard_normal(dim), rng.standard_normal((n, dim))
     for j, row in enumerate(off):
         row.reshape(-1, 2, 1 << j)[:, 1] = row.reshape(-1, 2, 1 << j)[:, 0]
     full = array_matrix(diag, off)
     assert (full - full.T).count_nonzero() == 0
-    rebuilt = flip_matrix(n, upper_fill(*flip_matrix(n, array_fill(diag, off), upper=True)))
+    held = cq.QuantumHamiltonian.held(n, *flip_matrix(n, array_fill(diag, off), upper=True))
+    rebuilt = held.matrix
     for name in ("indptr", "indices", "data"):
         assert getattr(rebuilt, name).dtype == getattr(full, name).dtype
         assert np.array_equal(getattr(rebuilt, name), getattr(full, name))

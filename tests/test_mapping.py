@@ -388,7 +388,7 @@ def test_dense_ground_state_matches_full_eigh_oracle(rng, case):
         H = random_stoquastic(rng, 8)
     else:
         H = cq.transverse_field_hamiltonian(cq.chain(6), 1.0)
-    vals, vec = perron_oracle(H.dense())
+    vals, vec = perron_oracle(H.matrix.toarray())
     gs = cq.ground_state(H)
     assert abs(gs.value - vals[0]) <= 1e-12 * abs(vals[0])
     assert np.abs(gs.vector - vec).max() <= 1e-12
@@ -401,7 +401,7 @@ def test_dense_and_krylov_ground_states_agree(rng, case):
     else:
         n = {"tf-chain-8": 8, "tf-chain-11": 11}[case]
         H = cq.transverse_field_hamiltonian(cq.chain(n), 1.0)
-    vals, vec = perron_oracle(H.dense())
+    vals, vec = perron_oracle(H.matrix.toarray())
     krylov = cq.ground_state(H)
     assert krylov.value == pytest.approx(vals[0], rel=1e-12)
     assert np.abs(krylov.vector - vec).max() <= 1e-10
@@ -437,19 +437,18 @@ def test_ground_state_rejects_non_finite_entry(branch, bad):
         cq.ground_state(H)
 
 
-@pytest.mark.parametrize("inverse, builds", [(cq.ground_state, 1), (cq.quantum_to_classical, 2)],
+@pytest.mark.parametrize("inverse, reads", [(cq.ground_state, 0), (cq.quantum_to_classical, 1)],
                          ids=["ground_state", "quantum_to_classical"])
-def test_ground_state_builds_a_flip_hamiltonians_csr_once(monkeypatch, inverse, builds):
-    # A FlipHamiltonian builds its full CSR on each read of .matrix. The
-    # solver and the Gershgorin width read its halves, so ground_state builds
-    # none; q2c builds one for its checks and for H - lambda0 I.
-    calls = []
-    build = mapping.flip_matrix
-    monkeypatch.setattr(mapping, "flip_matrix",
-                        lambda *args, **kwargs: calls.append(1) or build(*args, **kwargs))
+def test_ground_state_builds_a_flip_hamiltonians_csr_once(monkeypatch, inverse, reads):
+    # H.matrix builds H's full CSR on each read. The solver and the
+    # Gershgorin width read H's halves, so ground_state reads none; q2c
+    # reads one, H - lambda0 I, for W'.
     H = cq.transverse_field_hamiltonian(cq.chain(7, field_h=0.1), 0.8)
+    calls, full = [], mapping.QuantumHamiltonian.matrix
+    monkeypatch.setattr(mapping.QuantumHamiltonian, "matrix",
+                        property(lambda H: calls.append(1) or full.fget(H)))
     inverse(H)
-    assert len(calls) == builds  # the halves, then q2c's one full CSR
+    assert len(calls) == reads
 
 
 # ---------------------------------------------------------- quantum_to_classical
@@ -519,9 +518,10 @@ def test_transverse_field_hamiltonian_allocates_little_beyond_its_result():
 
 def test_q2c_holds_about_three_copies_of_h():
     # H's symmetry is checked when it is made, so q2c makes no transposed
-    # copy or difference of H (those would take it to 2.98x). Beside H's CSR
-    # its peak is H - lambda0 I and the checks on the CSR's own arrays,
-    # 2.54x H traced.
+    # copy or difference of H (those would take it to 2.98x). Beside H's
+    # halves its peak is H - lambda0 I, assembled from them one block of
+    # rows at a time at int32 positions, with the checks on the upper
+    # triangle: 2.36x H's full CSR traced (2.67x with whole-array positions).
     n = 14
     H = cq.QuantumHamiltonian(n, cq.classical_to_quantum(cq.chain(n, field_h=0.1), 0.44).matrix)
     m = H.matrix
@@ -612,6 +612,41 @@ def test_hamiltonian_of_the_wrong_shape_is_refused(n, shape):
     matrix = sparse.csr_array(np.eye(*shape))
     with pytest.raises(ValidationError, match="H must be 2\\^n x 2\\^n, n >= 1"):
         cq.QuantumHamiltonian(n, matrix)
+
+
+def assert_same_csr(got, expected):
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(expected, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
+def test_matrix_of_an_h_made_from_a_csr_is_that_csr_bit_for_bit(tmp_path):
+    # An exactly symmetric canonical CSR is split into its halves and comes
+    # back from them as it went in: c2q's full CSR, the same CSR as a
+    # coordinate file reads it back, and a copy with each row's entries
+    # reversed, canonicalized on a copy of its own.
+    full = cq.classical_to_quantum(cq.chain(6, field_h=0.2), 0.6).matrix
+    path = tmp_path / "h.txt"
+    cq.io.write_coordinate(full, path)
+    read_back = cq.io.read_coordinate(path)[1]
+    reversed_rows = np.concatenate([np.arange(full.indptr[r + 1] - 1, full.indptr[r] - 1, -1)
+                                    for r in range(full.shape[0])])
+    unsorted = sparse.csr_array((full.data[reversed_rows], full.indices[reversed_rows],
+                                 full.indptr), shape=full.shape)
+    caller = unsorted.indices.copy()
+    for matrix in (full, read_back, unsorted):
+        assert_same_csr(cq.QuantumHamiltonian(6, matrix).matrix, full)
+    assert np.array_equal(unsorted.indices, caller)
+
+
+def test_matrix_stores_the_zero_diagonal_entries_a_csr_leaves_out():
+    # The open transverse-field chain(7) at Gamma=0.8 has 40 zero diagonal
+    # entries; a CSR without them (984 entries) comes back storing them.
+    full = cq.transverse_field_hamiltonian(cq.chain(7, periodic=False), 0.8).matrix
+    stored = full.copy()
+    stored.eliminate_zeros()
+    assert stored.nnz == 984
+    assert_same_csr(cq.QuantumHamiltonian(7, stored).matrix, full)
 
 
 @pytest.mark.parametrize("inverse", [

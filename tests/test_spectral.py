@@ -91,6 +91,20 @@ def test_extreme_uses_arpack_beyond_fallback_dim():
     assert extreme.residual_norms.max() <= 1e-8 * width
 
 
+def test_dense_and_krylov_solves_read_the_same_roughly_symmetric_h():
+    # H[0, 1] scaled by 1 + 5e-11 passes the 1e-10 symmetry check. Both
+    # solves read the diagonal and strict upper triangle it is held as, so
+    # their lowest eigenvalues agree to roundoff (1.7e-12 apart when LAPACK
+    # read the lower triangle and ARPACK the full CSR).
+    matrix = mapped(cq.chain(6, field_h=0.3), 0.7).matrix
+    matrix[0, 1] *= 1.0 + 5e-11
+    H = cq.QuantumHamiltonian(6, matrix)
+    dense = cq.dense_spectrum(H).eigenvalues[:2]
+    krylov = cq.extreme_eigenpairs(H, k=2)
+    assert krylov.method == "iterative"
+    assert np.abs(krylov.eigenvalues - dense).max() <= 1e-14
+
+
 def test_extreme_random_instances_match_dense(rng):
     for n in (5, 6):
         h0 = random_model(rng, n)
@@ -156,7 +170,7 @@ def test_deflated_nonconvergence_still_reports_the_known_pair():
 def test_deflated_cap_reports_the_best_ritz_pair_on_H():
     h0 = cq.chain(10)
     H = mapped(h0, 0.7)
-    spectrum = np.linalg.eigvalsh(H.dense())
+    spectrum = np.linalg.eigvalsh(H.matrix.toarray())
     with pytest.raises(cq.ConvergenceError, match="in 5 steps") as excinfo:
         cq.extreme_eigenpairs(H, k=2, max_iter=5, known=sqrt_peq(h0, 0.7))
     err = excinfo.value
@@ -188,7 +202,7 @@ def test_extreme_on_sixteen_spin_mapped_grid():
 ])
 def test_deflated_solve_matches_dense_lambda1(h0, beta, rule, parity):
     H = mapped(h0, beta, rule)
-    lam1 = np.linalg.eigvalsh(H.dense())[1]
+    lam1 = np.linalg.eigvalsh(H.matrix.toarray())[1]
     result = cq.extreme_eigenpairs(H, k=2, known=sqrt_peq(h0, beta))
     assert result.method == "iterative"
     assert abs(result.eigenvalues[1] - lam1) <= 1e-12 * lam1
@@ -240,14 +254,33 @@ def test_deflated_solve_keeps_no_krylov_basis():
     (cq.grid(3, 3, field_h=0.1), 0.44),
 ], ids=["chain10", "grid3x3"])
 def test_deflated_solve_on_a_general_csr_matches_dense(h0, beta):
-    # A QuantumHamiltonian(n, csr), as read from a file, is solved through
-    # its own CSR.
+    # A QuantumHamiltonian(n, csr), as read from a file, is split into the
+    # halves it is solved on.
     H = cq.QuantumHamiltonian(h0.n, mapped(h0, beta).matrix)
-    lam = scipy.linalg.eigvalsh(H.dense())
+    lam = scipy.linalg.eigvalsh(H.matrix.toarray())
     result = cq.extreme_eigenpairs(H, k=2, known=sqrt_peq(h0, beta))
     assert result.method == "iterative"
     assert np.abs(result.eigenvalues - lam[:2]).max() <= 1e-12 * lam[-1]
     assert result.residual_norms.max() <= 1e-12
+
+
+def solve_on_the_full_csr(monkeypatch, H):
+    """Refuse any read of H.matrix, then return a solve whose products and
+    row sums are taken on H's full CSR, as scipy's CSR kernels give them."""
+    full = H.matrix
+
+    def refuse(H):
+        raise AssertionError("full CSR built")
+
+    monkeypatch.setattr(mapping.QuantumHamiltonian, "matrix", property(refuse))
+
+    def solve(**kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_half_matvec", lambda diag, upper, x: full @ x)
+            patch.setattr(spectral, "_half_abs_row_sums",
+                          lambda diag, upper: abs(full) @ np.ones(full.shape[0]))
+            return cq.extreme_eigenpairs(H, **kwargs)
+    return solve
 
 
 def test_deflated_solve_on_held_halves_is_the_full_csr_solve_bit_for_bit(monkeypatch):
@@ -255,12 +288,7 @@ def test_deflated_solve_on_held_halves_is_the_full_csr_solve_bit_for_bit(monkeyp
     # repeats the one on the full CSR exactly, and never builds that CSR.
     h0, beta = cq.grid(3, 4, field_h=0.1), 0.44
     H, known = mapped(h0, beta), sqrt_peq(h0, beta)
-    general = cq.extreme_eigenpairs(cq.QuantumHamiltonian(h0.n, H.matrix), k=2, known=known)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("full CSR built")
-
-    monkeypatch.setattr(mapping, "flip_matrix", refuse)
+    general = solve_on_the_full_csr(monkeypatch, H)(k=2, known=known)
     held = cq.extreme_eigenpairs(H, k=2, known=known)
     assert np.array_equal(held.eigenvalues, general.eigenvalues)
     assert np.array_equal(held.eigenvectors, general.eigenvectors)
@@ -278,12 +306,7 @@ def test_arpack_on_held_halves_is_the_full_csr_solve_bit_for_bit(monkeypatch, ca
     # Without a known vector ARPACK reads H through the same product as the
     # deflated solve, so on (diag, upper) it repeats the full CSR's solve.
     H = ARPACK_CASES[case]()
-    general = cq.extreme_eigenpairs(cq.QuantumHamiltonian(H.n, H.matrix), k=3)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("full CSR built")
-
-    monkeypatch.setattr(mapping, "flip_matrix", refuse)
+    general = solve_on_the_full_csr(monkeypatch, H)(k=3)
     held = cq.extreme_eigenpairs(H, k=3)
     assert held.method == general.method == "iterative"
     assert np.array_equal(held.eigenvalues, general.eigenvalues)
@@ -314,10 +337,13 @@ def test_non_finite_held_entry_is_refused_by_the_deflated_solve(where):
 
 
 def test_half_abs_row_sums_are_the_full_csr_sums_bit_for_bit(rng):
+    ragged = sparse.random_array((256, 256), density=0.005, rng=rng, format="csr")
+    ragged.data -= 0.5  # both signs, and rows with no entry
     for H in (mapped_chain(13, 0.7), mapped(random_model(rng, 9), 1.3, "metropolis"),
-              cq.transverse_field_hamiltonian(cq.chain(12, field_h=0.4), 0.8)):
+              cq.transverse_field_hamiltonian(cq.chain(12, field_h=0.4), 0.8),
+              cq.QuantumHamiltonian(8, ragged + ragged.T)):
         assert np.array_equal(spectral._half_abs_row_sums(H.diag, H.upper),
-                              spectral._abs_row_sums(H.matrix))
+                              abs(H.matrix) @ np.ones(H.dim))
 
 
 def test_sweep_row_holds_h_once_per_symmetric_pair():
@@ -347,14 +373,6 @@ def test_known_vector_is_checked():
     for k in (1, 3):
         with pytest.raises(ValidationError, match="k == 2"):
             cq.extreme_eigenpairs(H, k=k, known=sqrt_peq(h0, 1.0))
-
-
-def test_abs_row_sums_match_the_abs_matrix_bit_for_bit(rng):
-    ragged = sparse.random_array((300, 300), density=0.005, rng=rng, format="csr")
-    ragged.data -= 0.5  # both signs, and rows with no entry
-    for matrix in (mapped_chain(9, 0.7).matrix, ragged):
-        reference = abs(matrix) @ np.ones(matrix.shape[0])
-        assert np.array_equal(spectral._abs_row_sums(matrix), reference)
 
 
 def test_gershgorin_bounds_top_eigenvalue():
@@ -419,7 +437,7 @@ def test_sweep_family_keys_reach_the_model():
     row = cq.gap_scaling_sweep(family, [3], 0.5)[0]
     H = mapped(cq.grid(3, 3, periodic=False, coupling=0.7, field_h=0.2), 0.5)
     assert row.size == 9
-    assert abs(row.gap - np.linalg.eigvalsh(H.dense())[1]) <= 1e-10
+    assert abs(row.gap - np.linalg.eigvalsh(H.matrix.toarray())[1]) <= 1e-10
 
 
 def test_sweep_records_per_row_failures_and_continues():
@@ -465,37 +483,37 @@ def test_sweep_row_with_unresolved_gap_is_an_error():
     assert np.isnan(row.tau)
 
 
-def tanh_rounded_mapped(h0, beta):
-    """-diag(a) W diag(a)^-1 of the heat-bath generator's CSR, a = exp(beta E / 2).
-
-    Its rates are rounded through tanh, so entries whose beta dE is large
-    carry relative errors up to 1e-6; on the 3x3 field grid at beta=3 the
-    deflated lambda_1 solve then runs over 2000 Lanczos steps without
-    resolving the gap (the closed-form map takes about 50).
-    """
-    W = cq.build_generator(h0, beta).matrix
-    return cq.QuantumHamiltonian(h0.n, mapping._conjugate(W, cq.energy_table(h0), beta / 2))
+def path_laplacian(n):
+    """The open path graph's Laplacian on 2^n states: 1 and 2 on the
+    diagonal, -1 between neighbours. Every row sums to 0, so the vector 1 is
+    its zero mode, and its eigenvalues are 2 (1 - cos(pi k / 2^n))."""
+    dim = 1 << n
+    degree = np.full(dim, 2.0)
+    degree[[0, -1]] = 1.0
+    bond = -np.ones(dim - 1)
+    return cq.QuantumHamiltonian(n, sparse.diags_array([bond, degree, bond], offsets=[-1, 0, 1],
+                                                       format="csr"))
 
 
 def test_slow_deflated_solve_tests_convergence_sparsely(monkeypatch):
     # Each convergence test solves the whole tridiagonal matrix. Every step
     # is tested up to 256, then steps m // 32 apart; the cap is always tested.
+    # The path Laplacian on 2^11 states has its gap 2.35e-6 at the bottom of
+    # a dense spectrum, so the deflated solve takes over 2000 Lanczos steps.
     sizes = []
     solve = scipy.linalg.eigh_tridiagonal
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
                         lambda d, e, **kw: sizes.append(len(d)) or solve(d, e, **kw))
-    h0 = cq.grid(3, 3, field_h=0.1)
-    H = tanh_rounded_mapped(h0, 3.0)
-    spec = cq.extreme_eigenpairs(H, k=2, known=sqrt_peq(h0, 3.0))
-    with pytest.raises(NumericalError, match="not resolved"):
-        cq.relaxation_time(spec)
+    H, known = path_laplacian(11), np.ones(1 << 11)
+    spec = cq.extreme_eigenpairs(H, k=2, known=known)
+    assert abs(spec.gap - 2.0 * (1.0 - np.cos(np.pi / 2048))) <= 1e-15
     assert sizes[:256] == list(range(1, 257))
     assert [b - a for a, b in zip(sizes[255:], sizes[256:])] == [m // 32 for m in sizes[255:-1]]
     assert sizes[-1] > 2000 and len(sizes) < 350
 
     sizes.clear()
     with pytest.raises(cq.ConvergenceError, match="in 300 steps"):
-        cq.extreme_eigenpairs(H, k=2, max_iter=300, known=sqrt_peq(h0, 3.0))
+        cq.extreme_eigenpairs(H, k=2, max_iter=300, known=known)
     assert sizes[-1] == 300 and sizes[-2] == 297  # 288 + 288 // 32
 
 
@@ -505,7 +523,7 @@ def test_sweep_row_of_field_grid_matches_dense_gap():
     row = cq.gap_scaling_sweep({"kind": "grid", "h": 0.1}, [3], 1.0)[0]
     h0 = cq.grid(3, 3, field_h=0.1)
     H = cq.classical_to_quantum(h0, 1.0)
-    lam1 = np.linalg.eigvalsh(H.dense())[1]
+    lam1 = np.linalg.eigvalsh(H.matrix.toarray())[1]
     assert row.method != "error"
     assert abs(row.gap - lam1) <= 1e-10
     assert abs(lam1 - 7.04350424e-6) <= 1e-13
