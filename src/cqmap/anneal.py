@@ -33,6 +33,10 @@ _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 # take fewer flops per state but more products. With one BLAS thread, 5
 # beat 6 by about 30% at 11 and 12 spins and was level up to 10.
 _DRIVER_GROUP = 5
+# Substeps per chunk: their 3 midpoint fields and driver factors are made in
+# one go. 16 was measured; larger chunks gain little and hold more factors.
+_QA_CHUNK = 16
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^d, indexed by d % 4
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,12 @@ class Schedule:
     horizon: float
 
     def value(self, t):
-        t = min(max(float(t), 0.0), self.horizon)
+        """c(t) with t clamped to [0, T]: a float for a scalar t, an array of
+        the same formula's values for an array of times."""
+        if isinstance(t, np.ndarray):
+            t, log = np.clip(t, 0.0, self.horizon), np.log
+        else:
+            t, log = min(max(float(t), 0.0), self.horizon), math.log
         if self.kind == "linear":
             c0, c1 = self.params
             return c0 + (c1 - c0) * t / self.horizon
@@ -60,7 +69,7 @@ class Schedule:
             c0, p = self.params
             return c0 * (1.0 - t / self.horizon) ** p
         c0, alpha = self.params
-        return c0 / math.log(2.0 + alpha * t)
+        return c0 / log(2.0 + alpha * t)
 
     def initial(self):
         return self.value(0.0)
@@ -167,22 +176,40 @@ def _driver_groups(n):
     return groups, distance
 
 
-def _rotate_driver(psi, driver, angle):
-    """exp(+i angle sum_j sx_j) psi, one dense factor per spin group.
+def _driver_factors(driver, angles):
+    """Per group size g, the stack (len(angles), 2^g, 2^g) of
+    exp(i angle sx)^(x g), one matrix per angle.
 
-    exp(i angle sx) is R = c + i s sx, so a group of g spins takes R^(x g),
-    whose entry (a, b) is c^(g - d) (i s)^d with d = popcount(a ^ b), made
-    once per group size: one matrix product per group on psi reshaped to
-    (high, 2^g, low). A group at the lowest or highest bits is a plain 2-D
-    product. ``driver`` is _driver_groups(n).
+    exp(i angle sx) is R = c + i s sx, so R^(x g) has entry (a, b)
+    c^(g - d) (i s)^d with d = popcount(a ^ b): one broadcast of the powers
+    per angle, then one gather by the popcount table. ``driver`` is
+    _driver_groups(n).
     """
-    groups, distance = driver
-    c, s = math.cos(angle), 1j * math.sin(angle)
-    factors = {size: np.array([c ** (size - d) * s ** d for d in range(size + 1)]).take(table)
-               for size, table in distance.items()}
+    _, distance = driver
+    # Column d of cos_d, sin_d holds the d-th power, by repeated products:
+    # numpy's float pow rounds with a bias that shows in the norm drift.
+    base = np.ones((2, angles.size, max(distance) + 1))
+    base[0, :, 1:] = np.cos(angles)[:, None]
+    base[1, :, 1:] = np.sin(angles)[:, None]
+    cos_d, sin_d = np.cumprod(base, axis=2)
+    factors = {}
+    for size, table in distance.items():
+        d = np.arange(size + 1)
+        # take, not [:, table]: that result has the angle axis innermost,
+        # and a strided factor makes every product slower.
+        factors[size] = (cos_d[:, size - d] * sin_d[:, d] * _I_POWERS[d % 4]).take(table, axis=1)
+    return factors
+
+
+def _rotate_driver(psi, driver, factors, k):
+    """exp(+i angle_k sum_j sx_j) psi, by factor k of _driver_factors: one
+    matrix product per group on psi reshaped to (high, 2^g, low). A group
+    at the lowest or highest bits is a plain 2-D product. Returns a new
+    array."""
+    groups, _ = driver
     n = groups[-1][0] + groups[-1][1]
     for low, size in groups:
-        factor = factors[size]
+        factor = factors[size][k]
         if low == 0:
             psi = psi.reshape(-1, 1 << size) @ factor  # factor is symmetric
         elif low + size == n:
@@ -200,8 +227,10 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
     fourth-order split-operator steps (Yoshida triple jump of Strang steps
     with Gamma at each midpoint) built from exact factors: the diagonal
     phases, and the driver as one dense factor per group of at most 5 spins
-    (_rotate_driver). So the norm is kept to roundoff; (max|E| + n |Gamma|)
-    h <= 0.125, with at least one substep per output interval. ``refine``
+    (_rotate_driver). An interval's substeps run in chunks of 16, whose
+    midpoint fields and driver factors are made in one go. So the norm is
+    kept to roundoff; (max|E| + n |Gamma|) h <= 0.125, with at least one
+    substep per output interval. ``refine``
     multiplies the substep count (for convergence checks at finer
     resolution). Runs that could take more than 1e8 substeps, counted as
     steps + refine * T * (max|E| + n max(|Gamma(0)|, |Gamma(T)|)) / 0.125,
@@ -267,15 +296,25 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
         substeps = max(1, int(math.ceil(refine * (t1 - t0) * omega_k / _QA_THETA)))
         h = (t1 - t0) / substeps
         tau1, tau0 = _YOSHIDA_W1 * h, _YOSHIDA_W0 * h
-        # Adjacent half-phases of consecutive Strang steps are merged.
+        # Adjacent half-phases of consecutive Strang steps are merged, within
+        # a substep (inner) and across substeps (joint).
         outer = np.exp(-0.5j * tau1 * energies)
         inner = np.exp(-0.5j * (tau1 + tau0) * energies)
-        for i in range(substeps):
-            t = t0 + i * h
-            psi = _rotate_driver(outer * psi, driver, tau1 * sched.value(t + 0.5 * tau1))
-            psi = _rotate_driver(inner * psi, driver, tau0 * sched.value(t + 0.5 * h))
-            psi = _rotate_driver(inner * psi, driver, tau1 * sched.value(t + h - 0.5 * tau1))
-            psi = outer * psi
+        joint = np.exp(-1j * tau1 * energies)
+        taus = np.array([tau1, tau0, tau1])
+        midpoints = np.array([0.5 * tau1, 0.5 * h, h - 0.5 * tau1])
+        psi *= outer
+        for first in range(0, substeps, _QA_CHUNK):
+            count = min(_QA_CHUNK, substeps - first)
+            times = (t0 + np.arange(first, first + count) * h)[:, None] + midpoints
+            factors = _driver_factors(driver, (taus * sched.value(times)).ravel())
+            phases = [inner, inner, joint] * count
+            if first + count == substeps:
+                phases[-1] = outer
+            # Every rotation returns a new array, so the phases go in place.
+            for j, phase in enumerate(phases):
+                psi = _rotate_driver(psi, driver, factors, j)
+                psi *= phase
         record(k + 1, t1, psi)
         if worst_drift > 1e-6:
             raise IntegrationError(

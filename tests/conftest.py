@@ -94,6 +94,33 @@ def master_equation_oracle(h0, beta_of_t, p0, t_eval):
     return sol.y.T
 
 
+def ring_qa_oracle(n, gamma_of_t, t_eval):
+    """Mean classical energy of the transverse-field anneal of the periodic
+    ring E = -sum s_i s_(i+1) (n even, h = 0) from the uniform state, at
+    t_eval, by Jordan-Wigner: the uniform state is the fermion vacuum of the
+    even sector, and each mode k = pi (2m - 1) / n, m = 1 .. n/2, evolves on
+    its own by i dpsi_k/dt = 2 [[G - cos k, sin k], [sin k, cos k - G]] psi_k
+    from psi_k(0) = (0, 1) (Pfeuty, Ann. Phys. 57, 79 (1970)). The energy is
+    sum_k <psi_k| H_k(G = 0) |psi_k>. Solved by scipy's DOP853 at rtol =
+    atol = 1e-13.
+    """
+    k = np.pi * (2 * np.arange(1, n // 2 + 1) - 1) / n
+    cos_k, sin_k = np.cos(k), np.sin(k)
+
+    def rhs(t, y):
+        up, down = y[:k.size], y[k.size:]
+        a = gamma_of_t(t) - cos_k
+        return -2j * np.concatenate([a * up + sin_k * down, sin_k * up - a * down])
+
+    y0 = np.concatenate([np.zeros(k.size), np.ones(k.size)]).astype(complex)
+    sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), y0, method="DOP853",
+                    t_eval=t_eval, rtol=1e-13, atol=1e-13)
+    assert sol.success, sol.message
+    up, down = sol.y[:k.size], sol.y[k.size:]
+    return 2 * (cos_k @ (np.abs(down) ** 2 - np.abs(up) ** 2)
+                + 2 * sin_k @ (up.conj() * down).real)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import cqmap as cq
-from cqmap.anneal import _driver_groups, _rotate_driver, comparison_json, run_csv
+from cqmap.anneal import (_QA_CHUNK, _QA_THETA, _YOSHIDA_W0, _YOSHIDA_W1, _driver_factors,
+                          _driver_groups, _rotate_driver, comparison_json, run_csv)
 from cqmap.errors import ResourceLimitError, ValidationError
+from cqmap.model import energy_table, ground_space
 
-from conftest import master_equation_oracle, naive_energy_table
+from conftest import master_equation_oracle, naive_energy_table, ring_qa_oracle
 
 
 def field_chain(n=4, h=0.4):
@@ -37,6 +39,24 @@ def test_power_one_reduces_to_linear():
 def test_logarithmic_schedule_at_zero():
     sched = cq.make_schedule("logarithmic", (1.0, 1.0), 50.0)
     assert abs(sched.value(0.0) - 1.0 / np.log(2.0)) < 1e-15
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("linear", (5.0, 0.5)), ("power", (5.0, 2.7)), ("logarithmic", (2.0, 1.3))])
+def test_schedule_array_values_match_scalar_values(kind, params):
+    sched = cq.make_schedule(kind, params, 10.0)
+    times = np.array([-3.0, -1e-12, 0.0, 0.7, 2.5, 5.0, 9.99, 10.0, 10.0 + 1e-9, 42.0])
+    values = sched.value(times)
+    scalar = np.array([sched.value(t) for t in times])
+    assert values.shape == times.shape
+    # numpy's vectorized pow and log are not libm's: power and logarithmic may
+    # differ in the last bit or two (2 ulp measured); linear is exact.
+    np.testing.assert_array_max_ulp(values, scalar, maxulp=2)
+    if kind == "linear":
+        assert np.array_equal(values, scalar)
+    # times outside [0, T] clamp to its ends
+    assert np.all(values[:3] == sched.initial()) and np.all(values[-3:] == sched.final())
+    assert type(sched.value(2.5)) is float and type(sched.value(np.float64(2.5))) is float
 
 
 def test_schedule_validation():
@@ -241,15 +261,105 @@ def test_grouped_driver_rotation_matches_per_spin_reference(rng, n):
     idx = np.arange(1 << n)
     psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     psi /= np.linalg.norm(psi)
-    for angle in (0.37, -1.2, math.pi / 2):
+    angles = (0.37, -1.2, math.pi / 2)
+    factors = _driver_factors(driver, np.array(angles))
+    # Each factor is a contiguous matrix, as the products are fastest on one.
+    assert all(stack.flags.c_contiguous for stack in factors.values())
+    for k, angle in enumerate(angles):
         c, s = math.cos(angle), 1j * math.sin(angle)
         ref = psi
         for j in range(n):
             ref = c * ref + s * ref[idx ^ (1 << j)]
-        out = _rotate_driver(psi, driver, angle)
+        out = _rotate_driver(psi, driver, factors, k)
         assert out.shape == psi.shape
         assert np.abs(out - ref).max() <= 1e-14
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-14
+
+
+def substep_loop_qa(h0, sched, steps):
+    """run_qa's substeps one at a time, as they ran before chunking: each a
+    Yoshida triple jump of Strang steps, with a scalar Schedule.value at each
+    midpoint, unmerged half-phases and the driver as per-spin rotations
+    c psi + i s psi[idx ^ (1 << j)]. Returns p_ground and the residual energy
+    at the output times after 0, and the substeps of each interval."""
+    energies = energy_table(h0)
+    gmask, e_gs = ground_space(energies)
+    e_scale = np.abs(energies).max()
+    idx = np.arange(energies.size)
+
+    def rotate(psi, angle):
+        c, s = math.cos(angle), 1j * math.sin(angle)
+        for j in range(h0.n):
+            psi = c * psi + s * psi[idx ^ (1 << j)]
+        return psi
+
+    psi = np.full(energies.size, 1.0 / math.sqrt(energies.size), dtype=complex)
+    p_ground, residual, counts = [], [], []
+    t_grid = np.linspace(0.0, sched.horizon, steps + 1)
+    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+        omega = e_scale + h0.n * max(abs(sched.value(t0)), abs(sched.value(t1))) + 1e-12
+        substeps = max(1, math.ceil((t1 - t0) * omega / _QA_THETA))
+        h = (t1 - t0) / substeps
+        tau1, tau0 = _YOSHIDA_W1 * h, _YOSHIDA_W0 * h
+        for i in range(substeps):
+            t = t0 + i * h
+            for tau, mid in ((tau1, t + 0.5 * tau1), (tau0, t + 0.5 * h),
+                             (tau1, t + h - 0.5 * tau1)):
+                half = np.exp(-0.5j * tau * energies)
+                psi = half * rotate(half * psi, tau * sched.value(mid))
+        weights = np.abs(psi) ** 2
+        p_ground.append(weights[gmask].sum() / weights.sum())
+        residual.append(weights @ energies / weights.sum() - e_gs)
+        counts.append(substeps)
+    return np.array(p_ground), np.array(residual), counts
+
+
+@pytest.mark.parametrize("n", [3, 7])  # one driver group, then two
+@pytest.mark.parametrize("substeps", [1, _QA_CHUNK, _QA_CHUNK + 1, 2 * _QA_CHUNK + 1])
+def test_qa_chunks_match_the_substep_loop(monkeypatch, n, substeps):
+    h0 = field_chain(n, h=0.3)
+    gamma0 = 2.0
+    omega = np.abs(energy_table(h0)).max() + n * gamma0
+    # The first of two intervals takes `substeps` (its field peaks at Gamma(0)),
+    # the second fewer.
+    horizon = 2 * (substeps - 0.5) * _QA_THETA / omega
+    sched = cq.make_schedule("linear", (gamma0, 0.0), horizon)
+    p_ground, residual, counts = substep_loop_qa(h0, sched, steps=2)
+    assert counts[0] == substeps
+
+    rotations = []
+
+    def counting_rotate(*args):
+        rotations.append(args[-1])
+        return _rotate_driver(*args)
+
+    monkeypatch.setattr(cq.anneal, "_rotate_driver", counting_rotate)
+    result = cq.run_qa(h0, sched, steps=2)
+    assert len(rotations) == 3 * sum(counts)
+    assert np.abs(result.p_ground[1:] - p_ground).max() <= 1e-12
+    assert np.abs(result.residual_energy[1:] - residual).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, bound", [(4, 4e-6), (8, 8e-7), (12, 2e-7)])
+def test_qa_matches_exact_ring_modes(n, bound):
+    # Periodic h = 0 ring, linear Gamma 5 -> 0 over T = 10: the free-fermion
+    # modes give the exact mean energy. Measured: 2.18e-6, 3.99e-7 and 9.60e-8,
+    # run_qa's own fourth-order error.
+    sched = cq.make_schedule("linear", (5.0, 0.0), 10.0)
+    result = cq.run_qa(cq.chain(n), sched, steps=40)
+    exact = ring_qa_oracle(n, sched.value, result.times)
+    assert np.abs(result.residual_energy + result.ground_energy - exact).max() <= bound
+
+
+def test_qa_ring_error_is_fourth_order():
+    # Halving the substeps divides the error by about 2^4 (measured: 15.1 on chain(4)).
+    sched = cq.make_schedule("linear", (5.0, 0.0), 10.0)
+    errors = []
+    for refine in (1.0, 2.0):
+        result = cq.run_qa(cq.chain(4), sched, steps=40, refine=refine)
+        exact = ring_qa_oracle(4, sched.value, result.times)
+        errors.append(np.abs(result.residual_energy + result.ground_energy - exact).max())
+    assert 14.0 <= errors[0] / errors[1] <= 17.0
 
 
 def test_qa_refuses_horizon_beyond_substep_cap():
