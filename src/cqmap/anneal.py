@@ -162,18 +162,16 @@ def run_sa(h0, sched, rule="heat-bath", steps=200):
 
 def _driver_groups(n):
     """Split n spins into ceil(n / 5) groups of near-equal size, lowest bits
-    first: the groups as ``(low, size)``, and per size the 2^size x 2^size
-    table ``popcount(a ^ b)``."""
+    first: the group sizes, and per size the 2^size x 2^size table
+    ``popcount(a ^ b)``."""
     count = -(-n // _DRIVER_GROUP)
-    groups, distance, low = [], {}, 0
-    for i in range(count):
-        size = n // count + (i < n % count)
+    sizes = [n // count + (i < n % count) for i in range(count)]
+    distance = {}
+    for size in sizes:
         if size not in distance:
             a = np.arange(1 << size)
             distance[size] = np.bitwise_count(a[:, None] ^ a).astype(np.intp)
-        groups.append((low, size))
-        low += size
-    return groups, distance
+    return sizes, distance
 
 
 def _driver_factors(driver, angles):
@@ -202,20 +200,13 @@ def _driver_factors(driver, angles):
 
 
 def _rotate_driver(psi, driver, factors, k):
-    """exp(+i angle_k sum_j sx_j) psi, by factor k of _driver_factors: one
-    matrix product per group on psi reshaped to (high, 2^g, low). A group
-    at the lowest or highest bits is a plain 2-D product. Returns a new
-    array."""
-    groups, _ = driver
-    n = groups[-1][0] + groups[-1][1]
-    for low, size in groups:
-        factor = factors[size][k]
-        if low == 0:
-            psi = psi.reshape(-1, 1 << size) @ factor  # factor is symmetric
-        elif low + size == n:
-            psi = factor @ psi.reshape(1 << size, -1)
-        else:
-            psi = factor @ psi.reshape(1 << (n - low - size), 1 << size, 1 << low)
+    """exp(+i angle_k sum_j sx_j) psi, by factor k of _driver_factors: per
+    group, one 2-D product on psi's lowest group bits, whose result holds
+    those bits at the top. So the groups cycle through the lowest bits and
+    the last one leaves every bit where it started. Returns a new array."""
+    sizes, _ = driver
+    for size in sizes:
+        psi = factors[size][k] @ psi.reshape(-1, 1 << size).T
     return psi.reshape(-1)
 
 

@@ -128,9 +128,9 @@ def _schedule_from_args(args):
 @_command("model validate", "parse a model file and summarize it", _MODEL)
 def _cmd_model_validate(args):
     h0 = model.load_model(args.model)
-    profile = model.interaction_profile(h0.coeffs)
+    profile = model.interaction_profile(h0)
     return (
-        f"model ok: n={h0.n}, {len(h0.coeffs)} coefficients, "
+        f"model ok: n={h0.n}, {h0.masks.size} coefficients, "
         f"max order {profile.max_order()}",
         None,
     )
@@ -140,7 +140,7 @@ def _cmd_model_validate(args):
 def _cmd_model_coeffs(args):
     h0 = model.load_model(args.model)
     cqio.atomic_write_text(args.out, model.coefficients_csv(h0))
-    return f"wrote {len(h0.coeffs)} coefficients", args.out
+    return f"wrote {h0.masks.size} coefficients", args.out
 
 
 @_command("dynamics generator", "write the flip generator as sparse coordinates",
@@ -232,7 +232,7 @@ def _cmd_map_q2c(args):
     col_resid = float(np.abs(np.asarray(W.sum(axis=0))).max())
     # q2c refuses a reducible H, so W' has an off-diagonal entry.
     offdiag_min = float(W.data[W.indices != cqio.entry_rows(W)].min())
-    profile = model.interaction_profile(result.model.coeffs)
+    profile = model.interaction_profile(result.model)
     payload = {
         "shift": result.lambda0,
         "lambda0": result.lambda0,

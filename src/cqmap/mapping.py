@@ -301,7 +301,8 @@ def quantum_to_classical(H, tol=1e-12):
     connectivity checks read its strict upper triangle, and the ground state
     is solved on its halves. The matrix is shifted internally by -lambda_0 I
     so the ground state has eigenvalue zero; the recovered energy is
-    E'(s) = -2 log phi_s (returned as a full Walsh coefficient table) and
+    E'(s) = -2 log phi_s, returned as the model of all 2^n Walsh coefficients
+    (masks = arange(2^n), 16 B per state), and
     W' = -diag(phi) (H - lambda_0) diag(phi)^-1, the classical_to_quantum
     similarity run backwards with a = exp(-E'/2) = phi, on the one full CSR
     built from the halves.
@@ -333,9 +334,7 @@ def quantum_to_classical(H, tol=1e-12):
         )
 
     recovered_energy = -2.0 * np.log(phi)
-    coeff_vec = walsh_transform(recovered_energy)
-    coeffs = {int(mask): float(c) for mask, c in enumerate(coeff_vec)}
-    model = ClassicalHamiltonian(H.n, coeffs)
+    model = ClassicalHamiltonian(H.n, np.arange(phi.size), walsh_transform(recovered_energy))
 
     # The one full CSR q2c builds: H - lambda0 I, every diagonal entry stored.
     shifted = QuantumHamiltonian.held(H.n, H.diag - lam0, H.upper).matrix

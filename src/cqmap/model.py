@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * A configuration of N spins is an integer index in [0, 2^N). Bit j = 0
   encodes sigma_j = +1 and bit j = 1 encodes sigma_j = -1, so index 0 is
   the all-up state.
-* A Hamiltonian is a sparse table of coefficients c_S keyed by a subset
-  bitmask S, with energy E(i) = sum_S c_S * chi_S(i) where
+* A Hamiltonian holds coefficients c_S of subset bitmasks S as ascending
+  mask and value arrays, with energy E(i) = sum_S c_S * chi_S(i) where
   chi_S(i) = prod_{j in S} sigma_j(i) = (-1)^popcount(i & S).
 * Coefficients carry the energy's own sign: a ferromagnetic bond
   -J s_i s_j is stored as c_{ij} = -J, a field term -h s_j as c_j = -h.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,30 +43,36 @@ def _check_spin_count(n):
         )
 
 
-def character_column(mask, n):
-    """chi_S over the whole configuration space: (-1)^popcount(i & mask)."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    return 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(mask)) & 1)
-
-
 @dataclass
 class ClassicalHamiltonian:
-    """Ising energy function stored as subset-mask coefficients."""
+    """Ising energy sum_k values[k] chi_{masks[k]}(i): strictly ascending
+    int64 subset masks and their float64 coefficients. A model description
+    gives a few masks; q2c's recovered energy holds all 2^n, arange(2^n)."""
 
     n: int
-    coeffs: dict = field(default_factory=dict)
+    masks: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         _check_spin_count(self.n)
-        top = 1 << self.n
-        for mask, c in self.coeffs.items():
-            if not 0 <= mask < top:
-                raise ValidationError(f"coefficient mask {mask:#x} outside [0, 2^{self.n})")
-            if not math.isfinite(c):
-                raise ValidationError(f"non-finite coefficient for mask {mask:#x}")
+        self.masks = np.asarray(self.masks, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.masks.ndim != 1 or self.masks.shape != self.values.shape:
+            raise ValidationError("coefficient masks and values must be 1-D arrays of one length")
+        bad = (self.masks < 0) | (self.masks >= 1 << self.n)
+        if bad.any():
+            raise ValidationError(f"coefficient mask {self.masks[bad.argmax()]:#x} outside "
+                                  f"[0, 2^{self.n})")
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            raise ValidationError(f"non-finite coefficient for mask {self.masks[bad.argmax()]:#x}")
+        if np.any(self.masks[1:] <= self.masks[:-1]):
+            raise ValidationError("coefficient masks must be strictly ascending")
 
-    def constant(self):
-        return self.coeffs.get(0, 0.0)
+
+def _from_dict(n, coeffs):
+    """The model of a {mask: coefficient} accumulator, in ascending mask order."""
+    return ClassicalHamiltonian(n, sorted(coeffs), [coeffs[m] for m in sorted(coeffs)])
 
 
 @dataclass
@@ -152,14 +158,14 @@ def build_model(spec):
 
     lattice = spec.get("lattice")
     if lattice is not None:
-        generated = _lattice_coefficients(n, lattice)
-        for mask, c in generated.items():
+        generated = _lattice_model(n, lattice)
+        for mask, c in zip(generated.masks.tolist(), generated.values.tolist()):
             coeffs[mask] = coeffs.get(mask, 0.0) + c
 
-    return ClassicalHamiltonian(n, coeffs)
+    return _from_dict(n, coeffs)
 
 
-def _lattice_coefficients(n, lattice):
+def _lattice_model(n, lattice):
     if not isinstance(lattice, dict):
         raise ValidationError("'lattice' must be an object")
     kind = lattice.get("kind")
@@ -173,7 +179,7 @@ def _lattice_coefficients(n, lattice):
         if (not isinstance(size, list) or len(size) != 1 or not _is_integer(size[0])
                 or size[0] != n):
             raise ValidationError(f"chain size {size} inconsistent with n={n}")
-        return chain(n, periodic=periodic, coupling=coupling, field_h=h_field).coeffs
+        return chain(n, periodic=periodic, coupling=coupling, field_h=h_field)
     if kind == "grid":
         size = lattice.get("size")
         if not isinstance(size, list) or len(size) != 2 or not all(map(_is_integer, size)):
@@ -183,7 +189,7 @@ def _lattice_coefficients(n, lattice):
             raise ValidationError(f"grid sides must be positive, got {rows}x{cols}")
         if rows * cols != n:
             raise ValidationError(f"grid {rows}x{cols} inconsistent with n={n}")
-        return grid(rows, cols, periodic=periodic, coupling=coupling, field_h=h_field).coeffs
+        return grid(rows, cols, periodic=periodic, coupling=coupling, field_h=h_field)
     raise ValidationError(f"unknown lattice kind {kind!r}")
 
 
@@ -221,25 +227,28 @@ def grid(rows, cols=None, *, periodic=True, coupling=1.0, field_h=0.0):
         for j in range(n):
             mask = 1 << j
             coeffs[mask] = coeffs.get(mask, 0.0) - field_h
-    return ClassicalHamiltonian(n, coeffs)
+    return _from_dict(n, coeffs)
 
 
 def energy_table(h0):
     """Evaluate the Hamiltonian on every configuration: a length-2^N array.
 
-    values[i] = sum_S c_S chi_S(i), accumulated over masks in ascending
-    order so the result is bit-for-bit reproducible. Every 2^N array of a
-    model starts here, so the MAX_OPERATOR_SPINS cap is checked here.
+    values[i] = sum_S c_S chi_S(i), chi_S(i) = (-1)^popcount(i & S), accumulated
+    over masks in ascending order so the result is bit-for-bit reproducible.
+    Every 2^N array of a model starts here, so the MAX_OPERATOR_SPINS cap is
+    checked here, and so is a table whose sums overflow (ValidationError).
     """
     if h0.n > MAX_OPERATOR_SPINS:
         raise ResourceLimitError(f"n={h0.n} exceeds the {MAX_OPERATOR_SPINS}-spin cap")
     values = np.zeros(1 << h0.n)
-    for mask in sorted(h0.coeffs):
-        c = h0.coeffs[mask]
-        if mask == 0:
-            values += c
-        else:
-            values += c * character_column(mask, h0.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mask, c in zip(h0.masks.tolist(), h0.values.tolist()):
+            if mask == 0:
+                values += c
+            else:
+                values += c * (1.0 - 2.0 * (np.bitwise_count(np.arange(values.size) & mask) & 1))
+    if not np.isfinite(values).all():
+        raise ValidationError("energy table has a non-finite entry: the coefficients overflow")
     return values
 
 
@@ -267,8 +276,7 @@ def walsh_transform(values):
 def dense_coefficients(h0):
     """Scatter the sparse coefficient table into a length-2^N vector."""
     vec = np.zeros(1 << h0.n)
-    for mask, c in h0.coeffs.items():
-        vec[mask] = c
+    vec[h0.masks] = h0.values
     return vec
 
 
@@ -306,17 +314,18 @@ class InteractionProfile:
         return max(self.orders) if self.orders else 0
 
 
-def interaction_profile(coeffs):
-    """Count couplings per interaction order k = popcount(S), skipping those
-    at or below the scale-free noise floor 1e-10 * max|c_S|."""
-    tol = 1e-10 * max((abs(c) for c in coeffs.values()), default=0.0)
-    orders = {}
-    for mask, c in coeffs.items():
-        if abs(c) > tol:
-            entry = orders.setdefault(int(mask).bit_count(), {"count": 0, "max_abs": 0.0})
-            entry["count"] += 1
-            entry["max_abs"] = max(entry["max_abs"], abs(c))
-    return InteractionProfile(orders=dict(sorted(orders.items())))
+def interaction_profile(h0):
+    """Count a model's couplings, and their largest |c_S|, per order
+    k = popcount(S), skipping those at or below 1e-10 * max|c_S|."""
+    size = np.abs(h0.values)
+    kept = size > 1e-10 * size.max(initial=0.0)
+    order, size = np.bitwise_count(h0.masks[kept]), size[kept]
+    counts = np.bincount(order)
+    largest = np.zeros(counts.size)
+    np.maximum.at(largest, order, size)
+    return InteractionProfile(orders={
+        k: {"count": int(counts[k]), "max_abs": float(largest[k])}
+        for k in np.flatnonzero(counts).tolist()})
 
 
 def load_model(path):
@@ -331,7 +340,5 @@ def load_model(path):
 
 def coefficients_csv(h0):
     """CSV dump of the coefficient table: mask,order,coefficient."""
-    lines = ["mask,order,coefficient"]
-    for mask in sorted(h0.coeffs):
-        lines.append(f"{mask},{int(mask).bit_count()},{h0.coeffs[mask]:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = zip(h0.masks.tolist(), np.bitwise_count(h0.masks).tolist(), h0.values.tolist())
+    return "".join(["mask,order,coefficient\n", *(f"{m},{k},{c:.17g}\n" for m, k, c in rows)])

@@ -9,6 +9,17 @@ from cqmap import ClassicalHamiltonian, build_generator
 from cqmap.dynamics import _grid_states
 
 
+def model_from_dict(n, coeffs):
+    """A ClassicalHamiltonian from a {mask: coefficient} dict."""
+    masks = sorted(coeffs)
+    return ClassicalHamiltonian(n, masks, [coeffs[m] for m in masks])
+
+
+def coefficient_dict(h0):
+    """A model's coefficients as a {mask: coefficient} dict of Python numbers."""
+    return dict(zip(h0.masks.tolist(), h0.values.tolist()))
+
+
 def random_model(rng, n, pair_density=0.8, field_density=0.5, field_scale=0.5):
     """Random pair-plus-field instance with at least one coupling."""
     coeffs = {}
@@ -20,7 +31,7 @@ def random_model(rng, n, pair_density=0.8, field_density=0.5, field_scale=0.5):
             coeffs[1 << i] = float(rng.normal() * field_scale)
     if not coeffs:
         coeffs[0b11 & ((1 << n) - 1) if n >= 2 else 1] = float(rng.normal())
-    return ClassicalHamiltonian(n, coeffs)
+    return model_from_dict(n, coeffs)
 
 
 def held_bytes(H):
@@ -32,12 +43,12 @@ def held_bytes(H):
 def naive_energy(h0, index):
     """Per-configuration energy by direct term summation (pure python)."""
     total = 0.0
-    for mask in sorted(h0.coeffs):
+    for mask, c in sorted(coefficient_dict(h0).items()):
         sign = 1
         for j in range(h0.n):
             if (mask >> j) & 1 and (index >> j) & 1:
                 sign = -sign
-        total += h0.coeffs[mask] * sign
+        total += c * sign
     return total
 
 

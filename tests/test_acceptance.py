@@ -237,7 +237,7 @@ def test_criterion_8_annealing_limits():
 
 def test_criterion_9_two_state_analytics():
     """Single-spin heat bath: exact unit rate sum and closed-form relaxation."""
-    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
+    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, [], []), 1.0)
     t_grid = np.array([0.0, 0.5, 1.0, 2.0])
     states, _, _ = grid_states(provider, np.array([1.0, 0.0]), t_grid)
     expected = 0.5 + 0.5 * np.exp(-t_grid)
@@ -246,7 +246,7 @@ def test_criterion_9_two_state_analytics():
     worst_lam = 0.0
     for h in (0.0, 0.3, 1.0, 2.5):
         h0 = cq.build_model({"n": 1, "terms": [{"sites": [0], "h": h}]}) \
-            if h else cq.ClassicalHamiltonian(1, {})
+            if h else cq.ClassicalHamiltonian(1, [], [])
         for beta in (0.5, 1.0, 2.0):
             W = cq.build_generator(h0, beta, "heat-bath")
             lam1 = np.sort(np.linalg.eigvals(-W.matrix.toarray()).real)[1]

@@ -132,7 +132,7 @@ def test_sa_rejects_decreasing_beta():
 
 def test_sa_size_guard():
     with pytest.raises(ResourceLimitError):
-        cq.run_sa(cq.ClassicalHamiltonian(13, {}),
+        cq.run_sa(cq.ClassicalHamiltonian(13, [], []),
                   cq.make_schedule("linear", (0.1, 1.0), 1.0))
 
 
@@ -248,7 +248,7 @@ def test_qa_requires_terminal_zero_field():
 
 def test_qa_size_guard():
     with pytest.raises(ResourceLimitError):
-        cq.run_qa(cq.ClassicalHamiltonian(13, {}),
+        cq.run_qa(cq.ClassicalHamiltonian(13, [], []),
                   cq.make_schedule("linear", (5.0, 0.0), 1.0))
 
 
@@ -256,7 +256,7 @@ def test_qa_size_guard():
 def test_grouped_driver_rotation_matches_per_spin_reference(rng, n):
     # Groups of at most 5 spins: one up to n = 5, two up to 10, then three.
     driver = _driver_groups(n)
-    sizes = [size for _, size in driver[0]]
+    sizes = driver[0]
     assert sum(sizes) == n and len(sizes) == -(-n // 5) and max(sizes) - min(sizes) <= 1
     idx = np.arange(1 << n)
     psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)

@@ -552,6 +552,18 @@ def test_model_coeffs_refuses_bad_lattice(tmp_path, lattice, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["map", "c2q"], ["dynamics", "generator"]],
+                         ids=["c2q", "generator"])
+def test_an_overflowing_energy_table_exits_1_and_writes_nothing(tmp_path, command):
+    # Four bonds of -1e308: both commands used to exit 0 with "1 1 nan" in the file.
+    path, out = tmp_path / "big.json", tmp_path / "out.txt"
+    path.write_text(json.dumps({"n": 4, "lattice": {"kind": "chain", "size": [4], "J": 1e308}}))
+    outcome = run([*command, "--model", str(path), "--beta", "1", "--out", str(out)])
+    assert outcome.exit_code == 1, outcome.diagnostics
+    assert "energy table has a non-finite entry" in outcome.diagnostics
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["map", "--help"], ["map", "c2q", "--help"]],
                          ids=["top", "group", "command"])
 def test_help_at_every_level_is_an_outcome_with_exit_zero(argv, capsys):

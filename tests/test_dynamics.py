@@ -46,7 +46,7 @@ def two_state_field(h):
 # -------------------------------------------------------------- build_generator
 
 def test_free_spin_heat_bath_generator():
-    W = cq.build_generator(cq.ClassicalHamiltonian(1, {}), 1.0, "heat-bath")
+    W = cq.build_generator(cq.ClassicalHamiltonian(1, [], []), 1.0, "heat-bath")
     assert np.array_equal(W.matrix.toarray(), [[-0.5, 0.5], [0.5, -0.5]])
 
 
@@ -122,7 +122,7 @@ def test_generator_column_sums_vanish(rng):
 
 def test_generator_size_guard():
     with pytest.raises(ResourceLimitError):
-        cq.build_generator(cq.ClassicalHamiltonian(25, {}), 1.0)
+        cq.build_generator(cq.ClassicalHamiltonian(25, [], []), 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 13, 14])
@@ -330,7 +330,7 @@ def test_provider_product_is_flip_apply_bit_for_bit(rng, monkeypatch, n, rule):
     # beta on the rule is evaluated on its distinct dE alone; no dE of the
     # all-pairs model with fields repeats, so its rates come from every dE.
     betas = (0.0, 0.44, 0.44, 3.0, 0.44)
-    lattice = cq.chain(n, field_h=0.1) if n > 1 else cq.ClassicalHamiltonian(1, {1: 0.3})
+    lattice = cq.chain(n, field_h=0.1) if n > 1 else cq.ClassicalHamiltonian(1, [1], [0.3])
     pairs = random_model(rng, n, pair_density=1.0, field_density=1.0)
     rates = cq.dynamics.flip_rates
     evaluated = []
@@ -399,7 +399,7 @@ def test_verify_shape_mismatch():
 # ------------------------------------------------------------- integrate_master
 
 def test_two_state_relaxation_closed_form():
-    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
+    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, [], []), 1.0)
     t_grid = np.array([0.0, 0.5, 1.0, 2.0])
     states, _, _ = grid_states(provider, np.array([1.0, 0.0]), t_grid)
     expected = 0.5 + 0.5 * np.exp(-t_grid)
@@ -484,7 +484,7 @@ def test_integrator_refuses_non_finite_times(t_grid):
     ([0.25, 0.25, 0.25, 0.25], "shape"),
 ], ids=["nan", "inf", "-inf", "negative", "length"])
 def test_integrator_refuses_bad_initial_distribution(p0, match):
-    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
+    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, [], []), 1.0)
     with pytest.raises(ValidationError, match=match):
         cq.integrate_master(provider, np.array(p0), np.array([0.0, 1.0]))
 
@@ -501,7 +501,7 @@ def test_integrator_refuses_grid_beyond_step_cap(monkeypatch):
     # Each grid interval costs a Python pass, so the grid is capped like the
     # span; refused before any step, with MAX_STEPS lowered to 4 intervals.
     monkeypatch.setattr(cq.dynamics, "MAX_STEPS", 4)
-    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
+    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, [], []), 1.0)
     with pytest.raises(ResourceLimitError, match="6 times is 5 intervals \\(cap 4e\\+00\\)"):
         cq.integrate_master(provider, np.array([1.0, 0.0]), np.linspace(0.0, 0.5, 6))
     traj = cq.integrate_master(provider, np.array([1.0, 0.0]), np.linspace(0.0, 0.5, 5))
@@ -554,7 +554,7 @@ def test_step_shrinking_below_span_floor_raises():
 
 def test_two_state_closed_form_rejects_its_first_step():
     # The first step, 1/spectral_bound = 0.5, misses the 1e-10 tolerance.
-    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, {}), 1.0)
+    provider = cq.constant_provider(cq.ClassicalHamiltonian(1, [], []), 1.0)
     t_grid = np.array([0.0, 0.5, 1.0, 2.0])
     states, steps, rejected = grid_states(provider, np.array([1.0, 0.0]), t_grid)
     assert rejected > 0
@@ -612,7 +612,7 @@ def test_asymptotic_decay_rate_matches_lambda1():
 # -------------------------------------------------------------- relaxation_time
 
 def test_relaxation_time_free_spin():
-    H = classical_to_quantum(cq.ClassicalHamiltonian(1, {}), 1.0)
+    H = classical_to_quantum(cq.ClassicalHamiltonian(1, [], []), 1.0)
     assert cq.relaxation_time(dense_spectrum(H)) == 1.0
 
 

@@ -24,7 +24,7 @@ from cqmap.mapping import read_hamiltonian, write_hamiltonian
 from cqmap.model import dense_coefficients, grid
 from cqmap.spectral import gershgorin_bound
 
-from conftest import held_bytes, naive_energy_table, random_model
+from conftest import coefficient_dict, held_bytes, naive_energy_table, random_model
 
 
 def half_i_minus_sx():
@@ -69,7 +69,7 @@ def tfim_dense_oracle(n, gamma, coupling=1.0, periodic=True):
 # ----------------------------------------------------------- classical_to_quantum
 
 def test_free_spin_maps_to_half_i_minus_sx():
-    m1 = cq.ClassicalHamiltonian(1, {})
+    m1 = cq.ClassicalHamiltonian(1, [], [])
     H = cq.classical_to_quantum(m1, 1.0)
     assert np.abs(H.matrix.toarray() - [[0.5, -0.5], [-0.5, 0.5]]).max() < 1e-15
     vals = np.linalg.eigvalsh(H.matrix.toarray())
@@ -242,7 +242,7 @@ def test_c2q_entries_match_a_50_digit_oracle(rule):
     # absolute roundoff of the largest entry for heat-bath.
     h0, beta = cq.grid(2, 5, field_h=0.1), 3.0
     decimal.getcontext().prec = 50
-    coeffs = {mask: decimal.Decimal(c) for mask, c in h0.coeffs.items()}
+    coeffs = {mask: decimal.Decimal(c) for mask, c in coefficient_dict(h0).items()}
     energies = [sum((-c if bin(mask & s).count("1") % 2 else c) for mask, c in coeffs.items())
                 for s in range(1 << h0.n)]
     b, half, one = decimal.Decimal(beta), decimal.Decimal("0.5"), decimal.Decimal(1)
@@ -274,7 +274,7 @@ def test_c2q_refuses_an_unknown_rule_and_too_many_spins():
     with pytest.raises(ValidationError, match="unknown flip rule"):
         cq.classical_to_quantum(cq.chain(3), 1.0, "kawasaki")
     with pytest.raises(ResourceLimitError, match="25-spin|24-spin"):
-        cq.classical_to_quantum(cq.ClassicalHamiltonian(25, {1: 1.0}), 1.0)
+        cq.classical_to_quantum(cq.ClassicalHamiltonian(25, [1], [1.0]), 1.0)
 
 
 # ------------------------------------------------------ heat_bath_chain_closed_form
@@ -455,7 +455,7 @@ def test_ground_state_builds_a_flip_hamiltonians_csr_once(monkeypatch, inverse, 
 
 def test_q2c_uniform_ground_state_recovers_two_state_generator():
     result = cq.quantum_to_classical(half_i_minus_sx())
-    nonconst = {m: c for m, c in result.model.coeffs.items()
+    nonconst = {m: c for m, c in coefficient_dict(result.model).items()
                 if m != 0 and abs(c) > 1e-12}
     assert nonconst == {}
     expected_w = np.array([[-0.5, 0.5], [0.5, -0.5]])
@@ -494,8 +494,20 @@ def test_q2c_tfim_chain4_grows_fourth_order_coupling():
     idx = np.arange(16)
     chars = 1.0 - 2.0 * (np.bitwise_count(idx & 0b1111) & 1)
     assert abs(coeffs[0b1111] - (e_rec @ chars) / 16.0) < 1e-10
-    profile = cq.interaction_profile(result.model.coeffs)
+    profile = cq.interaction_profile(result.model)
     assert 4 in profile.orders
+
+
+def test_q2c_model_holds_every_mask_at_16_bytes_per_state():
+    # The recovered energy has all 2^n couplings: the masks are 0 .. 2^n - 1
+    # and the values are the Walsh transform itself, with no per-entry copy.
+    n = 12
+    h0 = cq.chain(n, field_h=0.1)
+    model = cq.quantum_to_classical(cq.classical_to_quantum(h0, 0.44)).model
+    assert np.array_equal(model.masks, np.arange(1 << n))
+    assert model.masks.nbytes + model.values.nbytes == 16 << n
+    expected = 0.44 * dense_coefficients(h0)
+    assert np.abs(model.values[1:] - expected[1:]).max() < 1e-12
 
 
 @pytest.mark.parametrize("n, periodic", [(4, True), (3, False)])

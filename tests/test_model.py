@@ -6,27 +6,28 @@ import pytest
 
 import cqmap as cq
 from cqmap.errors import ResourceLimitError, ValidationError
-from cqmap.io import csv_text
+from cqmap.io import csv_text, json_text
 from cqmap.model import coefficients_csv, dense_coefficients
 
-from conftest import naive_energy_table, naive_walsh_forward, random_model
+from conftest import (coefficient_dict, model_from_dict, naive_energy_table, naive_walsh_forward,
+                      random_model)
 
 
 # ---------------------------------------------------------------- build_model
 
 def test_single_bond_term():
     h0 = cq.build_model({"n": 2, "terms": [{"sites": [0, 1], "J": 1}]})
-    assert h0.coeffs == {0b11: -1.0}
+    assert coefficient_dict(h0) == {0b11: -1.0}
 
 
 def test_single_field_term():
     h0 = cq.build_model({"n": 1, "terms": [{"sites": [0], "h": 0.7}]})
-    assert h0.coeffs == {0b1: -0.7}
+    assert coefficient_dict(h0) == {0b1: -0.7}
 
 
 def test_chain4_periodic_matches_four_bonds():
     h0 = cq.chain(4)
-    assert sorted(h0.coeffs.items()) == [(3, -1.0), (6, -1.0), (9, -1.0), (12, -1.0)]
+    assert h0.masks.tolist() == [3, 6, 9, 12] and h0.values.tolist() == [-1.0] * 4
 
 
 def test_duplicate_subset_rejected():
@@ -52,9 +53,10 @@ def test_lattice_description_merges_with_terms():
         "lattice": {"kind": "chain", "size": [4], "periodic": True, "J": 1.0},
     }
     h0 = cq.build_model(spec)
-    assert h0.coeffs[0b1] == -0.5
-    assert h0.coeffs[0b0011] == -1.0
-    assert len(h0.coeffs) == 5
+    coeffs = coefficient_dict(h0)
+    assert coeffs[0b1] == -0.5
+    assert coeffs[0b0011] == -1.0
+    assert h0.masks.size == 5
 
 
 @pytest.mark.parametrize("size", [[True], [1.0]])
@@ -68,8 +70,8 @@ def test_chain_size_must_be_an_integer(size):
 def test_grid_2x2_periodic_doubles_bonds():
     h0 = cq.grid(2, 2)
     # 2x2 periodic: every nearest-neighbour pair is doubly bonded
-    assert all(c == -2.0 for c in h0.coeffs.values())
-    assert len(h0.coeffs) == 4
+    assert np.all(h0.values == -2.0)
+    assert h0.masks.size == 4
 
 
 def chain_by_bonds(n, periodic, coupling, field_h):
@@ -91,9 +93,9 @@ def chain_by_bonds(n, periodic, coupling, field_h):
 def test_chain_is_the_one_row_grid(periodic, coupling, field_h):
     for n in range(1, 12):
         h0 = cq.chain(n, periodic=periodic, coupling=coupling, field_h=field_h)
-        # Equal dicts in the same insertion order.
+        # The same coefficients, bit for bit, in ascending mask order.
         assert h0.n == n
-        assert list(h0.coeffs.items()) == list(
+        assert list(zip(h0.masks.tolist(), h0.values.tolist())) == sorted(
             chain_by_bonds(n, periodic, coupling, field_h).items())
 
 
@@ -107,9 +109,9 @@ def test_lattice_sides_must_be_positive_integers(build):
 
 def test_spin_count_guards():
     with pytest.raises(ValidationError, match="positive integer"):
-        cq.ClassicalHamiltonian(0, {})
+        cq.ClassicalHamiltonian(0, [], [])
     with pytest.raises(ResourceLimitError, match="30-spin cap"):
-        cq.ClassicalHamiltonian(31, {})
+        cq.ClassicalHamiltonian(31, [], [])
 
 
 # --------------------------------------------------------------- energy_table
@@ -122,7 +124,7 @@ def test_spin_count_guards():
 ], ids=["gibbs_distribution", "build_generator", "classical_to_quantum",
         "transverse_field_hamiltonian"])
 def test_25_spins_are_refused_before_any_table_is_allocated(build):
-    h0 = cq.ClassicalHamiltonian(25, {1: 1.0, 3: -0.5})
+    h0 = cq.ClassicalHamiltonian(25, [1, 3], [1.0, -0.5])
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="n=25 exceeds the 24-spin cap"):
@@ -131,6 +133,22 @@ def test_25_spins_are_refused_before_any_table_is_allocated(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # a 2^25 table alone is 256 MiB
+
+
+@pytest.mark.parametrize("build", [
+    lambda h0: cq.gibbs_distribution(h0, 1.0),
+    lambda h0: cq.build_generator(h0, 1.0),
+    lambda h0: cq.classical_to_quantum(h0, 1.0),
+    lambda h0: cq.transverse_field_hamiltonian(h0, 1.0),
+    lambda h0: cq.run_qa(h0, cq.make_schedule("linear", (5.0, 0.0), 1.0), 4),
+], ids=["gibbs_distribution", "build_generator", "classical_to_quantum",
+        "transverse_field_hamiltonian", "run_qa"])
+def test_an_overflowing_energy_table_is_refused(build):
+    # Four bonds of -1e308 sum to -inf at the all-up state, and to NaN where
+    # +inf meets -inf: each used to reach the outputs or a later check.
+    h0 = cq.chain(4, coupling=1e308)
+    with pytest.raises(ValidationError, match="energy table has a non-finite entry"):
+        build(h0)
 
 
 def test_energy_table_single_bond_sign_enumeration():
@@ -229,7 +247,8 @@ def test_gibbs_matches_direct_summation():
 def test_gibbs_normalized_and_shift_invariant(rng):
     h0 = random_model(rng, 5)
     p1 = cq.gibbs_distribution(h0, 0.7)
-    shifted = cq.ClassicalHamiltonian(5, {**h0.coeffs, 0: h0.coeffs.get(0, 0.0) + 13.0})
+    coeffs = coefficient_dict(h0)
+    shifted = model_from_dict(5, {**coeffs, 0: coeffs.get(0, 0.0) + 13.0})
     p2 = cq.gibbs_distribution(shifted, 0.7)
     assert abs(p1.p.sum() - 1.0) < 1e-12
     assert np.abs(p1.p - p2.p).max() < 1e-12
@@ -253,19 +272,91 @@ def test_probability_vector_validation():
 # --------------------------------------------------------- interaction_profile
 
 def test_profile_of_chain():
-    profile = cq.interaction_profile(cq.chain(4).coeffs)
+    profile = cq.interaction_profile(cq.chain(4))
     assert profile.orders == {2: {"count": 4, "max_abs": 1.0}}
 
 
 def test_profile_empty_for_zero_coeffs():
-    assert cq.interaction_profile({}).orders == {}
-    assert cq.interaction_profile({3: 0.0, 5: 0.0}).orders == {}
+    assert cq.interaction_profile(cq.ClassicalHamiltonian(3, [], [])).orders == {}
+    assert cq.interaction_profile(cq.ClassicalHamiltonian(3, [3, 5], [0.0, 0.0])).orders == {}
 
 
 def test_profile_noise_floor_is_scale_free():
-    coeffs = {0b11: 1e6, 0b101: 1e6 * 1e-12}
-    profile = cq.interaction_profile(coeffs)
+    profile = cq.interaction_profile(cq.ClassicalHamiltonian(3, [0b11, 0b101], [1e6, 1e6 * 1e-12]))
     assert profile.orders[2]["count"] == 1
+
+
+# ------------------------------------------------------ coefficient arrays
+
+def dict_interaction_profile(coeffs):
+    """interaction_profile over a {mask: coefficient} dict, one entry at a time."""
+    tol = 1e-10 * max((abs(c) for c in coeffs.values()), default=0.0)
+    orders = {}
+    for mask, c in coeffs.items():
+        if abs(c) > tol:
+            entry = orders.setdefault(int(mask).bit_count(), {"count": 0, "max_abs": 0.0})
+            entry["count"] += 1
+            entry["max_abs"] = max(entry["max_abs"], abs(c))
+    return dict(sorted(orders.items()))
+
+
+def dict_coefficients_csv(coeffs):
+    """coefficients_csv over a {mask: coefficient} dict, one entry at a time."""
+    lines = ["mask,order,coefficient"]
+    for mask in sorted(coeffs):
+        lines.append(f"{mask},{int(mask).bit_count()},{coeffs[mask]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def random_coefficients(rng, n):
+    """Random masks of every order; values over 24 decades, some zero."""
+    masks = rng.choice(1 << n, size=rng.integers(1, 1 << n, endpoint=True), replace=False)
+    values = rng.normal(size=masks.size) * 10.0 ** rng.integers(-14, 10, size=masks.size)
+    values[rng.random(masks.size) < 0.1] = 0.0
+    return {int(m): float(c) for m, c in zip(masks, values)}
+
+
+def test_model_holds_sorted_int64_masks_and_float64_values():
+    h0 = cq.build_model({"n": 3, "terms": [{"sites": [2], "c": 1}, {"sites": [0, 1], "J": 2}]})
+    assert h0.masks.dtype == np.int64 and h0.values.dtype == np.float64
+    assert h0.masks.tolist() == [0b011, 0b100] and h0.values.tolist() == [-2.0, 1.0]
+
+
+@pytest.mark.parametrize("masks, values, message", [
+    ([1, 2], [1.0], "must be 1-D arrays of one length"),
+    ([[1, 2]], [[1.0, 2.0]], "must be 1-D arrays of one length"),
+    ([2, 1], [1.0, 1.0], "strictly ascending"),
+    ([1, 1], [1.0, 1.0], "strictly ascending"),
+    ([1, 8, 9], [1.0, 1.0, 1.0], r"coefficient mask 0x8 outside \[0, 2\^3\)"),
+    ([-1], [1.0], r"coefficient mask -0x1 outside \[0, 2\^3\)"),
+    ([1, 2, 3], [1.0, np.inf, np.nan], "non-finite coefficient for mask 0x2"),
+], ids=["length", "2-d", "unsorted", "repeated", "too-high", "negative", "non-finite"])
+def test_coefficient_arrays_are_checked(masks, values, message):
+    with pytest.raises(ValidationError, match=message):
+        cq.ClassicalHamiltonian(3, masks, values)
+
+
+def test_empty_model():
+    h0 = cq.ClassicalHamiltonian(3, [], [])
+    assert h0.masks.dtype == np.int64 and h0.masks.size == 0
+    assert cq.energy_table(h0).tolist() == [0.0] * 8
+    assert dense_coefficients(h0).tolist() == [0.0] * 8
+    assert coefficients_csv(h0) == "mask,order,coefficient\n"
+    assert cq.interaction_profile(h0).orders == {}
+    assert cq.build_model({"n": 3}).masks.size == 0
+
+
+def test_profile_and_csv_match_the_dict_reference(rng):
+    tf = cq.quantum_to_classical(cq.transverse_field_hamiltonian(cq.chain(6), 0.7)).model
+    models = [(tf.n, coefficient_dict(tf))]
+    models += [(n, random_coefficients(rng, n)) for n in (1, 3, 5, 8) for _ in range(5)]
+    for n, coeffs in models:
+        h0 = model_from_dict(n, coeffs)
+        assert coefficients_csv(h0) == dict_coefficients_csv(coeffs)
+        profile = cq.interaction_profile(h0).orders
+        assert json_text(profile) == json_text(dict_interaction_profile(coeffs))
+        assert all(type(e["count"]) is int and type(e["max_abs"]) is float
+                   for e in profile.values())
 
 
 # ------------------------------------------------------------------- file I/O
@@ -274,7 +365,7 @@ def test_load_model_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 2, "terms": [{"sites": [0, 1], "J": 1.5}]}))
     h0 = cq.load_model(path)
-    assert h0.coeffs == {0b11: -1.5}
+    assert coefficient_dict(h0) == {0b11: -1.5}
 
 
 def test_load_model_bad_json(tmp_path):
