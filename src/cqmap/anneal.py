@@ -33,10 +33,15 @@ _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 # take fewer flops per state but more products. With one BLAS thread, 5
 # beat 6 by about 30% at 11 and 12 spins and was level up to 10.
 _DRIVER_GROUP = 5
-# Substeps per chunk: their 3 midpoint fields and driver factors are made in
-# one go. 16 was measured; larger chunks gain little and hold more factors.
+# Substeps per chunk: their 3 driver factors each are made in one go. 16 was
+# measured against 8, 32 and 64, also with one group's phases folded in:
+# larger chunks hold more factors and ran slower.
 _QA_CHUNK = 16
-_I_POWERS = np.array([1, 1j, -1, -1j])  # i^d, indexed by d % 4
+# Substeps whose midpoint fields are made in one Schedule.value call: every
+# interval up to this size, and a longer one block by block, so the fields of
+# an interval of up to 1e8 substeps are never held at once.
+_QA_FIELD_BLOCK = 256 * _QA_CHUNK
+_I_POWERS = np.array([1, 1j, -1, -1j] * 2)  # i^d for d <= _DRIVER_GROUP
 
 
 @dataclass(frozen=True)
@@ -174,28 +179,36 @@ def _driver_groups(n):
     return sizes, distance
 
 
-def _driver_factors(driver, angles):
+def _driver_factors(driver, angles, phases=None):
     """Per group size g, the stack (len(angles), 2^g, 2^g) of
     exp(i angle sx)^(x g), one matrix per angle.
 
     exp(i angle sx) is R = c + i s sx, so R^(x g) has entry (a, b)
-    c^(g - d) (i s)^d with d = popcount(a ^ b): one broadcast of the powers
-    per angle, then one gather by the popcount table. ``driver`` is
-    _driver_groups(n).
+    c^(g - d) (i s)^d with d = popcount(a ^ b): the powers of all angles
+    at once, then one gather by the popcount table. ``driver`` is
+    _driver_groups(n). With one group, ``phases`` (len(angles), 2^n) folds
+    in the diagonal phase that follows each rotation: factor k is
+    diag(phases[k]) R^(x n), the gathered matrix with row a scaled by
+    phases[k, a].
     """
     _, distance = driver
-    # Column d of cos_d, sin_d holds the d-th power, by repeated products:
+    # Row d of cos_d, sin_d holds the d-th power, by repeated products:
     # numpy's float pow rounds with a bias that shows in the norm drift.
-    base = np.ones((2, angles.size, max(distance) + 1))
-    base[0, :, 1:] = np.cos(angles)[:, None]
-    base[1, :, 1:] = np.sin(angles)[:, None]
-    cos_d, sin_d = np.cumprod(base, axis=2)
+    # Angles run along the rows, so each product is one long loop.
+    base = np.empty((max(distance) + 1, 2, angles.size))
+    base[0] = 1.0
+    base[1:, 0] = np.cos(angles)
+    base[1:, 1] = np.sin(angles)
+    cos_d, sin_d = np.cumprod(base, axis=0).transpose(1, 0, 2)
     factors = {}
     for size, table in distance.items():
-        d = np.arange(size + 1)
+        # Column d: c^(size - d) s^d i^d.
+        powers = (cos_d[size::-1] * sin_d[:size + 1] * _I_POWERS[:size + 1, None]).T
         # take, not [:, table]: that result has the angle axis innermost,
         # and a strided factor makes every product slower.
-        factors[size] = (cos_d[:, size - d] * sin_d[:, d] * _I_POWERS[d % 4]).take(table, axis=1)
+        factors[size] = powers.take(table, axis=1)
+        if phases is not None:
+            factors[size] *= phases[:, :, None]
     return factors
 
 
@@ -218,8 +231,10 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
     fourth-order split-operator steps (Yoshida triple jump of Strang steps
     with Gamma at each midpoint) built from exact factors: the diagonal
     phases, and the driver as one dense factor per group of at most 5 spins
-    (_rotate_driver). An interval's substeps run in chunks of 16, whose
-    midpoint fields and driver factors are made in one go. So the norm is
+    (_rotate_driver). With one group (n <= 5) each phase is folded into the
+    rotation before it, so a rotation is one matrix-vector product. An
+    interval's midpoint fields are made in one call, and its substeps run
+    in chunks of 16, whose driver factors are made in one go. So the norm is
     kept to roundoff; (max|E| + n |Gamma|) h <= 0.125, with at least one
     substep per output interval. ``refine``
     multiplies the substep count (for convergence checks at finer
@@ -255,6 +270,8 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
             f"{steps + needed:.3g} QA substeps (cap {MAX_STEPS:.0e})"
         )
     driver = _driver_groups(h0.n)
+    # One group's factor is the whole rotation, so the phase after it folds in.
+    folded = len(driver[0]) == 1
 
     psi = np.full(energies.size, 1.0 / math.sqrt(energies.size), dtype=complex)
     t_grid = np.linspace(0.0, sched.horizon, steps + 1)
@@ -294,14 +311,26 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
         joint = np.exp(-1j * tau1 * energies)
         taus = np.array([tau1, tau0, tau1])
         midpoints = np.array([0.5 * tau1, 0.5 * h, h - 0.5 * tau1])
+        cycle = [inner, inner, joint] * min(_QA_CHUNK, substeps)
+        if folded:  # 2^n <= 32 states: one small array of a chunk's phases
+            cycle = np.array(cycle)
         psi *= outer
         for first in range(0, substeps, _QA_CHUNK):
+            if first % _QA_FIELD_BLOCK == 0:
+                block = np.arange(first, min(first + _QA_FIELD_BLOCK, substeps))
+                fields = sched.value((t0 + block * h)[:, None] + midpoints)
             count = min(_QA_CHUNK, substeps - first)
-            times = (t0 + np.arange(first, first + count) * h)[:, None] + midpoints
-            factors = _driver_factors(driver, (taus * sched.value(times)).ravel())
-            phases = [inner, inner, joint] * count
+            angles = (taus * fields[first % _QA_FIELD_BLOCK:][:count]).ravel()
+            phases = cycle[:3 * count]
             if first + count == substeps:
+                phases = phases.copy()
                 phases[-1] = outer
+            if folded:
+                (stack,) = _driver_factors(driver, angles, phases).values()
+                for factor in stack:
+                    psi = factor.dot(psi)  # the same bits as @, with less overhead
+                continue
+            factors = _driver_factors(driver, angles)
             # Every rotation returns a new array, so the phases go in place.
             for j, phase in enumerate(phases):
                 psi = _rotate_driver(psi, driver, factors, j)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from . import io as cqio
 from .errors import (
@@ -119,10 +120,22 @@ class FlipTable:
 
 
 def flip_delta(energies, j, out):
-    """E[s ^ (1 << j)] - E[s] for every s, written into the 2^n vector out."""
-    np.subtract(flipped(energies, j), energies.reshape(-1, 2, 1 << j),
-                out=out.reshape(-1, 2, 1 << j))
+    """E[s ^ (1 << j)] - E[s] for every s, written into the 2^n vector out.
+
+    A difference that overflows raises ValidationError: finite energies can
+    still be too far apart for their flip to have a rate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(flipped(energies, j), energies.reshape(-1, 2, 1 << j),
+                    out=out.reshape(-1, 2, 1 << j))
+    check_flip_delta(out)
     return out
+
+
+def check_flip_delta(delta_e):
+    """Refuse a flip energy difference that is not finite (ValidationError)."""
+    if not np.isfinite(delta_e).all():
+        raise ValidationError("a flip energy difference is not finite: the energies overflow")
 
 
 def flip_table(h0):
@@ -345,64 +358,113 @@ def verify_dynamics(W, peq, tol=1e-12):
 class GeneratorProvider:
     """Time-dependent generator with a matrix-free W(t) @ p product.
 
-    Wraps a model plus beta(t) and holds, once per provider, the flip table,
-    the (n, 2^n) flip ``rates`` and ``diag`` at the last beta asked for, two
-    work arrays of the rates' shape and the partner index ``j 2^n + (s ^ (1
-    << j))``. ``apply`` writes ``rates * p`` into one work array, takes it at
-    the partners into the other, sums that over axis 0 and adds ``diag * p``
-    last: flip_apply's sum order, so the product is flip_apply's bit for bit,
-    in five numpy calls at any n.
+    Wraps a model plus beta(t) and holds, once per provider, the flip table
+    and W at the last beta asked for as an int32 CSR over destination rows:
+    row s holds its n flip entries at columns s ^ (1 << j) in ascending j,
+    then its diagonal. ``apply`` is one zeroed output and one csr_matvec,
+    which adds the flips into s in spin order and diag * p last: flip_apply's
+    sum order, so the product is flip_apply's bit for bit. ``diag`` is W's
+    diagonal.
 
-    The rates are rewritten in place whenever beta changes; the table keeps
-    dE. The first time beta changes, the distinct dE values are found; if at
-    most half as many as the entries, every later rebuild evaluates the rule
-    on them alone and gathers the rates. A constant beta never looks for them.
+    Only the data are rewritten when beta changes. The flip into s from
+    s ^ (1 << j) has the energy change -dE_j(s) exactly, so at the first beta
+    the rule is evaluated on -dE^T in place in the data, and diag sums each
+    spin's rates out of s. The first time beta changes, the distinct dE are
+    found and every later beta evaluates the rule on them alone. Sorted, they
+    are a set closed under negation, so the flip into s is class K - 1 - c
+    for the class c of dE_j(s): one held index, ``gather``, serves both the
+    diagonal, as one csr_matvec of the reversed rates with unit data, and the
+    data, as one take. A constant beta never looks for the distinct dE.
     """
 
     def __init__(self, h0, beta_of_t, rule="heat-bath"):
         self.rule = canonical_rule(rule)
         self.table = flip_table(h0)
         self.energies = self.table.energies
-        self.n = h0.n
+        self.n = n = h0.n
         self._beta_of_t = beta_of_t
-        spins = np.arange(self.n)[:, None]
-        self._partner = (spins << self.n) + (np.arange(self.energies.size) ^ (1 << spins))
-        self.rates = np.empty_like(self.table.delta_e)
-        self.diag = np.empty_like(self.energies)
-        self._moved = np.empty_like(self.rates)     # rates * p
-        self._gathered = np.empty_like(self.rates)  # rates * p at the partners
-        self._beta = None      # beta of the held rates
-        self._distinct = None  # (values, inverse) of dE, or False when too many
+        dim = self.energies.size
+        states = np.arange(dim, dtype=np.int32)
+        self._indices = np.empty((dim, n + 1), dtype=np.int32)
+        np.bitwise_xor(states[:, None], 1 << np.arange(n, dtype=np.int32),
+                       out=self._indices[:, :n])
+        self._indices[:, n] = states
+        self._indptr = np.arange(0, (n + 1) * dim + 1, n + 1, dtype=np.int32)
+        self._data = np.empty((dim, n + 1))
+        self.diag = np.empty(dim)
+        self._beta = None       # beta of the held data
+        self._distinct = None   # what _find_distinct holds, from the first change of beta
         # Rates are <= 1 per spin, so |eigenvalues| <= 2n (Gershgorin).
-        self.spectral_bound = 2.0 * max(self.n, 1)
+        self.spectral_bound = 2.0 * max(n, 1)
 
     def beta(self, t):
         return float(self._beta_of_t(t))
 
-    def _rebuild(self, beta):
+    def _find_distinct(self):
+        """Sort the distinct dE and hold what one beta's data are made from:
+        ``gather``, whose row s holds K - 1 - class(dE_j(s)) in ascending j,
+        then K + s; unit data and an intp indptr over it; and two vectors of
+        K + 2^n, ``forward`` (the rates, then diag, which becomes a view of
+        it) and ``backward`` (the rates reversed, then zeros)."""
         delta_e = self.table.delta_e
-        if self._distinct is None and self._beta is not None:
-            values, inverse = np.unique(delta_e, return_inverse=True)
-            repeats = 2 * values.size <= delta_e.size
-            self._distinct = (values, inverse.reshape(delta_e.shape)) if repeats else False
-        if self._distinct:
-            values, inverse = self._distinct
-            flip_rates(values, beta, self.rule).take(inverse, out=self.rates, mode="clip")
+        values = np.unique(delta_e)
+        k, dim = values.size, self.diag.size
+        gather = np.empty(self._data.shape, dtype=np.intp)  # intp: take copies any other
+        np.subtract(k - 1, np.searchsorted(values, delta_e).T, out=gather[:, :self.n])
+        gather[:, self.n] = np.arange(k, k + dim)
+        forward = np.empty(k + dim)
+        forward[k:] = self.diag
+        self.diag = forward[k:]
+        self._distinct = (values, gather, self._indptr.astype(np.intp), np.ones(gather.shape),
+                          forward, np.zeros(k + dim))
+
+    def _rebuild(self, beta):
+        if self._beta is not None and self._distinct is None:
+            self._find_distinct()
+        if self._distinct is None:
+            self._fill_from_delta_e(beta)
         else:
-            flip_rates(delta_e, beta, self.rule, out=self.rates)
-        np.negative(self.rates.sum(axis=0), out=self.diag)
+            self._fill_from_distinct(beta)
         self._beta = beta
 
+    def _fill_from_delta_e(self, beta):
+        n = self.n
+        flips = self._data[:, :n]
+        np.negative(self.table.delta_e.T, out=flips)
+        flip_rates(flips, beta, self.rule, out=flips)
+        self.diag[...] = 0.0
+        for j in range(n):  # the rate of spin j out of s is the flip into s ^ (1 << j)
+            out_rates = self.diag.reshape(-1, 2, 1 << j)
+            out_rates += flipped(flips[:, j], j)
+        np.negative(self.diag, out=self.diag)
+        self._data[:, n] = self.diag
+
+    def _fill_from_distinct(self, beta):
+        values, gather, rows, ones, forward, backward = self._distinct
+        k = values.size
+        rates = flip_rates(values, beta, self.rule, out=forward[:k])
+        # backward[K - 1 - c] is rates[c], the rate out of s; its zeros under
+        # K + s add nothing to the diagonal.
+        backward[:k] = rates[::-1]
+        self.diag[...] = 0.0
+        _sparsetools.csr_matvec(self.diag.size, backward.size, rows, gather, ones, backward,
+                                self.diag)
+        np.negative(self.diag, out=self.diag)
+        # forward is the rates, then diag. The gather is in range by
+        # construction; mode="raise" would copy through a buffer, and "wrap"
+        # was measured faster than "clip".
+        forward.take(gather, out=self._data, mode="wrap")
+
     def apply(self, t, p):
+        p = np.asarray(p)
+        if p.shape != self.diag.shape:  # csr_matvec reads 2^n entries, unchecked
+            raise ValidationError(f"state has shape {p.shape}, expected {self.diag.shape}")
         beta = self.beta(t)
         if beta != self._beta:  # a NaN beta rebuilds every time
             self._rebuild(beta)
-        np.multiply(self.rates, p, out=self._moved)
-        # The partners are in range by construction; mode="raise" would copy
-        # through a buffer of the output's size.
-        self._moved.take(self._partner, out=self._gathered, mode="clip")
-        out = self._gathered.sum(axis=0)
-        out += self.diag * p
+        out = np.zeros(self.diag.size)
+        _sparsetools.csr_matvec(out.size, out.size, self._indptr, self._indices,
+                                self._data, p, out)
         return out
 
     def equilibrium(self, t):
@@ -436,19 +498,23 @@ def check_grid(times):
         )
 
 
-def _dp5_step(provider, t, p, h, k1):
-    """One Dormand-Prince step of size h from (t, p), given k1 = W(t) p.
+def _dp5_step(provider, t, p, h, stages):
+    """One Dormand-Prince step of size h from (t, p), given stages[0] = W(t) p.
 
-    Returns the fifth-order state, the L1 norm of its error estimate and the
-    seven stages; the last is W(t + h) applied to the new state.
+    Writes the other six stages into ``stages``; the last is W(t + h) applied
+    to the new state. Returns the fifth-order state and the L1 norm of its
+    error estimate. Each stage's state is made in place, the stage sum times
+    h plus p: p + h (a @ stages) bit for bit, with no temporaries.
     """
-    stages = np.empty((7, p.size))
-    stages[0] = k1
+    y = np.empty_like(p)
+    times = t + _DP_C * h
     for i in range(1, 7):
-        y = p + h * (_DP_A[i, :i] @ stages[:i])
-        stages[i] = provider.apply(t + _DP_C[i] * h, y)
+        np.dot(_DP_A[i, :i], stages[:i], out=y)
+        y *= h
+        y += p
+        stages[i] = provider.apply(times[i], y)
     err = h * float(np.abs(_DP_E @ stages).sum())
-    return y, err, stages
+    return y, err
 
 
 def _grid_states(provider, p, t_grid):
@@ -458,12 +524,14 @@ def _grid_states(provider, p, t_grid):
     yield p, steps, rejected
     h_prop = 1.0 / max(provider.spectral_bound, 1e-30)
     t, k = t_grid[0], 1  # k: next grid time to yield
-    k1 = provider.apply(t, p) if t_grid.size > 1 else None
+    stages = np.empty((7, p.size))  # held across steps; row 0 is W(t) p
+    if t_grid.size > 1:
+        stages[0] = provider.apply(t, p)
     while k < t_grid.size:
         # A step within a relative 1e-10 of the remaining time lands on t_end.
         clipped = h_prop >= (t_end - t) * (1.0 - 1e-10)
         h = t_end - t if clipped else h_prop
-        y, err, stages = _dp5_step(provider, t, p, h, k1)
+        y, err = _dp5_step(provider, t, p, h, stages)
         if not math.isfinite(err):
             raise IntegrationError(f"non-finite error estimate at t={t:.6g} (step {h:.3e})")
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.2))
@@ -488,7 +556,8 @@ def _grid_states(provider, p, t_grid):
             yield (y if t_grid[k] == t_new else
                    p + h * ((_DP_P @ theta ** np.arange(1, 5)) @ stages)), steps, rejected
             k += 1
-        t, p, k1 = t_new, y, stages[6]
+        t, p = t_new, y
+        stages[0] = stages[6]
 
 
 def integrate_master(w_of_t, p0, t_grid):

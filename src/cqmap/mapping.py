@@ -31,6 +31,7 @@ from .dynamics import (
     array_fill,
     build_generator,
     canonical_rule,
+    check_flip_delta,
     flip_matrix,
     flip_rates,
     read_flipped,
@@ -197,7 +198,9 @@ def classical_to_quantum(h0, beta, rule="heat-bath", energies=None):
         x = values[1:]
         for j, row in enumerate(x):
             read_flipped(energies, j, r0, row)
-        x -= energies[r0:r0 + values.shape[1]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x -= energies[r0:r0 + values.shape[1]]
+        check_flip_delta(x)
         flip_rates(x, beta, rule).sum(axis=0, out=values[0])
         np.abs(x, out=x)
         x *= -0.5 * beta

@@ -292,8 +292,11 @@ def check_beta(beta):
 
 
 def gibbs_from_energies(n, energies, beta):
-    """gibbs_distribution over an already computed energy table."""
+    """gibbs_distribution over an already computed energy table; a spread
+    max E - min E that overflows raises ValidationError."""
     check_beta(beta)
+    if not math.isfinite(float(energies.max()) - float(energies.min())):
+        raise ValidationError("the energy spread is not finite: the energies overflow")
     w = np.exp(-beta * (energies - energies.min()))
     return ProbabilityVector(n, w / w.sum())
 

@@ -132,6 +132,27 @@ def ring_qa_oracle(n, gamma_of_t, t_eval):
                 + 2 * sin_k @ (up.conj() * down).real)
 
 
+def ring_sa_oracle(n, beta_of_t, t_eval):
+    """Mean energy of the heat-bath master equation of the periodic ring
+    E = -sum s_i s_(i+1) (n >= 3, h = 0) from the uniform distribution, at
+    t_eval, by Glauber's correlation equations. At unit attempt rate the
+    flip rate of spin i is (1 - (gamma/2) s_i (s_(i-1) + s_(i+1))) / 2 with
+    gamma = tanh 2 beta(t), so G_r = <s_i s_(i+r)> obeys
+    dG_r/dt = -2 G_r + gamma (G_(r-1) + G_(r+1)) with G_0 = G_n = 1, closed
+    for any beta(t), from G_r(0) = 0 (Glauber, J. Math. Phys. 4, 294
+    (1963)). The energy is -n G_1. Solved by scipy's DOP853 at rtol 1e-12,
+    atol 1e-14.
+    """
+    def rhs(t, g):
+        padded = np.concatenate(([1.0], g, [1.0]))
+        return -2.0 * g + np.tanh(2.0 * beta_of_t(t)) * (padded[:-2] + padded[2:])
+
+    sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), np.zeros(n - 1), method="DOP853",
+                    t_eval=t_eval, rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return -n * sol.y[0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -564,6 +564,25 @@ def test_an_overflowing_energy_table_exits_1_and_writes_nothing(tmp_path, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["map", "c2q", "--beta", "1"],
+    ["dynamics", "generator", "--beta", "1"],
+    ["dynamics", "evolve", "--beta", "1", "--t-final", "1", "--points", "3"],
+    ["dynamics", "verify", "--beta", "1"],
+    ["anneal", "sa", "--c0", "0.1", "--c1", "3", "--horizon", "1", "--steps", "2"],
+], ids=["c2q", "generator", "evolve", "verify", "sa"])
+def test_an_overflowing_flip_difference_exits_1_and_writes_nothing(tmp_path, command):
+    # A field of 1e308 on one spin: finite energies whose flip difference is
+    # 2e308. Each command used to exit 0 with a RuntimeWarning: c2q wrote -0
+    # flip entries, evolve and sa wrote energies near -1e307.
+    path, out = tmp_path / "big.json", tmp_path / "out.txt"
+    path.write_text(json.dumps({"n": 1, "terms": [{"sites": [0], "h": 1e308}]}))
+    outcome = run([*command, "--model", str(path), "--out", str(out)])
+    assert outcome.exit_code == 1, outcome.diagnostics
+    assert "flip energy difference is not finite" in outcome.diagnostics
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["map", "--help"], ["map", "c2q", "--help"]],
                          ids=["top", "group", "command"])
 def test_help_at_every_level_is_an_outcome_with_exit_zero(argv, capsys):

@@ -314,21 +314,24 @@ def test_provider_keeps_its_flip_table(rng, rule):
     provider = GeneratorProvider(h0, lambda t: 0.4 + t, rule)
     before = provider.table.delta_e.copy()
     p = rng.random(1 << 6)
-    for t in (0.0, 1.5):
-        provider.apply(t, p)
+    for t in (0.0, 1.5, 2.0):
+        out = provider.apply(t, p)
         assert np.array_equal(provider.table.delta_e, before)
-        assert np.array_equal(provider.rates,
-                              cq.build_generator(h0, provider.beta(t), rule).off)
+        W = cq.build_generator(h0, provider.beta(t), rule)
+        assert np.array_equal(provider.diag, W.diag)
+        assert np.array_equal(out, flip_apply(W.diag, W.off, p))
     assert np.array_equal(before, flip_table(h0).delta_e)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
 def test_provider_product_is_flip_apply_bit_for_bit(rng, monkeypatch, n, rule):
-    # beta 0, 0.44, 0.44 again from the held rates, 3, then 0.44 rebuilt. The
-    # chain's dE repeat (a single spin's do not), so from the first change of
-    # beta on the rule is evaluated on its distinct dE alone; no dE of the
-    # all-pairs model with fields repeats, so its rates come from every dE.
+    # beta 0, 0.44, 0.44 again from the held data, 3, then 0.44 rebuilt. From
+    # the first change of beta on, the rule is evaluated on the distinct dE
+    # alone. The chain's dE repeat (a single spin's do not), so that is at
+    # most half of them; no dE of the all-pairs model with fields repeats,
+    # so its table of distinct dE is as long as the dE. diag and every
+    # product are build_generator's bit for bit, signs of zero too.
     betas = (0.0, 0.44, 0.44, 3.0, 0.44)
     lattice = cq.chain(n, field_h=0.1) if n > 1 else cq.ClassicalHamiltonian(1, [1], [0.3])
     pairs = random_model(rng, n, pair_density=1.0, field_density=1.0)
@@ -347,7 +350,8 @@ def test_provider_product_is_flip_apply_bit_for_bit(rng, monkeypatch, n, rule):
         for t, W in enumerate(generators):
             p = rng.random(1 << n)
             assert np.array_equal(provider.apply(float(t), p), flip_apply(W.diag, W.off, p))
-            assert np.array_equal(provider.rates, W.off)
+            assert np.array_equal(provider.diag, W.diag)
+            assert np.array_equal(np.signbit(provider.diag), np.signbit(W.diag))
         monkeypatch.setattr(cq.dynamics, "flip_rates", rates)
         size = n << n
         assert len(evaluated) == 4 and evaluated[0] == size
@@ -355,8 +359,8 @@ def test_provider_product_is_flip_apply_bit_for_bit(rng, monkeypatch, n, rule):
 
 
 def test_provider_product_allocates_no_flip_array():
-    # The partner index, the rates and both work arrays are held, so a
-    # product, at a new beta too, allocates its result and diag * p.
+    # The CSR pattern, its data and the gather index are held, so a product,
+    # at a new beta too, allocates its result and vectors of the distinct dE.
     n = 12
     provider = GeneratorProvider(cq.chain(n, field_h=0.1), lambda t: 0.1 + t)
     p = np.full(1 << n, 1.0 / (1 << n))
@@ -368,6 +372,32 @@ def test_provider_product_allocates_no_flip_array():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak - out.nbytes < n * (1 << n) * 8
+
+
+def test_provider_peak_memory_over_three_betas():
+    # The flip table's dE (8 bytes per flip), the int32 CSR indices (4), its
+    # data (8), the gather index (8) and unit data for the diagonal (8), plus
+    # the search for the distinct dE at the first change of beta. Measured at
+    # chain(14), h=0.1: 9.0 MiB; the rates, two work arrays and a partner
+    # index beside dE, five n x 2^n arrays, peaked at 18.0 MiB.
+    n = 14
+    p = np.full(1 << n, 1.0 / (1 << n))
+    tracemalloc.start()
+    provider = GeneratorProvider(cq.chain(n, field_h=0.1), lambda t: 0.1 + t)
+    for t in (0.0, 1.0, 2.0):
+        provider.apply(t, p)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 14 << 20
+
+
+def test_provider_refuses_a_state_of_the_wrong_size():
+    # The product reads 2^n entries of p through scipy's unchecked kernel.
+    provider = cq.constant_provider(cq.chain(4), 0.5)
+    for p in (np.ones(8), np.ones((16, 1)), np.ones(32)):
+        with pytest.raises(ValidationError, match="expected"):
+            provider.apply(0.0, p)
+    assert provider.apply(0.0, [1.0] * 16).shape == (16,)
 
 
 def test_constant_beta_never_looks_for_distinct_dE(monkeypatch):

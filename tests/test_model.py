@@ -151,6 +151,31 @@ def test_an_overflowing_energy_table_is_refused(build):
         build(h0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda h0: cq.dynamics.flip_table(h0),
+    lambda h0: cq.dynamics.flip_delta(cq.energy_table(h0), 0, np.empty(2)),
+    lambda h0: cq.build_generator(h0, 1.0),
+    lambda h0: cq.dynamics.GeneratorProvider(h0, lambda t: 1.0),
+    lambda h0: cq.classical_to_quantum(h0, 1.0),
+], ids=["flip_table", "flip_delta", "build_generator", "GeneratorProvider",
+        "classical_to_quantum"])
+def test_an_overflowing_flip_difference_is_refused(build):
+    # E = -+1e308 is a finite table, but its flip changes E by -+2e308: c2q
+    # wrote -0 flip entries and the master equation ran to energies near
+    # -1e307, each with a RuntimeWarning and exit code 0.
+    h0 = cq.build_model({"n": 1, "terms": [{"sites": [0], "h": 1e308}]})
+    with pytest.raises(ValidationError, match="flip energy difference is not finite"):
+        build(h0)
+
+
+def test_an_overflowing_energy_spread_is_refused():
+    with pytest.raises(ValidationError, match="energy spread is not finite"):
+        cq.model.gibbs_from_energies(1, np.array([-1e308, 1e308]), 1.0)
+    # A spread that fits is fine, however far from 0.
+    p = cq.model.gibbs_from_energies(1, np.array([1e308, 1e308]), 1.0).p
+    assert p.tolist() == [0.5, 0.5]
+
+
 def test_energy_table_single_bond_sign_enumeration():
     h0 = cq.build_model({"n": 2, "terms": [{"sites": [0, 1], "J": 1}]})
     assert cq.energy_table(h0).tolist() == [-1.0, 1.0, 1.0, -1.0]
