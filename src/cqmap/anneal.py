@@ -238,11 +238,12 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
     kept to roundoff; (max|E| + n |Gamma|) h <= 0.125, with at least one
     substep per output interval. ``refine``
     multiplies the substep count (for convergence checks at finer
-    resolution). Runs that could take more than 1e8 substeps, counted as
-    steps + refine * T * (max|E| + n max(|Gamma(0)|, |Gamma(T)|)) / 0.125,
-    raise ResourceLimitError before any work (a field that is 0 throughout
-    takes no substeps), and so do more than 1e8 output intervals. A norm
-    drift beyond 1e-6 raises IntegrationError.
+    resolution). A substep rate refine * (max|E| + n max(|Gamma(0)|,
+    |Gamma(T)|)) / 0.125 that overflows raises ValidationError before any
+    work. Runs that could take more than 1e8 substeps, counted as steps + T
+    times that rate, raise ResourceLimitError before any work (a field that
+    is 0 throughout takes no substeps), and so do more than 1e8 output
+    intervals. A norm drift beyond 1e-6 raises IntegrationError.
     """
     _check_anneal_size(h0.n)
     if steps < 1:
@@ -262,7 +263,13 @@ def run_qa(h0, sched, steps=200, *, refine=1.0):
     # Schedules are monotone: a field that starts and ends at 0 is 0 throughout,
     # and every interval is exact phase propagation with no substeps.
     field = max(abs(gamma0), abs(gamma_end))
-    needed = refine * sched.horizon * (e_scale + h0.n * field) / _QA_THETA if field else 0.0
+    rate = refine * (e_scale + h0.n * field) / _QA_THETA if field else 0.0
+    if not math.isfinite(rate):
+        raise ValidationError(
+            f"the QA substep rate is not finite (max|E| = {e_scale:.3g}, "
+            f"n max|Gamma| = {h0.n * field:.3g}, refine = {refine:.3g})"
+        )
+    needed = rate * sched.horizon
     # Each interval takes max(1, ceil(x)) <= 1 + x substeps.
     if steps + needed > MAX_STEPS:
         raise ResourceLimitError(

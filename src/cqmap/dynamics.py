@@ -84,9 +84,9 @@ class GeneratorMatrix:
     """Single-spin-flip master-equation generator at a flip rule and temperature.
 
     Held as ``diag`` plus ``off[j, s]`` at ``(s ^ (1 << j), s)``, the flip rate
-    of spin j out of configuration s. Its CSR ``matrix`` is built by
-    flip_matrix on every read and not kept; the library computes W @ x on
-    the flip form instead (flip_apply, GeneratorProvider.apply).
+    of spin j out of configuration s. Its CSR ``matrix`` is built on every
+    read and not kept; the library computes W @ x on the flip form instead
+    (flip_apply, GeneratorProvider.apply).
     """
 
     rule: str
@@ -100,7 +100,18 @@ class GeneratorMatrix:
 
     @property
     def matrix(self):
-        return flip_matrix(self.n, array_fill(self.diag, self.off))
+        """The canonical CSR with int32 indices, on GeneratorProvider's
+        pattern: row s holds off[j, s ^ (1 << j)] at s ^ (1 << j) in
+        ascending j, then diag[s], and the rows are sorted in place."""
+        indptr, indices = _flip_pattern(self.n)
+        data = np.empty(indices.shape)
+        for j, row in enumerate(self.off):
+            data[:, j].reshape(-1, 2, 1 << j)[...] = flipped(row, j)
+        data[:, -1] = self.diag
+        matrix = sparse.csr_array((data.reshape(-1), indices.reshape(-1), indptr),
+                                  shape=(indices.shape[0],) * 2)
+        matrix.sort_indices()
+        return matrix
 
 
 def flipped(x, j):
@@ -146,21 +157,6 @@ def flip_table(h0):
     return FlipTable(h0.n, energies, delta_e)
 
 
-def _entry_places(rows, n):
-    """Place of every entry of the given rows of a flip matrix within its
-    sorted row: shape (n + 1, len(rows)), the diagonal first, spin j at j + 1."""
-    ones = np.bitwise_count(rows)
-    places = np.empty((n + 1, rows.size), dtype=np.intp)
-    places[0] = ones
-    for j in range(n):
-        # A set bit j comes after the set bits above it; an unset one after the
-        # diagonal and the unset bits below it.
-        set_above = np.bitwise_count(rows >> (j + 1))
-        unset_below = j - np.bitwise_count(rows & ((1 << j) - 1))
-        places[j + 1] = np.where((rows >> j) & 1, set_above, ones + 1 + unset_below)
-    return places
-
-
 def read_flipped(x, j, r0, out):
     """Write ``x[r ^ (1 << j)]`` for the rows r0 <= r < r0 + out.size of an
     aligned block into ``out``: a flip inside the block, or the partner
@@ -172,80 +168,59 @@ def read_flipped(x, j, r0, out):
         out[...] = x[r0 ^ (1 << j):][:block]
 
 
-def array_fill(diag, off):
-    """The block fill of flip_matrix for an operator held as arrays: ``diag``
-    on the diagonal and ``off[j, s]`` at ``(s ^ (1 << j), s)``, so row r reads
-    ``off[j, r ^ (1 << j)]``. ``off`` may be a broadcast view."""
-    def fill(r0, values):
-        values[0] = diag[r0:r0 + values.shape[1]]
-        for j, row in enumerate(off):
-            read_flipped(row, j, r0, values[j + 1])
-    return fill
-
-
-def flip_matrix(n, fill, upper=False):
-    """CSR matrix of an n-spin single-spin-flip operator: a diagonal plus one
-    entry per spin at ``(r, r ^ (1 << j))``, the shape of generators, mapped,
-    transverse-field and closed-form chain Hamiltonians.
+def flip_matrix(n, fill):
+    """Halves of a symmetric n-spin single-spin-flip operator: a diagonal
+    plus one entry per spin at ``(r, r ^ (1 << j))``, the shape of mapped,
+    transverse-field and closed-form chain Hamiltonians. Returns
+    ``(diag, upper)``: the 2^n diagonal and the strict upper triangle as an
+    int32 CSR, whose row r holds the entries at r ^ (1 << j) for the unset
+    bits j of r in ascending j, so each off-diagonal value and index is
+    stored once.
 
     Rows are made in aligned blocks of 4096, whose entries stay in cache:
     ``fill(r0, values)`` writes the rows r0 <= r < r0 + block into the
     (n + 1, block) array ``values``, the diagonal in ``values[0]`` and the
-    entry at column r ^ (1 << j) in ``values[j + 1]``. array_fill copies them
-    out of ``(diag, off)``; classical_to_quantum and the closed-form chain
-    compute them from the energies or the spins, so they hold no n x 2^n
-    array.
-
-    Written sorted, with int32 indices and no COO or sort: row r holds its
-    n + 1 entries at columns r ^ (1 << j) for the set bits j of r in
-    descending j, then r itself at place popcount(r), then the unset bits in
-    ascending j. Places add up across aligned blocks: for a block start r0
-    and s < 4096, place(r0 + s) = place(s) + place(r0) - place(0).
-
-    A symmetric operator passes upper=True and gets ``(diag, upper)``: the
-    2^n diagonal and the strict upper triangle as an int32 CSR, whose row r
-    is the tail of the full row, the unset bits in ascending j. The blocks
-    are made by the same fill; only the diagonal and the unset-bit entries
-    are kept, so each off-diagonal value and index is stored once.
+    entry at column r ^ (1 << j) in ``values[j + 1]``. Only the diagonal and
+    the unset-bit entries are kept. classical_to_quantum and the closed-form
+    chain compute the blocks from the energies or the spins, so they hold no
+    n x 2^n array.
     """
     dim = 1 << n
-    width = n + 1
     block = min(dim, 1 << 12)
     local = np.arange(block, dtype=np.int32)
-    starts = np.arange(0, dim, block)
-    values = np.empty((width, block))
-    if upper:
-        bits = (1 << np.arange(n, dtype=np.int32))[None, :]
-        diag = np.empty(dim)
-        indptr = np.zeros(dim + 1, dtype=np.int32)
-        np.cumsum(n - np.bitwise_count(np.arange(dim, dtype=np.int32)), dtype=np.int32,
-                  out=indptr[1:])
-    else:
-        base = _entry_places(local, n) + local * width
-        shifts = (_entry_places(starts, n) - np.arange(width)[:, None] + starts * width).T
-        masks = np.concatenate(([0], 1 << np.arange(n)))[:, None].astype(np.int32)
-        indptr = np.arange(0, width * dim + 1, width, dtype=np.int32)
+    values = np.empty((n + 1, block))
+    bits = (1 << np.arange(n, dtype=np.int32))[None, :]
+    diag = np.empty(dim)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(n - np.bitwise_count(np.arange(dim, dtype=np.int32)), dtype=np.int32,
+              out=indptr[1:])
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    for i, r0 in enumerate(starts):
-        fill(int(r0), values)
+    for r0 in range(0, dim, block):
+        fill(r0, values)
         rows = local + np.int32(r0)
-        if upper:
-            diag[r0:r0 + block] = values[0]
-            keep = (rows[:, None] & bits) == 0
-            seg = slice(indptr[r0], indptr[r0 + block])
-            data[seg] = values[1:].T[keep]
-            indices[seg] = (rows[:, None] | bits)[keep]
-        else:
-            place = base + shifts[i][:, None]
-            data[place] = values
-            indices[place] = rows ^ masks
-    matrix = sparse.csr_array((data, indices, indptr), shape=(dim, dim))
-    return (diag, matrix) if upper else matrix
+        diag[r0:r0 + block] = values[0]
+        keep = (rows[:, None] & bits) == 0
+        seg = slice(indptr[r0], indptr[r0 + block])
+        data[seg] = values[1:].T[keep]
+        indices[seg] = (rows[:, None] | bits)[keep]
+    return diag, sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+
+
+def _flip_pattern(n):
+    """The int32 CSR pattern of an n-spin flip operator over destination rows:
+    ``indptr`` and the (2^n, n + 1) ``indices`` whose row s holds
+    s ^ (1 << j) in ascending j, then s."""
+    dim = 1 << n
+    states = np.arange(dim, dtype=np.int32)
+    indices = np.empty((dim, n + 1), dtype=np.int32)
+    np.bitwise_xor(states[:, None], 1 << np.arange(n, dtype=np.int32), out=indices[:, :n])
+    indices[:, n] = states
+    return np.arange(0, (n + 1) * dim + 1, n + 1, dtype=np.int32), indices
 
 
 def flip_apply(diag, off, x):
-    """flip_matrix(n, array_fill(diag, off)) @ x with no matrix built.
+    """GeneratorMatrix(rule, beta, diag, off).matrix @ x with no matrix built.
 
     Each spin's flips ``off[j] * x`` land at ``s ^ (1 << j)`` through a
     flipped view. They are added from 0 in spin order, the rounding of a sum
@@ -312,8 +287,8 @@ def relative_asymmetry(matrix):
 
 
 def flip_asymmetry(diag, off):
-    """max|F - F^T| / max|F| of F = flip_matrix(n, array_fill(diag, off)), with
-    no matrix built.
+    """max|F - F^T| / max|F| of F = GeneratorMatrix(rule, beta, diag, off).matrix,
+    with no matrix built.
 
     Each off[j, s] at (s ^ (1 << j), s) is compared with its transposed
     partner off[j, s ^ (1 << j)] through a flipped view, one spin at a time;
@@ -384,12 +359,7 @@ class GeneratorProvider:
         self.n = n = h0.n
         self._beta_of_t = beta_of_t
         dim = self.energies.size
-        states = np.arange(dim, dtype=np.int32)
-        self._indices = np.empty((dim, n + 1), dtype=np.int32)
-        np.bitwise_xor(states[:, None], 1 << np.arange(n, dtype=np.int32),
-                       out=self._indices[:, :n])
-        self._indices[:, n] = states
-        self._indptr = np.arange(0, (n + 1) * dim + 1, n + 1, dtype=np.int32)
+        self._indptr, self._indices = _flip_pattern(n)
         self._data = np.empty((dim, n + 1))
         self.diag = np.empty(dim)
         self._beta = None       # beta of the held data

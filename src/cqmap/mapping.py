@@ -28,7 +28,6 @@ from scipy import sparse
 
 from . import io as cqio
 from .dynamics import (
-    array_fill,
     build_generator,
     canonical_rule,
     check_flip_delta,
@@ -74,7 +73,7 @@ class QuantumHamiltonian:
     symmetric pair: ``diag``, a 2^n vector, plus ``upper``, the strict upper
     triangle as an int32 CSR with sorted rows. For a flip-built H, row r of
     upper holds the entries at r ^ (1 << j) for the unset bits j of r in
-    ascending j (flip_matrix(n, fill, upper=True)): 6n + 12 bytes per state
+    ascending j (flip_matrix(n, fill)): 6n + 12 bytes per state
     where the full CSR takes 12(n + 1) + 4.
 
     QuantumHamiltonian(n, csr) checks a CSR's contract once: shape
@@ -111,7 +110,7 @@ class QuantumHamiltonian:
     @classmethod
     def held(cls, n, diag, upper):
         """The H held as ``(diag, upper)``, unchecked: for halves symmetric by
-        construction, as flip_matrix(n, fill, upper=True) returns them."""
+        construction, as flip_matrix(n, fill) returns them."""
         H = cls.__new__(cls)
         H.n, H.diag, H.upper = n, diag, upper
         return H
@@ -128,7 +127,8 @@ class QuantumHamiltonian:
         int32 indices. Entries are placed at int32 positions one
         io.row_blocks block at a time, so beside the result and a transposed
         copy of upper the positions take a few vectors. For a flip-built H
-        this is bit for bit the CSR flip_matrix writes for the full operator.
+        this is bit for bit the CSR that GeneratorMatrix.matrix writes for the
+        same diagonal and flip entries.
         """
         diag, upper = self.diag, self.upper
         lower = upper.tocsc()  # its arrays are upper^T's CSR
@@ -207,7 +207,7 @@ def classical_to_quantum(h0, beta, rule="heat-bath", energies=None):
         np.exp(x, out=x)
         x /= -(1.0 + x * x) if rule == "heat-bath" else -1.0
 
-    return QuantumHamiltonian.held(h0.n, *flip_matrix(h0.n, fill, upper=True))
+    return QuantumHamiltonian.held(h0.n, *flip_matrix(h0.n, fill))
 
 
 def heat_bath_chain_closed_form(n, beta):
@@ -247,16 +247,20 @@ def heat_bath_chain_closed_form(n, beta):
         values[1:] = -((1.0 + u) - (1.0 - u) * np.roll(sz, 1, axis=0)
                        * np.roll(sz, -1, axis=0)) / 4.0
 
-    return QuantumHamiltonian.held(n, *flip_matrix(n, fill, upper=True))
+    return QuantumHamiltonian.held(n, *flip_matrix(n, fill))
 
 
 def transverse_field_hamiltonian(h0, gamma):
     """H = diag(E) - gamma * sum_j sx_j in the sigma^z basis (stoquastic for
     gamma >= 0), held as its diagonal and strict upper triangle."""
     energies = energy_table(h0)
-    off = np.broadcast_to(-float(gamma), (h0.n, energies.size))
-    return QuantumHamiltonian.held(h0.n, *flip_matrix(h0.n, array_fill(energies, off),
-                                                   upper=True))
+    field = -float(gamma)
+
+    def fill(r0, values):
+        values[0] = energies[r0:r0 + values.shape[1]]
+        values[1:] = field
+
+    return QuantumHamiltonian.held(h0.n, *flip_matrix(h0.n, fill))
 
 
 def ground_state(H):

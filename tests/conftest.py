@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import expit
 
 from cqmap import ClassicalHamiltonian, build_generator
-from cqmap.dynamics import _grid_states
+from cqmap.dynamics import _grid_states, read_flipped
 
 
 def model_from_dict(n, coeffs):
@@ -32,6 +32,17 @@ def random_model(rng, n, pair_density=0.8, field_density=0.5, field_scale=0.5):
     if not coeffs:
         coeffs[0b11 & ((1 << n) - 1) if n >= 2 else 1] = float(rng.normal())
     return model_from_dict(n, coeffs)
+
+
+def array_fill(diag, off):
+    """A flip_matrix fill for an operator held as arrays: ``diag`` on the
+    diagonal and ``off[j, s]`` at ``(s ^ (1 << j), s)``, so row r reads
+    ``off[j, r ^ (1 << j)]``."""
+    def fill(r0, values):
+        values[0] = diag[r0:r0 + values.shape[1]]
+        for j, row in enumerate(off):
+            read_flipped(row, j, r0, values[j + 1])
+    return fill
 
 
 def held_bytes(H):

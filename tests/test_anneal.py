@@ -470,6 +470,30 @@ def test_anneal_checks_its_grid_before_allocating(monkeypatch, method):
         run(cq.chain(4), sched, steps=11)
 
 
+def test_qa_refuses_a_substep_rate_that_overflows(monkeypatch):
+    # max|E| = 1e308 is finite, but (max|E| + n max|Gamma|) / 0.125 is not:
+    # a ValidationError before any substep, not "inf QA substeps" (exit 3).
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached past the substep rate check")
+
+    big = cq.build_model({"n": 1, "terms": [{"sites": [0], "h": 1e308}]})
+    sched = cq.make_schedule("linear", (5.0, 0.0), 1.0)
+    monkeypatch.setattr(cq.anneal, "_driver_groups", unreachable)
+    with pytest.raises(ValidationError, match="substep rate is not finite"):
+        cq.run_qa(big, sched, steps=2)
+    # So does an infinite refine.
+    with pytest.raises(ValidationError, match="substep rate is not finite"):
+        cq.run_qa(cq.chain(2), sched, steps=2, refine=np.inf)
+    monkeypatch.undo()
+    # A field that is 0 throughout takes no substeps, so the same model runs.
+    frozen = cq.run_qa(big, cq.make_schedule("linear", (0.0, 0.0), 1.0), steps=2)
+    assert np.abs(frozen.p_ground - 0.5).max() <= 1e-15
+    # A finite rate over a long horizon is still the substep cap's refusal.
+    with pytest.raises(ResourceLimitError, match="QA substeps"):
+        cq.run_qa(cq.build_model({"n": 1, "terms": [{"sites": [0], "h": 1e300}]}), sched,
+                  steps=2)
+
+
 @pytest.mark.parametrize("refine", [0.5, np.nan])
 def test_qa_refuses_bad_refine(refine):
     with pytest.raises(ValidationError, match="refine"):

@@ -583,6 +583,24 @@ def test_an_overflowing_flip_difference_exits_1_and_writes_nothing(tmp_path, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    (["anneal", "qa", "--c0", "5", "--c1", "0", "--horizon", "1", "--steps", "2"],
+     "QA substep rate is not finite"),
+    (["anneal", "compare", "--beta0", "0.1", "--beta1", "3", "--sa-horizon", "1",
+      "--gamma0", "5", "--qa-horizon", "1", "--steps", "2"],
+     "flip energy difference is not finite"),
+], ids=["qa", "compare"])
+def test_an_overflowing_qa_substep_rate_exits_1_and_writes_nothing(tmp_path, command, message):
+    # A field of 1e308 on one spin: (max|E| + n Gamma) / 0.125 overflows, and
+    # QA used to exit 3 with "needs up to inf QA substeps".
+    path, out = tmp_path / "big.json", tmp_path / "out.txt"
+    path.write_text(json.dumps({"n": 1, "terms": [{"sites": [0], "h": 1e308}]}))
+    outcome = run([*command, "--model", str(path), "--out", str(out)])
+    assert outcome.exit_code == 1, outcome.diagnostics
+    assert message in outcome.diagnostics
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["map", "--help"], ["map", "c2q", "--help"]],
                          ids=["top", "group", "command"])
 def test_help_at_every_level_is_an_outcome_with_exit_zero(argv, capsys):

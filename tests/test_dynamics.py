@@ -9,8 +9,8 @@ import cqmap as cq
 from cqmap.dynamics import (
     _DP_A,
     _DP_P,
+    GeneratorMatrix,
     GeneratorProvider,
-    array_fill,
     canonical_rule,
     flip_apply,
     flip_asymmetry,
@@ -32,11 +32,21 @@ from cqmap.io import read_coordinate
 from cqmap.mapping import classical_to_quantum
 from cqmap.spectral import dense_spectrum
 
-from conftest import grid_states, master_equation_oracle, random_model
+from conftest import array_fill, grid_states, master_equation_oracle, random_model
 
 
 def array_matrix(diag, off):
-    return flip_matrix(off.shape[0], array_fill(diag, off))
+    return GeneratorMatrix("heat-bath", 0.0, diag, off).matrix
+
+
+def coo_flip_oracle(diag, off):
+    """The CSR of ``diag`` plus ``off[j, s]`` at ``(s ^ (1 << j), s)``, by COO assembly."""
+    n, dim = off.shape
+    idx = np.arange(dim)
+    rows = np.concatenate([idx] + [idx ^ (1 << j) for j in range(n)])
+    cols = np.tile(idx, n + 1)
+    vals = np.concatenate([diag, off.reshape(-1)])
+    return sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def two_state_field(h):
@@ -127,14 +137,11 @@ def test_generator_size_guard():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 13, 14])
 def test_flip_matrix_matches_coo_assembly(rng, n):
-    # 13 and 14 spins fill more than one block of rows.
+    # GeneratorMatrix.matrix on signed arrays that are not generators: the
+    # provider's destination-row pattern, sorted in place, is canonical.
     dim = 1 << n
     diag, off = rng.standard_normal(dim), rng.standard_normal((n, dim))
-    idx = np.arange(dim)
-    rows = np.concatenate([idx] + [idx ^ (1 << j) for j in range(n)])
-    cols = np.tile(idx, n + 1)
-    vals = np.concatenate([diag, off.reshape(-1)])
-    oracle = sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    oracle = coo_flip_oracle(diag, off)
     M = array_matrix(diag, off)
     assert M.has_canonical_format
     assert M.indptr.dtype == M.indices.dtype == np.int32
@@ -144,13 +151,13 @@ def test_flip_matrix_matches_coo_assembly(rng, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 13, 14])
 def test_flip_matrix_upper_keeps_the_diagonal_and_strict_upper_triangle(rng, n):
-    # The same placement loop on any fill, symmetric or not: upper=True keeps
-    # what the full CSR holds on and above its diagonal, bit for bit.
+    # On any fill, symmetric or not, flip_matrix keeps what the full CSR
+    # holds on and above its diagonal, bit for bit; 13 and 14 spins fill
+    # more than one block of rows.
     dim = 1 << n
     diag, off = rng.standard_normal(dim), rng.standard_normal((n, dim))
-    full = array_matrix(diag, off)
-    held, upper = flip_matrix(n, array_fill(diag, off), upper=True)
-    triu = sparse.triu(full, 1, format="csr")
+    held, upper = flip_matrix(n, array_fill(diag, off))
+    triu = sparse.triu(coo_flip_oracle(diag, off), 1, format="csr")
     assert np.array_equal(held, diag)
     assert upper.has_canonical_format
     assert upper.indptr.dtype == upper.indices.dtype == np.int32
@@ -161,19 +168,20 @@ def test_flip_matrix_upper_keeps_the_diagonal_and_strict_upper_triangle(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 13, 14])
 def test_upper_fill_rebuilds_a_symmetric_flip_matrix_bit_for_bit(rng, n):
     # off[j] even under the flip of spin j makes the operator symmetric. The
-    # full CSR that QuantumHamiltonian assembles from the halves is the one
-    # flip_matrix writes for the full operator.
+    # full CSR that QuantumHamiltonian assembles from the halves is the COO
+    # oracle's and the one GeneratorMatrix.matrix writes for the same arrays.
     dim = 1 << n
     diag, off = rng.standard_normal(dim), rng.standard_normal((n, dim))
     for j, row in enumerate(off):
         row.reshape(-1, 2, 1 << j)[:, 1] = row.reshape(-1, 2, 1 << j)[:, 0]
-    full = array_matrix(diag, off)
-    assert (full - full.T).count_nonzero() == 0
-    held = cq.QuantumHamiltonian.held(n, *flip_matrix(n, array_fill(diag, off), upper=True))
-    rebuilt = held.matrix
+    oracle = coo_flip_oracle(diag, off)
+    assert (oracle - oracle.T).count_nonzero() == 0
+    held = cq.QuantumHamiltonian.held(n, *flip_matrix(n, array_fill(diag, off)))
+    rebuilt, full = held.matrix, array_matrix(diag, off)
     for name in ("indptr", "indices", "data"):
         assert getattr(rebuilt, name).dtype == getattr(full, name).dtype
         assert np.array_equal(getattr(rebuilt, name), getattr(full, name))
+        assert np.array_equal(getattr(rebuilt, name), getattr(oracle, name))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
@@ -283,9 +291,10 @@ def test_verify_allocates_little_beyond_its_generator():
 
 
 def test_verify_builds_no_csr(monkeypatch):
-    def refuse(n, fill):
+    def refuse(*args):
         raise AssertionError("verify_dynamics built a CSR matrix")
 
+    monkeypatch.setattr(cq.dynamics, "_flip_pattern", refuse)
     monkeypatch.setattr(cq.dynamics, "flip_matrix", refuse)
     h0 = cq.chain(4)
     W = cq.build_generator(h0, 1.0)
@@ -356,6 +365,30 @@ def test_provider_product_is_flip_apply_bit_for_bit(rng, monkeypatch, n, rule):
         size = n << n
         assert len(evaluated) == 4 and evaluated[0] == size
         assert all(2 * k <= size if repeats else k == size for k in evaluated[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 13])
+@pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
+def test_provider_pattern_sorted_is_the_generator_matrix(rng, n, rule):
+    # W.matrix is the provider's destination-row CSR sorted in place: a copy
+    # of the held data, indices and indptr, sorted, is build_generator's
+    # matrix bit for bit, at the first beta (the -dE^T fill) and after beta
+    # changes (the distinct-dE fill).
+    betas = (0.44, 3.0, 0.0)
+    lattice = cq.chain(n, field_h=0.1) if n > 1 else cq.ClassicalHamiltonian(1, [1], [0.3])
+    for h0 in (lattice, random_model(rng, n)):
+        provider = GeneratorProvider(h0, lambda t: betas[int(t)], rule)
+        for t, beta in enumerate(betas):
+            provider.apply(float(t), np.full(1 << n, 0.5 ** n))
+            held = sparse.csr_array((provider._data.reshape(-1), provider._indices.reshape(-1),
+                                     provider._indptr), shape=(1 << n, 1 << n), copy=True)
+            held.sort_indices()
+            W = cq.build_generator(h0, beta, rule).matrix
+            assert held.has_canonical_format and W.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                assert getattr(held, name).dtype == getattr(W, name).dtype
+                assert np.array_equal(getattr(held, name), getattr(W, name))
+            assert np.array_equal(np.signbit(held.data), np.signbit(W.data))
 
 
 def test_provider_product_allocates_no_flip_array():

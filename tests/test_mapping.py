@@ -11,7 +11,7 @@ from scipy.special import expit
 
 import cqmap as cq
 from cqmap import mapping
-from cqmap.dynamics import array_fill, flip_delta, flip_matrix, flip_rates, relative_asymmetry
+from cqmap.dynamics import GeneratorMatrix, flip_delta, flip_rates, relative_asymmetry
 from cqmap.errors import (
     DegenerateGroundStateError,
     MappingPreconditionError,
@@ -162,7 +162,7 @@ def array_form_c2q(h0, beta, rule):
         diag += flip_rates(x, beta, rule)
         u = np.exp(np.abs(x) * (-0.5 * beta))
         x[...] = -u / (1.0 + u * u) if rule == "heat-bath" else -u
-    return flip_matrix(h0.n, array_fill(diag, off))
+    return GeneratorMatrix(rule, beta, diag, off).matrix
 
 
 @pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
@@ -517,8 +517,8 @@ def test_transverse_field_hamiltonian_matches_kronecker_oracle(n, periodic):
 
 
 def test_transverse_field_hamiltonian_allocates_little_beyond_its_result():
-    # The field is one broadcast value, not an n x 2^n array: beside H's
-    # halves the build holds the energies and flip_matrix's blocks.
+    # The field is one value written into each block, not an n x 2^n array:
+    # beside H's halves the build holds the energies and flip_matrix's blocks.
     n = 16
     h0 = cq.chain(n)
     tracemalloc.start()
