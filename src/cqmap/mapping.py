@@ -200,12 +200,12 @@ def classical_to_quantum(h0, beta, rule="heat-bath", energies=None):
             read_flipped(energies, j, r0, row)
         with np.errstate(over="ignore", invalid="ignore"):
             x -= energies[r0:r0 + values.shape[1]]
-        check_flip_delta(x)
-        flip_rates(x, beta, rule).sum(axis=0, out=values[0])
-        np.abs(x, out=x)
-        x *= -0.5 * beta
-        np.exp(x, out=x)
-        x /= -(1.0 + x * x) if rule == "heat-bath" else -1.0
+            check_flip_delta(x)
+            flip_rates(x, beta, rule).sum(axis=0, out=values[0])
+            np.abs(x, out=x)
+            x *= -0.5 * beta
+            np.exp(x, out=x)
+            x /= -(1.0 + x * x) if rule == "heat-bath" else -1.0
 
     return QuantumHamiltonian.held(h0.n, *flip_matrix(h0.n, fill))
 

@@ -174,6 +174,9 @@ def _lattice_model(n, lattice):
         raise ValidationError(f"lattice periodic must be true or false, got {periodic!r}")
     coupling = _number(lattice.get("J", 1.0), "lattice J")
     h_field = _number(lattice.get("h", 0.0), "lattice h")
+    for value, what in ((coupling, "lattice J"), (h_field, "lattice h")):
+        if not math.isfinite(value):
+            raise ValidationError(f"{what} must be finite, got {value!r}")
     if kind == "chain":
         size = lattice.get("size", [n])
         if (not isinstance(size, list) or len(size) != 1 or not _is_integer(size[0])
@@ -297,7 +300,9 @@ def gibbs_from_energies(n, energies, beta):
     check_beta(beta)
     if not math.isfinite(float(energies.max()) - float(energies.min())):
         raise ValidationError("the energy spread is not finite: the energies overflow")
-    w = np.exp(-beta * (energies - energies.min()))
+    # -beta (E - E_min) may overflow to -inf, whose weight exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta * (energies - energies.min()))
     return ProbabilityVector(n, w / w.sum())
 
 

@@ -9,16 +9,18 @@ translation symmetry and uses no RNG, so repeated runs are bit-identical.
 A mapped generator's ground state is known before any solve: lambda_0 = 0
 with phi_0 = sqrt(p_eq). Given that vector, the solver checks it, deflates it
 by a Hotelling shift H + sigma phi_0 phi_0^T and finds lambda_1 alone by
-two-pass Lanczos, which keeps three vectors instead of ARPACK's basis and
-has none of its per-step overhead. ARPACK serves only requests without a
-known vector.
+two-pass Lanczos, which keeps no basis and has none of ARPACK's per-step
+overhead. Its steps update a few held vectors in place, by BLAS level-1
+calls (scipy.linalg.blas daxpy and ddot) and products that add into the
+vector they are given, and its second pass replays the coefficients the
+first recorded. ARPACK serves only requests without a known vector.
 
 Every solve, residual and Gershgorin bound reads H as it is held, its
 diagonal d and strict upper triangle U, whether it was built by a flip
 builder or split from a CSR. H x = d x + U x + U^T x is formed by scipy's
-CSR and CSC kernels adding into one vector in the order of H's full CSR
-rows, so every product, and the solve, is bit for bit the one on the full
-CSR, which is never built. Only the dense branch reads the full CSR.
+CSC, DIA and CSR kernels adding into one vector in the order of H's full
+CSR rows, so every product, and the solve, is bit for bit the one on the
+full CSR, which is never built. Only the dense branch reads the full CSR.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy, ddot
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -42,6 +45,7 @@ from .model import (MAX_DENSE_SPINS, build_model, check_beta, energy_table,
 _DENSE_FALLBACK_DIM = 32  # ARPACK is pointless below this
 # _deflated_pair tests convergence at every Lanczos step up to this one.
 _EVERY_STEP_UP_TO = 256
+_MAIN_DIAGONAL = np.zeros(1, dtype=np.int32)  # dia_matvec's offsets of diag(d)
 
 
 @dataclass
@@ -81,21 +85,22 @@ def dense_spectrum(H):
     return _as_result(np.linalg.eigvalsh(H.matrix.toarray()), None, None, "dense")
 
 
-def _half_matvec(diag, upper, x):
-    """H @ x of H = diag(d) + U + U^T held as (diag, upper), bit for bit the
-    product of H's full CSR when U's rows are sorted.
+def _half_matvec(diag, upper, x, out):
+    """Add H @ x into out and return out, H = diag(d) + U + U^T held as
+    (diag, upper); bit for bit what H's full CSR adds into out when U's rows
+    are sorted.
 
-    scipy's kernels add into y in place: first each row's lower entries, a
-    CSC product on U's own arrays (U^T x), then d x, then the row's upper
-    entries (U x), the order in which H's full CSR row holds them. d x is
-    the only temporary.
+    scipy's kernels add into out in place, with no temporary: first each
+    row's lower entries, a CSC product on U's own arrays (U^T x), then d x,
+    then the row's upper entries (U x), the order in which H's full CSR row
+    holds them. dia_matvec's d x is numpy's out += d * x bit for bit. A zero
+    out gives H x.
     """
     dim = diag.size
-    y = np.zeros(dim)
-    _sparsetools.csc_matvec(dim, dim, upper.indptr, upper.indices, upper.data, x, y)
-    y += diag * x
-    _sparsetools.csr_matvec(dim, dim, upper.indptr, upper.indices, upper.data, x, y)
-    return y
+    _sparsetools.csc_matvec(dim, dim, upper.indptr, upper.indices, upper.data, x, out)
+    _sparsetools.dia_matvec(dim, dim, 1, dim, _MAIN_DIAGONAL, diag, x, out)
+    _sparsetools.csr_matvec(dim, dim, upper.indptr, upper.indices, upper.data, x, out)
+    return out
 
 
 def _known_ground_state(matvec, dim, known):
@@ -138,7 +143,11 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
     dim = H.dim
     dense = dim <= max(_DENSE_FALLBACK_DIM, 2 * k + 2)
     v0 = None if dense else 1.0 + 0.5 * np.sin(np.arange(dim))
-    matvec = partial(_half_matvec, H.diag, H.upper)
+    product = partial(_half_matvec, H.diag, H.upper)
+
+    def matvec(x):
+        return product(x, np.zeros(dim))
+
     check_finite(H.diag, H.upper.data)
     if known is not None:
         if k != 2:
@@ -146,7 +155,7 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
         ground = _known_ground_state(matvec, dim, known)
         if not dense:
             sigma = 2.0 * float(_half_abs_row_sums(H.diag, H.upper).max())
-            return _deflated_pair(matvec, sigma, ground, v0, max_iter, tol)
+            return _deflated_pair(product, sigma, ground, v0, max_iter, tol)
     if dense:
         vals, vecs = scipy.linalg.eigh(H.matrix.toarray(), subset_by_index=[0, k - 1],
                                        overwrite_a=True)
@@ -167,84 +176,94 @@ def _lowest_pairs(H, k, max_iter=None, tol=0.0, known=None):
     return _as_result(vals, vecs, matvec, "iterative")
 
 
-def _lanczos(apply, v0, steps):
-    """Yield (q_i, alpha_i, beta_i) of the Lanczos three-term recurrence from
-    the unit vector v0, for at most steps steps and without
-    reorthogonalization, holding three vectors. Stops after a step whose
-    beta is exactly 0: the Krylov space is then invariant. The arithmetic is
-    fixed, so a second run repeats the first bit for bit."""
-    q_prev, q, beta = None, v0, 0.0
-    for _ in range(steps):
-        w = apply(q)
-        alpha = float(q @ w)
-        w -= alpha * q
-        if q_prev is not None:
-            w -= beta * q_prev
-        beta = float(np.linalg.norm(w))
-        yield q, alpha, beta
-        if beta == 0.0:
-            return
-        w /= beta
-        q_prev, q = q, w
+def _lanczos_step(product, phi0, coef, beta, q_prev, q, w):
+    """Write (H + sigma phi0 phi0^T) q - beta q_prev into w, as
+    coef phi0 - beta q_prev + H q with coef = sigma (phi0 . q): one scaled
+    copy, one daxpy (none while beta is 0) and H q added in place."""
+    np.multiply(phi0, coef, out=w)
+    if beta != 0.0:
+        w = daxpy(q_prev, w, a=-beta)
+    return product(q, w)
 
 
-def _deflated_pair(matvec, sigma, ground, v0, max_iter, tol):
-    """lambda_0 and lambda_1 of H, given its product x -> H x, sigma and its
-    zero mode as _known_ground_state's triple.
+def _deflated_pair(product, sigma, ground, v0, max_iter, tol):
+    """lambda_0 and lambda_1 of H, given its product (x, out) -> out + H x,
+    sigma and its zero mode as _known_ground_state's triple.
 
-    H is read only through matvec, so the solve holds a few vectors beside
-    H as it is held, its (diag, upper).
+    H is read only through product, so beside H as it is held, its (diag,
+    upper), the solve holds phi0, v0 and three work vectors in the first
+    pass. Each step writes the next Lanczos vector over the one two steps
+    back, with no temporary. The second pass starts from v0 itself, rotates
+    it with two of the work vectors and adds into the result's two columns:
+    six vectors at most.
     lambda_1 is the lowest eigenvalue of H + sigma phi0 phi0^T, sigma twice
     the largest absolute row sum so that phi0 moves above the spectrum. Two
-    Lanczos passes run from the part of v0 orthogonal to phi0. The first
-    stops at the first tested step m where the lowest Ritz pair (theta, s)
-    of the m x m tridiagonal matrix has
-    |beta_m s_m| <= max(tol |theta|, eps sigma), or where beta_m = 0; the
-    second repeats those m steps to sum the Ritz vector y = sum_i s_i q_i.
+    Lanczos passes run from the part of v0 orthogonal to phi0, without
+    reorthogonalization. The first stops at the first tested step m where
+    the lowest Ritz pair (theta, s) of the m x m tridiagonal matrix has
+    |beta_m s_m| <= max(tol |theta|, eps sigma), or where beta_m = 0; it
+    records each step's deflation coefficient sigma (phi0 . q), alpha and
+    beta. The second rebuilds q_1 .. q_m from the records, with no dot
+    product or norm and the same arithmetic, so its vectors are the first
+    pass's bit for bit, and sums the Ritz vector y = sum_i s_i q_i.
     Each test solves the whole tridiagonal matrix, O(m), so every step is
     tested up to step 256 and then only steps about m/32 apart, the cap and
     a breakdown: a slow solve costs O(m log m) in tests instead of O(m^2).
     Only the tridiagonal matrix is kept, never a basis. max_iter caps the
-    first pass's steps (one matvec each) and defaults to 10 times the
+    first pass's steps (one product each) and defaults to 10 times the
     dimension; at the cap ConvergenceError carries [lambda_0, theta] of the
     last step and their residuals on H.
     """
     phi0, lam0, res0 = ground
     v0 -= (phi0 @ v0) * phi0
     v0 /= np.linalg.norm(v0)
-
-    def apply(x):
-        y = matvec(x)
-        y += (sigma * (phi0 @ x)) * phi0
-        return y
-
     steps = 10 * v0.size if max_iter is None else max_iter
     floor = np.finfo(float).eps * sigma
-    alphas, betas = [], []
+    q_prev, q, w = np.empty_like(v0), v0.copy(), np.empty_like(v0)
+
+    coefs, alphas, betas = [], [], []
+    beta = 0.0
     check = 1  # the next step whose Ritz pair is tested
-    for m, (_, alpha, beta) in enumerate(_lanczos(apply, v0, steps), start=1):
+    for m in range(1, steps + 1):
+        coef = sigma * ddot(phi0, q)
+        w = _lanczos_step(product, phi0, coef, beta, q_prev, q, w)
+        alpha = ddot(q, w)
+        w = daxpy(q, w, a=-alpha)
+        beta = math.sqrt(ddot(w, w))
+        coefs.append(coef)
         alphas.append(alpha)
         betas.append(beta)
-        if m < check and m < steps and beta != 0.0:
-            continue
-        check = m + 1 if m < _EVERY_STEP_UP_TO else m + m // 32
-        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1], select="i",
-                                                 select_range=(0, 0))
-        converged = beta == 0.0 or abs(beta * s[-1, 0]) <= max(tol * abs(theta[0]), floor)
-        if converged:
-            break
-    y = np.zeros_like(v0)
-    for (q, _, _), coef in zip(_lanczos(apply, v0, len(alphas)), s[:, 0]):
-        y += coef * q
-    y /= np.linalg.norm(y)
+        if m >= check or m == steps or beta == 0.0:
+            check = m + 1 if m < _EVERY_STEP_UP_TO else m + m // 32
+            theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1], select="i",
+                                                     select_range=(0, 0))
+            converged = beta == 0.0 or abs(beta * s[-1, 0]) <= max(tol * abs(theta[0]), floor)
+            if converged or m == steps:
+                break
+        w /= beta
+        q_prev, q, w = q, w, q_prev
+
+    q = v0  # the second pass writes over v0; pass 1's third vector is freed
+    vecs = np.empty((v0.size, 2), order="F")
+    vecs[:, 0] = phi0
+    y = np.multiply(v0, s[0, 0], out=vecs[:, 1])
+    beta = 0.0
+    for coef, alpha, next_beta, weight in zip(coefs, alphas, betas, s[1:, 0]):
+        w = _lanczos_step(product, phi0, coef, beta, q_prev, q, w)
+        w = daxpy(q, w, a=-alpha)
+        w /= next_beta
+        y = daxpy(w, y, a=weight)
+        q_prev, q, w, beta = q, w, q_prev, next_beta
+    y /= math.sqrt(ddot(y, y))
 
     vals = np.array([lam0, theta[0]])
-    res = np.array([res0, np.linalg.norm(matvec(y) - vals[1] * y)])
+    w.fill(0.0)
+    r = daxpy(y, product(y, w), a=-vals[1])
+    res = np.array([res0, math.sqrt(ddot(r, r))])
     if not converged:
         raise ConvergenceError(f"Lanczos did not converge in {len(alphas)} steps",
                                eigenvalues=vals, residual_norms=res)
-    return SpectrumResult(vals, np.column_stack([phi0, y]), float(vals[1] - vals[0]),
-                          "iterative", res)
+    return SpectrumResult(vals, vecs, float(vals[1] - vals[0]), "iterative", res)
 
 
 def extreme_eigenpairs(H, k=2, max_iter=None, tol=0.0, known=None):

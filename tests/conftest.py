@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.special import expit
 
@@ -162,6 +163,59 @@ def ring_sa_oracle(n, beta_of_t, t_eval):
                     t_eval=t_eval, rtol=1e-12, atol=1e-14)
     assert sol.success, sol.message
     return -n * sol.y[0]
+
+
+def reference_lanczos(apply, v0, steps):
+    """Yield (q_i, alpha_i, beta_i) of the plain Lanczos recurrence from the
+    unit vector v0 for at most steps steps, stopping after a beta of 0."""
+    q_prev, q, beta = None, v0, 0.0
+    for _ in range(steps):
+        w = apply(q)
+        alpha = float(q @ w)
+        w -= alpha * q
+        if q_prev is not None:
+            w -= beta * q_prev
+        beta = float(np.linalg.norm(w))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        w /= beta
+        q_prev, q = q, w
+
+
+def reference_deflated_pair(matvec, sigma, ground, v0):
+    """(theta, Ritz vector) of the lowest eigenvalue of
+    H + sigma phi0 phi0^T by two Lanczos passes over a product x -> H x that
+    allocates every vector, the second pass recomputing the first: the
+    solve's stop rule at tol 0 and its test schedule (every step up to 256,
+    then m // 32 apart) at the default cap of 10 times the dimension."""
+    phi0 = ground[0]
+    v0 = v0 - (phi0 @ v0) * phi0
+    v0 /= np.linalg.norm(v0)
+
+    def apply(x):
+        y = matvec(x)
+        y += (sigma * (phi0 @ x)) * phi0
+        return y
+
+    steps = 10 * v0.size
+    floor = np.finfo(float).eps * sigma
+    alphas, betas = [], []
+    check = 1
+    for m, (_, alpha, beta) in enumerate(reference_lanczos(apply, v0, steps), start=1):
+        alphas.append(alpha)
+        betas.append(beta)
+        if m < check and m < steps and beta != 0.0:
+            continue
+        check = m + 1 if m < 256 else m + m // 32
+        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1], select="i",
+                                                 select_range=(0, 0))
+        if beta == 0.0 or abs(beta * s[-1, 0]) <= floor:
+            break
+    y = np.zeros_like(v0)
+    for (q, _, _), coef in zip(reference_lanczos(apply, v0, len(alphas)), s[:, 0]):
+        y += coef * q
+    return theta[0], y / np.linalg.norm(y)
 
 
 @pytest.fixture

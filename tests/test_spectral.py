@@ -1,9 +1,11 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 import cqmap as cq
 from cqmap import mapping, model, spectral
@@ -15,7 +17,7 @@ from cqmap.spectral import (
     sweep_csv,
 )
 
-from conftest import held_bytes, random_model
+from conftest import held_bytes, random_model, reference_deflated_pair
 
 
 def mapped(h0, beta, rule="heat-bath"):
@@ -227,13 +229,34 @@ def test_deflated_pair_ends_on_exact_breakdown():
     # H = diag(0, 1, ..., 1) from the eigenvector e_1: the first step leaves
     # w = 0 exactly, which must end the iteration as converged.
     dim = 64
-    matrix = sparse.diags_array(np.r_[0.0, np.ones(dim - 1)]).tocsr()
+    product = partial(spectral._half_matvec, np.r_[0.0, np.ones(dim - 1)],
+                      sparse.csr_array((dim, dim)))
     phi0, v0 = np.eye(dim)[0], np.eye(dim)[1]
-    ground = spectral._known_ground_state(matrix.__matmul__, dim, phi0)
-    result = spectral._deflated_pair(matrix.__matmul__, 2.0, ground, v0, None, 0.0)
+    ground = spectral._known_ground_state(lambda x: product(x, np.zeros(dim)), dim, phi0)
+    result = spectral._deflated_pair(product, 2.0, ground, v0, None, 0.0)
     assert result.eigenvalues.tolist() == [0.0, 1.0]
     assert result.residual_norms.tolist() == [0.0, 0.0]
     assert np.array_equal(result.eigenvectors, np.eye(dim)[:, :2])
+
+
+@pytest.mark.parametrize("h0, beta", [
+    (cq.chain(12), 0.44),
+    (cq.grid(3, 4, field_h=0.1), 0.44),
+    (cq.chain(12), 0.0),
+], ids=["chain12", "grid3x4-field", "chain12-beta0"])
+def test_deflated_solve_matches_the_two_pass_reference(h0, beta):
+    # The reference allocates every vector and recomputes each step in its
+    # second pass; the solve updates held vectors in place and replays the
+    # recorded steps, so the two agree to roundoff.
+    H, known = mapped(h0, beta), sqrt_peq(h0, beta)
+    dim = H.dim
+    sigma = 2.0 * float(spectral._half_abs_row_sums(H.diag, H.upper).max())
+    ground = spectral._known_ground_state(H.matrix.__matmul__, dim, known)
+    theta, ritz = reference_deflated_pair(H.matrix.__matmul__, sigma, ground,
+                                          1.0 + 0.5 * np.sin(np.arange(dim)))
+    result = cq.extreme_eigenpairs(H, k=2, known=known)
+    assert abs(result.eigenvalues[1] - theta) <= 1e-14 * sigma
+    assert np.abs(result.eigenvectors[:, 1] - ritz).max() <= 1e-10
 
 
 def test_deflated_solve_keeps_no_krylov_basis():
@@ -266,7 +289,9 @@ def test_deflated_solve_on_a_general_csr_matches_dense(h0, beta):
 
 def solve_on_the_full_csr(monkeypatch, H):
     """Refuse any read of H.matrix, then return a solve whose products and
-    row sums are taken on H's full CSR, as scipy's CSR kernels give them."""
+    row sums are taken on H's full CSR, as scipy's CSR kernels give them;
+    each product adds into the vector the solve hands it, as _half_matvec
+    does."""
     full = H.matrix
 
     def refuse(H):
@@ -274,9 +299,13 @@ def solve_on_the_full_csr(monkeypatch, H):
 
     monkeypatch.setattr(mapping.QuantumHamiltonian, "matrix", property(refuse))
 
+    def full_matvec(diag, upper, x, out):
+        _sparsetools.csr_matvec(*full.shape, full.indptr, full.indices, full.data, x, out)
+        return out
+
     def solve(**kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_half_matvec", lambda diag, upper, x: full @ x)
+            patch.setattr(spectral, "_half_matvec", full_matvec)
             patch.setattr(spectral, "_half_abs_row_sums",
                           lambda diag, upper: abs(full) @ np.ones(full.shape[0]))
             return cq.extreme_eigenpairs(H, **kwargs)
@@ -349,7 +378,7 @@ def test_half_abs_row_sums_are_the_full_csr_sums_bit_for_bit(rng):
 def test_sweep_row_holds_h_once_per_symmetric_pair():
     # A chain(16) row's peak: H's diagonal and strict upper CSR, held
     # through the solve, plus at most 10 vectors (the Gibbs amplitude, the
-    # Lanczos vectors and their temporaries). H's full CSR is never built.
+    # Lanczos vectors and the result's columns). H's full CSR is never built.
     n = 16
     tracemalloc.start()
     row, = cq.gap_scaling_sweep({"kind": "chain"}, [n], 0.44)
@@ -416,6 +445,8 @@ def test_sweep_single_row_is_too_short_to_fit():
 @pytest.mark.parametrize("family, sizes, beta, rule, match", [
     ({"kind": "chain", "J": "x"}, [4], 0.5, "heat-bath", "lattice J must be a number"),
     ({"kind": "grid", "h": None}, [4], 0.5, "heat-bath", "lattice h must be a number"),
+    ({"kind": "grid", "J": float("nan")}, [3], 0.44, "heat-bath", "lattice J must be finite"),
+    ({"kind": "grid", "J": float("inf")}, [3], 0.44, "heat-bath", "lattice J must be finite"),
     ({"kind": "ladder"}, [4], 0.5, "heat-bath", "unknown lattice kind"),
     ({}, [4], 0.5, "heat-bath", "unknown lattice kind"),
     ("chain", [4], 0.5, "heat-bath", "family must be"),
@@ -424,8 +455,8 @@ def test_sweep_single_row_is_too_short_to_fit():
     ({"kind": "chain"}, [4], 0.5, "bogus", "unknown flip rule"),
     ({"kind": "grid"}, [-2, 2], 0.5, "heat-bath", r"sweep sizes must be >= 1, got \[-2, 2\]"),
     ({"kind": "chain"}, [4, 0], 0.5, "heat-bath", r"sweep sizes must be >= 1, got \[4, 0\]"),
-], ids=["J-str", "h-null", "kind-unknown", "kind-missing", "not-a-dict", "beta-nan",
-        "beta-negative", "rule-unknown", "grid-side-negative", "chain-size-zero"])
+], ids=["J-str", "h-null", "J-nan", "J-inf", "kind-unknown", "kind-missing", "not-a-dict",
+        "beta-nan", "beta-negative", "rule-unknown", "grid-side-negative", "chain-size-zero"])
 def test_sweep_refuses_malformed_family_before_any_row(family, sizes, beta, rule, match):
     # Inside a row the same refusal would become an error row, not a raise.
     with pytest.raises(ValidationError, match=match):
@@ -481,6 +512,17 @@ def test_sweep_row_with_unresolved_gap_is_an_error():
     assert row.method == "error"
     assert "not resolved" in row.error
     assert np.isnan(row.tau)
+
+
+@pytest.mark.parametrize("rule", ["heat-bath", "metropolis"])
+def test_sweep_row_at_overflowing_beta_is_unresolved(rule):
+    # At beta = 1e308 every beta dE overflows, so each flip entry of H and
+    # each excited Gibbs weight is 0: lambda_1 is not resolved. Under the
+    # error::RuntimeWarning filter an overflow warning on the way used to
+    # become the row's error instead.
+    row = cq.gap_scaling_sweep({"kind": "chain"}, [8], 1e308, rule)[0]
+    assert row.method == "error"
+    assert "not resolved" in row.error
 
 
 def path_laplacian(n):
